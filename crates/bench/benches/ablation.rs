@@ -1,4 +1,5 @@
-//! Ablations over the design choices called out in `DESIGN.md` §6–7:
+//! Ablations over the design choices called out in `ARCHITECTURE.md`
+//! §"Deviations from the paper":
 //!
 //! * `ExpandPolicy::PaperPruned` vs `FullRelax` (visited-partition pruning);
 //! * `AsynMode::Faithful` vs `Exact` (drop-on-refresh vs re-check);

@@ -3,21 +3,17 @@
 //! 1. **Worker sweep** — queries/sec vs worker threads (1–8) for a
 //!    [`itspq_core::VenueServer`] on a mixed-time batch;
 //! 2. **Sharing sweep** — queries/sec vs batch size × traffic shape for
-//!    every sharing level ([`itspq_core::BatchStrategy`] `Shared`,
-//!    `SharedDoor`, `SharedDoor` + warm-start donation (`warm`),
-//!    `SharedInterval`) against `Independent` on the *same* batches:
-//!    exact-duplicate (source, time) pairs collapse at every level, while
-//!    partition-clustered sources with jittered departures collapse only
-//!    under door-level grouping, warm-start donation and interval
-//!    coalescing.
+//!    [`itspq_core::BatchStrategy::Shared`] against `Independent` on the
+//!    *same* batches: exact-duplicate (source, time) pairs, partition-
+//!    clustered sources and clustered sources with jittered departures all
+//!    group by source partition and checkpoint interval.
 //!
 //! The default run uses the paper's five-floor mall and writes the committed
 //! `BENCH_throughput.json` baseline plus `results/throughput*.csv`.
-//! `--quick` (wired into CI) shrinks the venue to a single floor, asserts a
-//! minimum realised grouping ratio per sharing level on its natural batch
-//! shape (and that ratios are monotone as keys coarsen), and exits non-zero
-//! if the hot batch exceeds a generous wall-clock budget — the serving-path
-//! analogue of `construction --quick`.
+//! `--quick` (wired into CI) shrinks the venue to a single floor, asserts
+//! that `Shared` groups every skewed shape and keeps pace with independent
+//! execution on them, and exits non-zero if the hot batch exceeds a generous
+//! wall-clock budget — the serving-path analogue of `construction --quick`.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -76,7 +72,7 @@ fn main() {
         );
     }
 
-    // Sharing sweep: every sharing level vs Independent on identical batches.
+    // Sharing sweep: Shared vs Independent on identical batches.
     let batch_sizes: &[usize] = if quick { &[16, 64] } else { &[32, 128, 512] };
     let shapes = [
         TrafficShape::uniform(),
@@ -93,7 +89,7 @@ fn main() {
         repeats,
         delta,
     );
-    println!("\nsharing levels vs independent execution ({workers} workers):");
+    println!("\nshared vs independent execution ({workers} workers):");
     print!("{}", concurrency::sharing_table(&sharing));
 
     std::fs::create_dir_all("results").expect("create results dir");
@@ -105,8 +101,11 @@ fn main() {
 
     if !quick {
         let json_path = Path::new("BENCH_throughput.json");
-        std::fs::write(json_path, json_baseline(&points, &sharing, host_cores))
-            .expect("write throughput baseline");
+        std::fs::write(
+            json_path,
+            json_baseline(&points, &sharing, host_cores, repeats),
+        )
+        .expect("write throughput baseline");
         println!("wrote {}", json_path.display());
     }
 
@@ -118,52 +117,19 @@ fn main() {
                 .max_by_key(|p| p.batch_size)
                 .expect("quick sweep includes every (strategy, shape) series")
         };
-        // Tripwire 1: each sharing level must realise grouping on its
-        // natural batch shape — exact keys on bit-identical zipf duplicates,
-        // door keys on partition-clustered sources, interval keys on
+        // Tripwire 1: `Shared` must realise grouping on every skewed shape —
+        // bit-identical zipf duplicates, partition-clustered sources, and
         // clustered sources with jittered departures.
-        for (strategy, skew) in [
-            ("shared", "zipf-exact"),
-            ("shared-door", "door-clustered"),
-            ("shared-interval", "clustered"),
-        ] {
-            let p = hot(strategy, skew);
+        for skew in ["zipf-exact", "door-clustered", "clustered"] {
+            let p = hot("shared", skew);
             assert!(
                 p.sharing_ratio < 1.0,
-                "sharing regression: {strategy} formed no groups on its {skew} batch"
+                "sharing regression: shared formed no groups on its {skew} batch"
             );
         }
-        // Tripwire 2: coarser keys can only merge more — plan ratios must be
-        // monotone by level on every shape and batch size.
-        for p in sharing.iter().filter(|p| p.strategy == "shared") {
-            let door = sharing
-                .iter()
-                .find(|q| {
-                    q.strategy == "shared-door" && q.skew == p.skew && q.batch_size == p.batch_size
-                })
-                .expect("door row exists for every shared row");
-            let interval = sharing
-                .iter()
-                .find(|q| {
-                    q.strategy == "shared-interval"
-                        && q.skew == p.skew
-                        && q.batch_size == p.batch_size
-                })
-                .expect("interval row exists for every shared row");
-            assert!(
-                interval.sharing_ratio <= door.sharing_ratio
-                    && door.sharing_ratio <= p.sharing_ratio,
-                "plan-ratio monotonicity broke on {} batch of {}: \
-                 exact {:.3}, door {:.3}, interval {:.3}",
-                p.skew,
-                p.batch_size,
-                p.sharing_ratio,
-                door.sharing_ratio,
-                interval.sharing_ratio
-            );
-        }
-        // Tripwire 3: exact sharing must still beat independent execution on
-        // the bit-identical hot batch (the levels above it only merge more).
+        // Tripwire 2: grouping must *pay*, not just group — strictly on the
+        // exact-duplicate batch, and at least break even where members are
+        // derived by replay and retime.
         let hottest = hot("shared", "zipf-exact");
         assert!(
             hottest.speedup > 1.0,
@@ -171,24 +137,17 @@ fn main() {
              on the hot zipf batch ({:.2}x)",
             hottest.speedup
         );
-        // Tripwire 3b: the coarse levels must now *pay* on their natural
-        // shapes, not just group — door-level replay on partition-clustered
-        // sources and interval coalescing on jittered departures each have
-        // to at least match independent execution on the hot batch.
-        for (strategy, skew) in [
-            ("shared-door", "door-clustered"),
-            ("shared-interval", "clustered"),
-        ] {
-            let p = hot(strategy, skew);
+        for skew in ["door-clustered", "clustered"] {
+            let p = hot("shared", skew);
             assert!(
                 p.speedup >= 1.0,
-                "coarse-sharing regression: {strategy} ran {:.2}x vs independent \
-                 on its {skew} batch of {}",
+                "sharing regression: shared ran {:.2}x vs independent on its \
+                 {skew} batch of {}",
                 p.speedup,
                 p.batch_size
             );
         }
-        // Tripwire 4: absolute wall-clock budget, as in `construction --quick`.
+        // Tripwire 3: absolute wall-clock budget, as in `construction --quick`.
         assert!(
             hottest.batch_secs <= QUICK_BUDGET_SECS,
             "throughput regression: the hot {}-query shared batch took {:.2}s \
@@ -197,9 +156,9 @@ fn main() {
             hottest.batch_secs
         );
         println!(
-            "quick tripwires ok: per-level grouping realised, plan ratios \
-             monotone, hot {}-query shared batch {:.3}s <= {QUICK_BUDGET_SECS}s \
-             at {:.2}x over independent",
+            "quick tripwires ok: shared groups every skewed shape, hot \
+             {}-query shared batch {:.3}s <= {QUICK_BUDGET_SECS}s at {:.2}x \
+             over independent",
             hottest.batch_size, hottest.batch_secs, hottest.speedup
         );
     }
@@ -209,17 +168,18 @@ fn json_baseline(
     workers: &[ThroughputPoint],
     sharing: &[SharingPoint],
     host_cores: usize,
+    repeats: usize,
 ) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"throughput\",");
     let _ = writeln!(
         out,
         "  \"description\": \"VenueServer queries/sec: worker sweep on a mixed-time batch, \
-         then every sharing level (Shared, SharedDoor, warm = SharedDoor + warm-start \
-         frontier donation, SharedInterval) vs Independent on identical batches across \
-         traffic shapes — uniform, zipf-exact duplicates, door-clustered sources, \
-         clustered sources with jittered departures \
-         (sharing_ratio = physical searches per query)\","
+         then Shared (grouped by source partition and checkpoint interval) vs \
+         Independent on identical batches across traffic shapes — uniform, zipf-exact \
+         duplicates, door-clustered sources, clustered sources with jittered departures \
+         (sharing_ratio = physical searches per query; mean of {repeats} timed batches \
+         per point)\","
     );
     let _ = writeln!(out, "  \"host_cores\": {host_cores},");
     let _ = writeln!(out, "  \"worker_sweep\": [");

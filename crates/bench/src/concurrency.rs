@@ -87,37 +87,35 @@ pub fn throughput_sweep(
     points
 }
 
-/// One measured (batch size × traffic shape × sharing level) point.
+/// One measured (batch size × traffic shape × strategy) point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharingPoint {
-    /// Sharing level label (see [`strategy_label`]; `"warm"` is door-level
-    /// sharing with warm-start frontier donation enabled).
+    /// Batch strategy label (see [`strategy_label`]).
     pub strategy: &'static str,
     /// Queries per batch.
     pub batch_size: usize,
     /// Traffic-shape label (e.g. `"uniform"`, `"zipf-exact"`,
     /// `"clustered"`).
     pub skew: String,
-    /// Physical searches / queries for this batch under this level's planner
-    /// (1.0 means nothing groups; 0.25 means four queries per search).
+    /// Physical searches / queries for this batch under this strategy's
+    /// planner (1.0 means nothing groups; 0.25 means four queries per
+    /// search).
     pub sharing_ratio: f64,
     /// Mean wall-clock seconds per batch.
     pub batch_secs: f64,
     /// Queries per second.
     pub qps: f64,
-    /// This level's qps / independent qps on the *same* batch (1.0 for the
-    /// independent row itself).
+    /// This strategy's qps / independent qps on the *same* batch (1.0 for
+    /// the independent row itself).
     pub speedup: f64,
 }
 
-/// The stable label of a sharing level in tables, CSVs and baselines.
+/// The stable label of a batch strategy in tables, CSVs and baselines.
 #[must_use]
 pub fn strategy_label(strategy: BatchStrategy) -> &'static str {
     match strategy {
         BatchStrategy::Independent => "independent",
         BatchStrategy::Shared => "shared",
-        BatchStrategy::SharedDoor => "shared-door",
-        BatchStrategy::SharedInterval => "shared-interval",
     }
 }
 
@@ -143,8 +141,8 @@ impl TrafficShape {
         }
     }
 
-    /// Bit-identical zipf sources at fixed times: what exact-key
-    /// ([`BatchStrategy::Shared`]) grouping collapses.
+    /// Bit-identical zipf sources at fixed times: exact duplicates, answered
+    /// verbatim from their group's search.
     #[must_use]
     pub fn zipf_exact(exponent: f64, pool: usize) -> Self {
         TrafficShape {
@@ -154,9 +152,8 @@ impl TrafficShape {
         }
     }
 
-    /// Partition-clustered (but distinct) sources at fixed times: invisible
-    /// to exact keys, collapsed by door-level grouping (and everything
-    /// coarser).
+    /// Partition-clustered (but distinct) sources at fixed times: members
+    /// answered by replay of the lead's recorded relaxations.
     #[must_use]
     pub fn door_clustered(exponent: f64, pool: usize) -> Self {
         TrafficShape {
@@ -167,8 +164,8 @@ impl TrafficShape {
     }
 
     /// Partition-clustered (but distinct) sources with departure times
-    /// jittered inside hot windows: invisible to exact keys, collapsed by
-    /// door-level grouping and interval coalescing.
+    /// jittered inside hot windows: members answered by replay and retime
+    /// within each checkpoint interval.
     #[must_use]
     pub fn clustered(exponent: f64, pool: usize, spread_secs: f64) -> Self {
         TrafficShape {
@@ -216,15 +213,15 @@ pub fn skewed_batch(
     queries
 }
 
-/// Sweeps batch size × traffic shape × sharing level, timing every
-/// [`BatchStrategy`] against `Independent` on identical batches.
+/// Sweeps batch size × traffic shape, timing [`BatchStrategy::Shared`]
+/// against `Independent` on identical batches.
 ///
-/// All servers run ITG/A with [`ItspqConfig::full_relax`] in
+/// Both servers run ITG/A with [`ItspqConfig::full_relax`] in
 /// [`AsynMode::Exact`] (full relaxation is the policy under which sharing is
-/// answer-preserving, and Exact's order-pure TV verdicts are what door-level
-/// replay certifies against — the Faithful cursor gates replay off) with
-/// `workers` threads; answers are asserted equal on the warm-up pass of
-/// every point, so the timed deltas are pure execution-plan effects.
+/// answer-preserving, and Exact's order-pure TV verdicts are what replay
+/// certifies against — the Faithful cursor gates replay off) with `workers`
+/// threads; answers are asserted equal on the warm-up pass of every point,
+/// so the timed deltas are pure execution-plan effects.
 #[must_use]
 pub fn sharing_sweep(
     graph: &Arc<ItGraph>,
@@ -235,49 +232,20 @@ pub fn sharing_sweep(
     delta: f64,
 ) -> Vec<SharingPoint> {
     let repeats = repeats.max(1);
-    let config = |strategy, warm_start| ServerConfig {
-        workers,
-        method: ServeMethod::Asyn,
-        strategy,
-        warm_start,
-        // Exact mode: order-pure verdicts (answer-identical to ITG/S),
-        // required for door-level replay to engage — see the server's
-        // `verdict_pure` gate.
-        itspq: ItspqConfig::full_relax().with_asyn_mode(AsynMode::Exact),
-        ..ServerConfig::default()
-    };
-    // The `"warm"` row is door-level sharing plus warm-start frontier
-    // donation across same-interval groups — the opt-in between
-    // `SharedDoor` and `SharedInterval`.
-    let levels: [(&'static str, BatchStrategy, bool); 4] = [
-        (
-            strategy_label(BatchStrategy::Shared),
-            BatchStrategy::Shared,
-            false,
-        ),
-        (
-            strategy_label(BatchStrategy::SharedDoor),
-            BatchStrategy::SharedDoor,
-            false,
-        ),
-        ("warm", BatchStrategy::SharedDoor, true),
-        (
-            strategy_label(BatchStrategy::SharedInterval),
-            BatchStrategy::SharedInterval,
-            false,
-        ),
-    ];
-    let independent =
-        VenueServer::with_config(Arc::clone(graph), config(BatchStrategy::Independent, false));
-    independent.warm();
-    let servers: Vec<(&'static str, VenueServer)> = levels
-        .iter()
-        .map(|&(label, s, warm)| {
-            let server = VenueServer::with_config(Arc::clone(graph), config(s, warm));
-            server.warm();
-            (label, server)
-        })
-        .collect();
+    // Independent first: its row is the reference the shared row is checked
+    // and scored against.
+    let servers = [BatchStrategy::Independent, BatchStrategy::Shared].map(|strategy| {
+        let config = ServerConfig {
+            workers,
+            method: ServeMethod::Asyn,
+            strategy,
+            itspq: ItspqConfig::full_relax().with_asyn_mode(AsynMode::Exact),
+            ..ServerConfig::default()
+        };
+        let server = VenueServer::with_config(Arc::clone(graph), config);
+        server.warm();
+        server
+    });
 
     let time_batch = |server: &VenueServer, batch: &[Query]| {
         let start = Instant::now();
@@ -293,29 +261,19 @@ pub fn sharing_sweep(
         (secs, qps)
     };
 
-    let mut points = Vec::with_capacity((1 + levels.len()) * batch_sizes.len() * shapes.len());
+    let mut points = Vec::with_capacity(servers.len() * batch_sizes.len() * shapes.len());
     for &shape in shapes {
         for (i, &size) in batch_sizes.iter().enumerate() {
             let batch = skewed_batch(graph, size, shape, delta, 0xB47C4 + i as u64);
-            let reference = independent.query_batch(&batch); // untimed warm-up
-            let (ind_secs, ind_qps) = time_batch(&independent, &batch);
-            points.push(SharingPoint {
-                strategy: strategy_label(BatchStrategy::Independent),
-                batch_size: batch.len(),
-                skew: shape.label.to_string(),
-                sharing_ratio: 1.0,
-                batch_secs: ind_secs,
-                qps: ind_qps,
-                speedup: 1.0,
-            });
-            for &(label, ref server) in &servers {
-                let ratio = {
-                    let plan = server.plan(&batch, false);
-                    plan.searches() as f64 / batch.len().max(1) as f64
-                };
+            let reference = servers[0].query_batch(&batch);
+            let mut independent_qps = f64::NAN;
+            for server in &servers {
+                let strategy = server.config().strategy;
+                let label = strategy_label(strategy);
+                let plan = server.plan(&batch, false);
                 // Untimed warm-up doubling as the answer-parity check.
-                let a = server.query_batch(&batch);
-                for (x, y) in a.iter().zip(&reference) {
+                let answers = server.query_batch(&batch);
+                for (x, y) in answers.iter().zip(&reference) {
                     assert_eq!(
                         x.path.as_ref().map(|p| p.length),
                         y.path.as_ref().map(|p| p.length),
@@ -323,14 +281,17 @@ pub fn sharing_sweep(
                     );
                 }
                 let (secs, qps) = time_batch(server, &batch);
+                if strategy == BatchStrategy::Independent {
+                    independent_qps = qps;
+                }
                 points.push(SharingPoint {
                     strategy: label,
                     batch_size: batch.len(),
                     skew: shape.label.to_string(),
-                    sharing_ratio: ratio,
+                    sharing_ratio: plan.searches() as f64 / batch.len().max(1) as f64,
                     batch_secs: secs,
                     qps,
-                    speedup: qps / ind_qps,
+                    speedup: qps / independent_qps,
                 });
             }
         }
@@ -459,12 +420,13 @@ mod tests {
             1,
             600.0,
         );
-        assert_eq!(
-            points.len(),
-            5,
-            "independent plus three sharing levels plus the warm row"
-        );
-        let shared = points.iter().find(|p| p.strategy == "shared").unwrap();
+        assert_eq!(points.len(), 2, "one independent and one shared row");
+        let independent = &points[0];
+        assert_eq!(independent.strategy, "independent");
+        assert!((independent.sharing_ratio - 1.0).abs() < 1e-12);
+        assert!((independent.speedup - 1.0).abs() < 1e-12);
+        let shared = &points[1];
+        assert_eq!(shared.strategy, "shared");
         assert!(
             shared.sharing_ratio < 1.0,
             "a hot pool of 2 sources over 8 queries must form groups"
@@ -474,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn clustered_traffic_groups_only_at_coarser_levels() {
+    fn clustered_traffic_groups_under_shared() {
         let w = Workload::with_mall(MallConfig::single_floor(), 4);
         let points = sharing_sweep(
             &w.graph,
@@ -484,27 +446,14 @@ mod tests {
             1,
             600.0,
         );
-        let ratio = |label: &str| {
-            points
-                .iter()
-                .find(|p| p.strategy == label)
-                .map(|p| p.sharing_ratio)
-                .unwrap()
-        };
-        // Coarser keys can only merge more: ratios are monotone by level,
-        // with warm-start donation sitting between door and interval.
-        assert!(ratio("shared-door") <= ratio("shared"));
-        assert!(ratio("warm") <= ratio("shared-door"));
-        assert!(ratio("shared-interval") <= ratio("warm"));
-        // Distinct points in hot partitions with jittered times: door-level
-        // needs identical instants (rare under a 120 s spread), interval
-        // coalescing must realise sharing.
+        // Distinct points in hot partitions with jittered times: no two
+        // queries are exact duplicates, yet they share a source partition
+        // and checkpoint interval.
+        let shared = points.iter().find(|p| p.strategy == "shared").unwrap();
         assert!(
-            ratio("shared-interval") < 1.0,
-            "clustered traffic must group at interval level, ratios: shared {} door {} interval {}",
-            ratio("shared"),
-            ratio("shared-door"),
-            ratio("shared-interval"),
+            shared.sharing_ratio < 1.0,
+            "clustered traffic must group, ratio {}",
+            shared.sharing_ratio
         );
     }
 }

@@ -6,7 +6,7 @@
 //! asynchronous reduced-graph check of Algorithm 4 (ITG/A).
 //!
 //! Two deliberate deviations from the paper's pseudo-code, neither affecting
-//! results (see `DESIGN.md` §6):
+//! results (see `ARCHITECTURE.md` §"Deviations from the paper"):
 //!
 //! * doors are inserted into the priority queue lazily instead of enheaping
 //!   every door with distance ∞ upfront (lines 2–5) — the "pop ∞ ⇒ no route"
@@ -43,46 +43,35 @@ pub(crate) struct PrevEntry {
     pub(crate) from: Option<u32>,
 }
 
-/// One recorded *door-level* decision of a multi-target sweep, in execution
-/// order.
+/// One recorded door relaxation of the lead's sweep (Algorithm 1 lines
+/// 29–34) that had a weight, in execution order.
 ///
 /// The trace is the *lead* query's complete relaxation log. `crate::replay`
-/// computes a group member's own label fixpoint from it — substituting only
-/// the member-specific inputs (source legs, departure time) — and then
-/// certifies that the member's own search would have attempted exactly the
-/// recorded relaxation set; any uncertifiable divergence aborts the replay
-/// and the member falls back to per-query execution. Door events are shared
-/// by every member of the group; the per-target events live in positioned
-/// side streams (see [`TargetEvent`]) so a member's replay never scans
-/// another member's relaxations.
+/// computes a group member's own label fixpoint from it and then certifies
+/// that the member's own search would have attempted exactly the recorded
+/// relaxation set; any uncertifiable divergence aborts the replay and the
+/// member falls back to per-query execution. A record keeps only what a
+/// member cannot recompute — which door was relaxed, from where, through
+/// which partition. The weight is re-read from the venue
+/// (`door_to_door(via, from, door)`, the very matrix entry the sweep read)
+/// and the `TV_Check` verdict is taken from the door's ATIs at the member's
+/// own arrival. `from == None` is a source-leg relaxation (`|ps, dj|`), the
+/// only member-specific weight.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum DoorEvent {
-    /// A door settled: its non-stale entry left the priority queue (stale
-    /// pops decide nothing and are not recorded). The event order is the
-    /// lead's settle order, which drives the replay's omission certificate.
-    Pop { door: u32 },
-    /// A door relaxation attempt (Algorithm 1 lines 29–34) that had a
-    /// weight. `from == None` is a source-leg relaxation (`|ps, dj|`), the
-    /// only member-specific weight; `[lo, hi)` is the constant-topology
-    /// timeline window of the lead's projected arrival
-    /// ([`indoor_time::CheckpointSet::timeline_interval`]), `open` the
-    /// `TV_Check` verdict, `improved` line 31's comparison. A member whose
-    /// own arrival lands inside `[lo, hi)` provably receives the same
-    /// verdict without re-running the check.
-    Relax {
-        door: u32,
-        from: Option<u32>,
-        via: PartitionId,
-        weight: f64,
-        lo: f64,
-        hi: f64,
-        open: bool,
-        improved: bool,
-    },
-    /// The lead had no source→door geodesic, so no relaxation was attempted.
-    /// A member that *does* have one would diverge structurally — replay must
-    /// verify the absence.
-    SourceLegMissing { door: u32 },
+pub(crate) struct RelaxEvent {
+    pub(crate) door: u32,
+    pub(crate) from: Option<u32>,
+    pub(crate) via: PartitionId,
+}
+
+/// One settle of the lead's sweep: the door and the partition its final
+/// label entered through (the neighbor its expansion excludes). The event
+/// order is the lead's settle order, which drives the replay's frontier and
+/// omission certificates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SettleEvent {
+    pub(crate) door: u32,
+    pub(crate) via: Option<PartitionId>,
 }
 
 /// One recorded target-leg relaxation (lines 20–24), in target `k`'s own
@@ -99,13 +88,17 @@ pub(crate) struct TargetEvent {
     pub(crate) weight: f64,
 }
 
-/// The lead's recorded decision log: one shared door stream plus one
-/// positioned side stream per group member. All buffers are reused across
-/// groups via [`Trace::reset`] — recording steady-states to zero
-/// allocations per group.
+/// The lead's recorded decision log: the shared relaxation, missing-leg and
+/// settle lists plus one positioned target stream per group member. All
+/// buffers are reused across the groups of one batch via [`Trace::reset`].
 #[derive(Debug, Default)]
 pub(crate) struct Trace {
-    pub(crate) doors: Vec<DoorEvent>,
+    pub(crate) relaxes: Vec<RelaxEvent>,
+    /// Doors of the source partition the lead had no source→door geodesic
+    /// to, so it attempted no relaxation. A member that *does* have one
+    /// would relax an unrecorded edge — replay must verify the absence.
+    pub(crate) missing_legs: Vec<u32>,
+    pub(crate) settles: Vec<SettleEvent>,
     pub(crate) targets: Vec<Vec<TargetEvent>>,
 }
 
@@ -113,7 +106,9 @@ impl Trace {
     /// Clears every stream (keeping capacity) and guarantees at least
     /// `members` target streams exist.
     pub(crate) fn reset(&mut self, members: usize) {
-        self.doors.clear();
+        self.relaxes.clear();
+        self.missing_legs.clear();
+        self.settles.clear();
         for t in &mut self.targets {
             t.clear();
         }
@@ -123,14 +118,13 @@ impl Trace {
     }
 }
 
-/// Decision recorder for [`run_search_targets`]: an optional full decision
-/// trace (door-level replay) and/or a running minimum of the margin between
-/// each checked arrival and its next checkpoint (interval-coalescing
-/// certificate). Both default to off, making the observer free on the
-/// per-query path.
+/// Decision recorder for [`run_search_targets`]: an optional decision trace
+/// (replay) and/or a running minimum of the margin between each checked
+/// arrival and its next checkpoint (retime certificate). Both default to
+/// off, making the observer free on the per-query path.
 #[derive(Debug)]
 pub(crate) struct SweepObserver {
-    /// Record the full decision trace.
+    /// Record the decision trace.
     record: bool,
     /// Track `min_margin_secs` across every `TV_Check` arrival.
     track_margin: bool,
@@ -140,8 +134,8 @@ pub(crate) struct SweepObserver {
     /// checkpoint; `f64::INFINITY` when no check happened. A member whose
     /// departure lags the lead's by strictly less than this margin (minus a
     /// rounding slack) certifiably makes the identical `TV_Check` decisions.
-    /// Poisoned to `0.0` (never certify) if any arrival degenerates to a
-    /// non-finite margin.
+    /// A degenerate (∞/NaN) arrival saturates its margin to `0.0`, so no
+    /// member retimes against it.
     pub(crate) min_margin_secs: f64,
 }
 
@@ -155,7 +149,7 @@ impl SweepObserver {
         Self::with_trace(record, track_margin, Trace::default(), 0)
     }
 
-    /// An observer writing into a caller-owned (typically pooled) trace
+    /// An observer writing into a caller-owned (typically reused) trace
     /// buffer, reset for `members` target streams. Reclaim the buffer with
     /// [`SweepObserver::take_trace`] after the sweep.
     pub(crate) fn with_trace(
@@ -173,21 +167,30 @@ impl SweepObserver {
         }
     }
 
-    /// Moves the recorded trace out (leaving an empty one) so a pooled
+    /// Moves the recorded trace out (leaving an empty one) so a reused
     /// buffer can return to its scratch slot after the group is scattered.
     pub(crate) fn take_trace(&mut self) -> Trace {
         std::mem::take(&mut self.trace)
     }
 
     #[inline]
-    fn active(&self) -> bool {
-        self.record || self.track_margin
+    fn push_relax(&mut self, door: u32, from: Option<u32>, via: PartitionId) {
+        if self.record {
+            self.trace.relaxes.push(RelaxEvent { door, from, via });
+        }
     }
 
     #[inline]
-    fn push_door(&mut self, ev: DoorEvent) {
+    fn push_missing_leg(&mut self, door: u32) {
         if self.record {
-            self.trace.doors.push(ev);
+            self.trace.missing_legs.push(door);
+        }
+    }
+
+    #[inline]
+    fn push_settle(&mut self, door: u32, via: Option<PartitionId>) {
+        if self.record {
+            self.trace.settles.push(SettleEvent { door, via });
         }
     }
 
@@ -458,9 +461,7 @@ fn expand_partition<C: TvChecker>(
             // never saw); missing door-to-door weights are venue geometry,
             // identical for every member.
             if from.is_none() {
-                observer.push_door(DoorEvent::SourceLegMissing {
-                    door: dj.index() as u32,
-                });
+                observer.push_missing_leg(dj.index() as u32);
             }
             continue;
         };
@@ -470,43 +471,21 @@ fn expand_partition<C: TvChecker>(
         // Line 30: TV_Check(dj, dist_j, t).
         stats.tv_checks += 1;
         let open = checker.check(dj, cand, stats);
-        let improved = open && cand < st.dist[dj.index()];
-        if observer.active() {
+        if observer.track_margin {
             let arrival = t0 + config.velocity.travel_time(cand);
-            // One interval lookup serves both consumers: `hi - arrival` IS
-            // the retiming margin (bit-equal to `margin_to_next`, pinned in
-            // indoor-time's tests), and `[lo, hi)` is the window replay
-            // admits member arrivals against.
-            let (lo, hi) = space.checkpoints().timeline_interval(arrival);
-            if observer.track_margin {
-                let margin = hi - arrival.seconds();
-                if margin.is_finite() {
-                    if margin < observer.min_margin_secs {
-                        observer.min_margin_secs = margin;
-                    }
-                } else {
-                    // Degenerate arrival (∞/NaN weight): no retime is safe.
-                    observer.min_margin_secs = 0.0;
-                }
+            let margin = space.checkpoints().margin_to_next(arrival);
+            if margin < observer.min_margin_secs {
+                observer.min_margin_secs = margin;
             }
-            observer.push_door(DoorEvent::Relax {
-                door: dj.index() as u32,
-                from,
-                via: v,
-                weight,
-                lo,
-                hi,
-                open,
-                improved,
-            });
         }
+        observer.push_relax(dj.index() as u32, from, v);
         if !open {
             stats.tv_rejections += 1;
             continue;
         }
 
         // Lines 31–34.
-        if improved {
+        if cand < st.dist[dj.index()] {
             if st.dist[dj.index()].is_infinite() {
                 st.touched_doors += 1;
             }
@@ -680,11 +659,6 @@ pub(crate) fn run_search_targets<C: TvChecker>(
 
     while let Some(entry) = st.heap.pop() {
         stats.heap_pops += 1;
-        if let Node::Door(i) = entry.node {
-            if !st.settled[i as usize] {
-                observer.push_door(DoorEvent::Pop { door: i });
-            }
-        }
         let di = match entry.node {
             Node::Target(k) => {
                 let k = k as usize;
@@ -717,6 +691,8 @@ pub(crate) fn run_search_targets<C: TvChecker>(
         stats.doors_settled += 1;
         let door = DoorId(di);
         let d_di = st.dist[di as usize];
+        let came_from = st.prev[di as usize].map(|p| p.via);
+        observer.push_settle(di, came_from);
 
         // Lines 20–24 per pending target: a settled door entering P(pt)
         // relaxes that target directly.
@@ -727,9 +703,8 @@ pub(crate) fn run_search_targets<C: TvChecker>(
             }
             if let Some(pd) = space.point_to_door(&targets[k], door) {
                 let cand = d_di + pd;
-                let improved = cand < target_dist[k];
                 observer.push_target(k as u32, di, pd);
-                if improved {
+                if cand < target_dist[k] {
                     target_dist[k] = cand;
                     target_prev[k] = Some(di);
                     st.heap.push(cand, Node::Target(k as u32));
@@ -740,7 +715,6 @@ pub(crate) fn run_search_targets<C: TvChecker>(
 
         // Full relaxation: expand every enterable partition except the one
         // the door was reached through (see `run_search` for why).
-        let came_from = st.prev[di as usize].map(|p| p.via);
         for vi in 0..space.d2p_enterable(door).len() {
             let v = space.d2p_enterable(door)[vi];
             if !allowed(v) || Some(v) == came_from {

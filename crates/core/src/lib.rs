@@ -43,7 +43,8 @@
 //! ## Faithfulness switches
 //!
 //! The four-page paper leaves a few semantics implicit; they are exposed as
-//! configuration instead of being silently resolved (see `DESIGN.md` §6):
+//! configuration instead of being silently resolved (see `ARCHITECTURE.md`
+//! §"Deviations from the paper"):
 //! [`ExpandPolicy`] selects the paper's visited-partition pruning or a full
 //! Dijkstra relaxation, and [`AsynMode`] selects the paper's drop-on-refresh
 //! behaviour or an exact re-check.
@@ -99,7 +100,7 @@ pub use engine_syn::SynEngine;
 pub use graph::ItGraph;
 pub use ksp::k_shortest_paths;
 pub use ord::{cmp_dist, cmp_opt_len, min_dist, OrdF64};
-pub use query::{DoorHop, GroupKey, Path, Query, QueryError, QueryOutcome, QueryResult};
+pub use query::{DoorHop, Path, Query, QueryError, QueryOutcome, QueryResult};
 pub use reduced::ReducedGraph;
 pub use server::{BatchPlan, BatchStrategy, ServeMethod, ServerConfig, VenueServer};
 pub use stats::{BatchStats, SearchStats};

@@ -109,47 +109,6 @@ impl Query {
     }
 }
 
-/// The exact-sharing key of a query: two queries may be answered by one
-/// shared search frontier iff their keys are equal.
-///
-/// Sharing requires *identity* of the search inputs, not proximity: every
-/// door's tentative distance — and through it every arrival time fed to the
-/// ATI checks — is a function of the exact source position and departure
-/// time, so the key hashes their bit patterns. The checkpoint interval is
-/// derived (equal times imply equal intervals) and carried for telemetry:
-/// it is what batch dashboards group sharing ratios by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct GroupKey {
-    /// The source partition `P(ps)`.
-    pub partition: PartitionId,
-    /// Bit patterns of the source coordinates (identity, not ε-proximity).
-    position_bits: (u64, u64),
-    /// Bit pattern of the departure time.
-    time_bits: u64,
-    /// Checkpoint interval containing the departure time.
-    pub interval: usize,
-}
-
-impl GroupKey {
-    /// The key of `query` on the venue `space`.
-    ///
-    /// Callers must have validated the query first ([`Query::validate`]):
-    /// a NaN coordinate would make two malformed queries share a key while
-    /// `NaN != NaN` keeps their searches subtly different.
-    #[must_use]
-    pub fn of(query: &Query, space: &IndoorSpace) -> Self {
-        GroupKey {
-            partition: query.source.partition,
-            position_bits: (
-                query.source.position.x.to_bits(),
-                query.source.position.y.to_bits(),
-            ),
-            time_bits: query.time.seconds().to_bits(),
-            interval: space.checkpoints().interval_index(query.time),
-        }
-    }
-}
-
 /// One door crossing of a path.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DoorHop {

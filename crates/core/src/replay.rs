@@ -1,13 +1,13 @@
-//! Order-free differential replay: door-level sharing's per-member
+//! Order-free differential replay: shared execution's per-member
 //! derivation.
 //!
-//! Door-level grouping batches queries that leave the *same source
-//! partition* at compatible departure times but from **different source
+//! A `Shared` group batches queries that leave the *same source partition*
+//! inside one checkpoint interval, possibly from **different source
 //! points**. Floating-point addition is not associative, so a member's
 //! answer cannot be recovered from the lead's labels by offset arithmetic —
-//! instead, the lead's sweep records its complete relaxation log (a
-//! [`Trace`]: one shared door-event stream plus a per-target leg stream)
-//! and this module computes each member's *own* final labels from it.
+//! instead, the lead's sweep records its relaxation log (a [`Trace`]: the
+//! relaxations, the settles and a per-target leg stream) and this module
+//! computes each member's *own* final labels from it.
 //!
 //! The key fact is that Dijkstra's **final** labels do not depend on the
 //! priority-queue order: `dist[v]` is the minimum over relaxation chains of
@@ -19,22 +19,18 @@
 //! substituting only the member-specific inputs:
 //!
 //! * source→door legs are recomputed from the member's own point
-//!   (`point_to_door`, cached per door); door-to-door and door-to-target
-//!   weights are venue geometry, bit-identical by construction and reused
-//!   from the trace;
-//! * every deciding `TV_Check` verdict is the member's own: when the
-//!   member's arrival lands inside the recorded constant-topology window
-//!   `[lo, hi)` (the membership form of
-//!   [`indoor_time::CheckpointSet::same_topology_interval`]) the lead's
-//!   verdict transfers — same window, same verdict — for two `f64` compares
-//!   instead of two binary searches; an arrival outside the window falls
-//!   back to evaluating the door's ATIs at the member's own arrival, which
-//!   *is* the engine's verdict for order-pure checkers.
+//!   (`point_to_door`, cached per door); door-to-door weights are re-read
+//!   from the venue (`door_to_door(via, from, door)`, the very matrix entry
+//!   the sweep read) and door-to-target weights are reused from the trace —
+//!   venue geometry, bit-identical by construction;
+//! * every deciding `TV_Check` verdict is the member's own: the door's ATIs
+//!   evaluated at the member's own arrival, which *is* the engine's verdict
+//!   for order-pure checkers.
 //!
-//! This transfer argument needs verdicts that are pure functions of the
-//! arrival and topology views that do not depend on call order — true for
-//! ITG/S and ITG/A in [`crate::AsynMode::Exact`] (static leaveable lists,
-//! per-interval view lookups), and false for the paper-faithful
+//! This verdict argument needs checks that are pure functions of the
+//! arrival — true for ITG/S (`Syn_Check`) and ITG/A in
+//! [`crate::AsynMode::Exact`] (the arrival interval's reduced view mirrors
+//! the interval-constant ATI state), and false for the paper-faithful
 //! [`crate::AsynMode::Faithful`] cursor, whose verdict depends on the
 //! sequence of preceding checks. The server therefore only records traces
 //! for the pure engines; Faithful groups serve non-identical members
@@ -57,10 +53,11 @@
 //!   lead's recorded partition, so the member's expansion excludes the same
 //!   neighbor;
 //! * **omission certificate** — the sweep's settled-skip (Algorithm 1 line
-//!   26) drops relaxations into already-settled doors from the record, and
-//!   the member's different settle order can make it attempt edges the lead
-//!   skipped. Every such pair — an expansion by a member-settled door into
-//!   a door the lead settled earlier — is re-checked against the real
+//!   26) attempts no relaxation into an already-settled door, and the
+//!   member's different settle order can make it attempt edges the lead
+//!   skipped. The lead's expansion of `u` into partition `w` skipped exactly
+//!   the doors leaveable through `w` whose settle rank is below `u`'s; every
+//!   such pair the member would attempt is re-checked against the real
 //!   door-to-door weight: the unrecorded edge must not improve (or
 //!   ambiguously tie) the member's labels.
 //!
@@ -71,18 +68,17 @@
 //! labels, so the reconstructed path (or certified "no such routes") is
 //! byte-identical to per-query execution.
 //!
-//! Replay cost is pay-as-you-go: no priority queue, no `TV_Check` binary
-//! searches, no door-to-door weight lookups beyond the omission pairs, and
-//! geodesics only for the member's own source legs (plus the rare target
-//! legs the sweep skipped after finalising the member early). All label
-//! arrays come from a pooled [`ReplayScratch`] whose reset is proportional
-//! to what the previous replay actually touched; the per-group
-//! [`LeadIndex`] (settle order, settled set, entry partitions) is built
-//! once and shared by every member.
+//! Replay cost is pay-as-you-go: no priority queue, and geodesics only for
+//! the member's own source legs (plus the rare target legs the sweep
+//! skipped after finalising the member early). All label arrays live in a
+//! [`ReplayScratch`] that one worker reuses across the groups of a batch,
+//! with resets proportional to what the previous replay touched; the
+//! per-group [`LeadIndex`] (a settle rank per door) is built once and shared
+//! by every member.
 
 use indoor_space::{DoorId, IndoorSpace, PartitionId};
 
-use crate::framework::{reconstruct, DoorEvent, PrevEntry, Trace};
+use crate::framework::{reconstruct, PrevEntry, RelaxEvent, Trace};
 use crate::{ItspqConfig, Path, Query};
 
 /// Upper bound on label-fixpoint passes over the trace. Each extra pass is
@@ -91,6 +87,9 @@ use crate::{ItspqConfig, Path, Query};
 /// or three passes, so hitting the cap means the member's frontier is
 /// shaped nothing like the lead's and per-query execution is cheaper.
 const MAX_PASSES: usize = 8;
+
+/// [`LeadIndex`] rank of a door the lead never settled.
+const UNSETTLED: u32 = u32::MAX;
 
 /// Why a member's derivation could not be certified (it falls back
 /// per-query).
@@ -119,69 +118,42 @@ pub(crate) enum ReplayBail {
     Omission,
 }
 
-/// Per-group facts about the lead's sweep, shared by every member's
-/// derivation: which doors the lead settled (their full relaxation stars
-/// are on record), in which order (for the omission certificate), and
-/// through which partition each was entered (the expansion's excluded
-/// neighbor). Built once per group from the trace and pooled per worker;
-/// the reset is proportional to the doors the previous group touched.
+/// Per-group index over the lead's settle list, shared by every member's
+/// derivation: each door's settle rank. A ranked door has its full
+/// relaxation star on record, its entry partition is the settle event at
+/// its rank, and ranks order the omission certificate. Built once per group
+/// and reused across the groups of a batch: [`LeadIndex::clear`] undoes
+/// exactly the writes of [`LeadIndex::build`].
 #[derive(Debug, Default)]
 pub(crate) struct LeadIndex {
-    settled: Vec<bool>,
-    via: Vec<Option<PartitionId>>,
-    order: Vec<u32>,
-    touched: Vec<u32>,
+    rank: Vec<u32>,
 }
 
 impl LeadIndex {
-    /// Rebuilds the index for `trace` over a venue with `n` doors.
+    /// Ranks `trace`'s settles over a venue with `n` doors.
     pub(crate) fn build(&mut self, trace: &Trace, n: usize) {
-        if self.settled.len() == n {
-            for &d in &self.touched {
-                self.settled[d as usize] = false;
-                self.via[d as usize] = None;
-            }
-        } else {
-            self.settled.clear();
-            self.settled.resize(n, false);
-            self.via.clear();
-            self.via.resize(n, None);
+        if self.rank.len() != n {
+            self.rank.clear();
+            self.rank.resize(n, UNSETTLED);
         }
-        self.touched.clear();
-        self.order.clear();
-        for ev in &trace.doors {
-            match *ev {
-                // A door only ever pops after an improving relax pushed it,
-                // and settled doors are never relaxed again — so the last
-                // improving relax before the pop carries the lead's entry
-                // partition at settle time.
-                DoorEvent::Relax {
-                    door,
-                    via,
-                    improved: true,
-                    ..
-                } => {
-                    if self.via[door as usize].is_none() {
-                        self.touched.push(door);
-                    }
-                    self.via[door as usize] = Some(via);
-                }
-                DoorEvent::Pop { door } => {
-                    self.settled[door as usize] = true;
-                    self.order.push(door);
-                }
-                _ => {}
-            }
+        for (r, s) in trace.settles.iter().enumerate() {
+            self.rank[s.door as usize] = r as u32;
+        }
+    }
+
+    /// Unranks every door `build(trace, ..)` ranked.
+    pub(crate) fn clear(&mut self, trace: &Trace) {
+        for s in &trace.settles {
+            self.rank[s.door as usize] = UNSETTLED;
         }
     }
 }
 
-/// Pooled per-worker state for [`replay_member`]: distance / predecessor
-/// arrays, the member's source-leg cache, the recorded-target-leg markers
-/// and the per-partition settle lists of the omission certificate — each
+/// Per-worker state for [`replay_member`]: distance / predecessor arrays,
+/// the member's source-leg cache and the recorded-target-leg markers, each
 /// with a touched list so resets are proportional to actual work. One
-/// scratch serves every derivation a worker performs, across groups and
-/// batches, so the per-member cost carries no O(|doors|) allocation.
+/// scratch serves every derivation a worker performs within a batch, so the
+/// per-member cost carries no O(|doors|) allocation.
 #[derive(Debug, Default)]
 pub(crate) struct ReplayScratch {
     dist: Vec<f64>,
@@ -195,18 +167,12 @@ pub(crate) struct ReplayScratch {
     tleg_touched: Vec<u32>,
     /// Memoized member source legs: `(door, point_to_door(source, door))`.
     src_legs: Vec<(u32, Option<f64>)>,
-    /// Per partition: lead-settled doors leaveable through it, in settle
-    /// order, and the running max of their member labels.
-    part_doors: Vec<Vec<u32>>,
-    part_max: Vec<f64>,
-    part_touched: Vec<u32>,
 }
 
 impl ReplayScratch {
-    /// Restores the pristine state for a venue with `n` doors and `p`
-    /// partitions, undoing only the writes the previous derivation recorded
-    /// in its touched lists.
-    fn reset(&mut self, n: usize, p: usize) {
+    /// Restores the pristine state for a venue with `n` doors, undoing only
+    /// the writes the previous derivation recorded in its touched lists.
+    fn reset(&mut self, n: usize) {
         if self.dist.len() == n {
             for &d in &self.touched {
                 self.dist[d as usize] = f64::INFINITY;
@@ -226,21 +192,49 @@ impl ReplayScratch {
             self.tleg.clear();
             self.tleg.resize(n, false);
         }
-        if self.part_max.len() == p {
-            for &w in &self.part_touched {
-                self.part_doors[w as usize].clear();
-                self.part_max[w as usize] = f64::NEG_INFINITY;
-            }
-        } else {
-            self.part_doors.clear();
-            self.part_doors.resize_with(p, Vec::new);
-            self.part_max.clear();
-            self.part_max.resize(p, f64::NEG_INFINITY);
-        }
         self.touched.clear();
         self.tleg_touched.clear();
         self.src_legs.clear();
-        self.part_touched.clear();
+    }
+}
+
+/// The member's source leg to `door` (memoized in `src_legs`).
+fn source_leg(
+    space: &IndoorSpace,
+    member: &Query,
+    src_legs: &mut Vec<(u32, Option<f64>)>,
+    door: u32,
+) -> Option<f64> {
+    if let Some(&(_, w)) = src_legs.iter().find(|&&(d, _)| d == door) {
+        return w;
+    }
+    let w = space.point_to_door(&member.source, DoorId(door));
+    src_legs.push((door, w));
+    w
+}
+
+/// The member-side inputs of recorded relaxation `ev` — its base label and
+/// weight — or `None` when the member's own run never attempts it: no
+/// source leg to the door, or a parent the member never reaches (whose star
+/// never expands).
+fn member_edge(
+    space: &IndoorSpace,
+    member: &Query,
+    src_legs: &mut Vec<(u32, Option<f64>)>,
+    dist: &[f64],
+    ev: &RelaxEvent,
+) -> Option<(f64, f64)> {
+    match ev.from {
+        Some(f) => {
+            let base = dist[f as usize];
+            if base.is_infinite() {
+                return None;
+            }
+            space
+                .door_to_door(ev.via, DoorId(f), DoorId(ev.door))
+                .map(|w| (base, w))
+        }
+        None => source_leg(space, member, src_legs, ev.door).map(|w| (0.0, w)),
     }
 }
 
@@ -261,9 +255,9 @@ fn writer_key(dist: &[f64], from: Option<u32>) -> (f64, i64) {
 /// traced sweep, with the same source partition as the lead and a departure
 /// in the same checkpoint interval, under an engine with order-pure TV
 /// verdicts (ITG/S, or ITG/A in `Exact` mode — the server does not record
-/// traces otherwise). Returns the member's byte-identical answer, or a
-/// [`ReplayBail`] when the member's search provably (or even possibly)
-/// diverges from the record.
+/// traces otherwise). `lead` must be built from `trace`. Returns the
+/// member's byte-identical answer, or a [`ReplayBail`] when the member's
+/// search provably (or even possibly) diverges from the record.
 pub(crate) fn replay_member(
     space: &IndoorSpace,
     config: &ItspqConfig,
@@ -274,7 +268,7 @@ pub(crate) fn replay_member(
     scratch: &mut ReplayScratch,
 ) -> Result<Option<Path>, ReplayBail> {
     let t0 = member.departure();
-    scratch.reset(space.num_doors(), space.num_partitions());
+    scratch.reset(space.num_doors());
     let ReplayScratch {
         dist,
         prev,
@@ -283,36 +277,27 @@ pub(crate) fn replay_member(
         tleg,
         tleg_touched,
         src_legs,
-        part_doors,
-        part_max,
-        part_touched,
     } = scratch;
 
-    let mut src_leg = |door: u32| -> Option<f64> {
-        if let Some(&(_, w)) = src_legs.iter().find(|&&(d, _)| d == door) {
-            return w;
-        }
-        let w = space.point_to_door(&member.source, DoorId(door));
-        src_legs.push((door, w));
-        w
+    // The member's own `TV_Check` verdict for a deciding candidate: the
+    // door's ATIs at the member's own arrival — exactly the engine's
+    // verdict, since order-pure checkers (ITG/S directly, and ITG/A(Exact)
+    // via the arrival interval's reduced view, which mirrors the
+    // interval-constant ATI state) decide from the arrival alone.
+    let verdict = |door: u32, cand: f64| -> bool {
+        space
+            .door(DoorId(door))
+            .atis
+            .is_open_at(t0 + config.velocity.travel_time(cand))
     };
 
-    // The member's own `TV_Check` verdict for a deciding candidate. Fast
-    // path: an arrival inside the lead's recorded window shares its
-    // constant-topology interval, so the recorded verdict transfers. Slow
-    // path: the door's ATIs at the member's own arrival — exactly the
-    // engine's verdict, since order-pure checkers (ITG/S directly, and
-    // ITG/A(Exact) via the arrival interval's reduced view, which mirrors
-    // the interval-constant ATI state) decide from the arrival alone.
-    let verdict = |door: u32, cand: f64, lo: f64, hi: f64, open: bool| -> bool {
-        let tarr = t0 + config.velocity.travel_time(cand);
-        let secs = tarr.seconds();
-        if secs >= lo && secs < hi {
-            open
-        } else {
-            space.door(DoorId(door)).atis.is_open_at(tarr)
+    // The lead never relaxed these doors from the source; a member with a
+    // geodesic to one would relax an unrecorded edge.
+    for &door in &trace.missing_legs {
+        if source_leg(space, member, src_legs, door).is_some() {
+            return Err(ReplayBail::SourceLeg);
         }
-    };
+    }
 
     // Label fixpoint: apply the recorded relaxations in lead order until a
     // full pass changes nothing. Labels only decrease, and every write is a
@@ -321,70 +306,47 @@ pub(crate) fn replay_member(
     let mut converged = false;
     for _ in 0..MAX_PASSES {
         let mut changed = false;
-        for ev in &trace.doors {
-            match *ev {
-                DoorEvent::Pop { .. } => {}
-                DoorEvent::SourceLegMissing { door } => {
-                    // The lead never relaxed this door from the source; a
-                    // member with a geodesic to it would relax an
-                    // unrecorded edge.
-                    if src_leg(door).is_some() {
-                        return Err(ReplayBail::SourceLeg);
-                    }
+        for ev in &trace.relaxes {
+            let Some((base, w)) = member_edge(space, member, src_legs, dist, ev) else {
+                continue;
+            };
+            let d = ev.door as usize;
+            let cand = base + w;
+            if !cand.is_finite() || cand > dist[d] {
+                continue; // a no-op in the member's run as well
+            }
+            if cand == dist[d] {
+                // Equal candidate: resolve the member's actual first
+                // writer by key. Only a strictly earlier writer with
+                // an accepting verdict displaces the standing entry.
+                let standing = prev[d].expect("finite label has a predecessor"); // itspq-lint: allow(no-panic-in-lib, "dist and prev are written together: every finite label was stored alongside its PrevEntry two branches below")
+                if standing.from == ev.from {
+                    continue; // same star, venue-fixed order: first kept
                 }
-                DoorEvent::Relax {
-                    door,
-                    from,
-                    via,
-                    weight,
-                    lo,
-                    hi,
-                    open,
-                    ..
-                } => {
-                    let (base, w) = match from {
-                        Some(f) => (dist[f as usize], weight), // venue geometry, shared
-                        None => match src_leg(door) {
-                            Some(w) => (0.0, w),
-                            None => continue, // no such member leg; its search skips
-                        },
-                    };
-                    if base.is_infinite() {
-                        continue; // member never reaches `from`: star never expands
-                    }
-                    let d = door as usize;
-                    let cand = base + w;
-                    if !cand.is_finite() || cand > dist[d] {
-                        continue; // a no-op in the member's run as well
-                    }
-                    if cand == dist[d] {
-                        // Equal candidate: resolve the member's actual first
-                        // writer by key. Only a strictly earlier writer with
-                        // an accepting verdict displaces the standing entry.
-                        let standing = prev[d].expect("finite label has a predecessor"); // itspq-lint: allow(no-panic-in-lib, "dist and prev are written together: every finite label was stored alongside its PrevEntry two branches below")
-                        if standing.from == from {
-                            continue; // same star, venue-fixed order: first kept
-                        }
-                        if writer_key(dist, standing.from) <= writer_key(dist, from) {
-                            continue;
-                        }
-                        if verdict(door, cand, lo, hi, open) {
-                            prev[d] = Some(PrevEntry { via, from });
-                            changed = true;
-                        }
-                        continue;
-                    }
-                    if !verdict(door, cand, lo, hi, open) {
-                        continue; // the member's own check rejects this edge
-                    }
-                    if dist[d].is_infinite() {
-                        touched.push(door);
-                    }
-                    dist[d] = cand;
-                    prev[d] = Some(PrevEntry { via, from });
+                if writer_key(dist, standing.from) <= writer_key(dist, ev.from) {
+                    continue;
+                }
+                if verdict(ev.door, cand) {
+                    prev[d] = Some(PrevEntry {
+                        via: ev.via,
+                        from: ev.from,
+                    });
                     changed = true;
                 }
+                continue;
             }
+            if !verdict(ev.door, cand) {
+                continue; // the member's own check rejects this edge
+            }
+            if dist[d].is_infinite() {
+                touched.push(ev.door);
+            }
+            dist[d] = cand;
+            prev[d] = Some(PrevEntry {
+                via: ev.via,
+                from: ev.from,
+            });
+            changed = true;
         }
         if !changed {
             converged = true;
@@ -403,31 +365,15 @@ pub(crate) fn replay_member(
     // predecessors need no separate validation: tie resolution re-evaluates
     // writer keys against live labels every pass, and a writer's verdict
     // depends only on the candidate value, which equals the final label.)
-    for ev in &trace.doors {
-        let DoorEvent::Relax {
-            door,
-            from,
-            weight,
-            lo,
-            hi,
-            open,
-            ..
-        } = *ev
-        else {
-            continue;
-        };
-        let d = door as usize;
+    for ev in &trace.relaxes {
+        let d = ev.door as usize;
         if !dist[d].is_finite() || support[d] {
             continue;
         }
-        let (base, w) = match from {
-            Some(f) => (dist[f as usize], weight),
-            None => match src_leg(door) {
-                Some(w) => (0.0, w),
-                None => continue,
-            },
+        let Some((base, w)) = member_edge(space, member, src_legs, dist, ev) else {
+            continue;
         };
-        if base + w == dist[d] && verdict(door, dist[d], lo, hi, open) {
+        if base + w == dist[d] && verdict(ev.door, dist[d]) {
             support[d] = true;
         }
     }
@@ -474,7 +420,7 @@ pub(crate) fn replay_member(
     }
     for &dl in space.p2d_enterable(member.target.partition) {
         let d = dl.index();
-        if lead.settled[d] && !tleg[d] && dist[d].is_finite() {
+        if lead.rank[d] != UNSETTLED && !tleg[d] && dist[d].is_finite() {
             if let Some(w) = space.point_to_door(&member.target, dl) {
                 relax_target(dist, d as u32, w, &mut target_dist, &mut target_prev);
             }
@@ -496,78 +442,67 @@ pub(crate) fn replay_member(
     for &dt in touched.iter() {
         let d = dt as usize;
         if dist[d] < t_hat {
-            if !lead.settled[d] {
+            let r = lead.rank[d];
+            if r == UNSETTLED {
                 return Err(ReplayBail::Frontier);
             }
-            if prev[d].map(|p| p.via) != lead.via[d] {
+            if prev[d].map(|p| p.via) != trace.settles[r as usize].via {
                 return Err(ReplayBail::ViaMismatch);
             }
         }
     }
 
-    // Omission certificate: the record drops relaxations into doors that
-    // were already settled (line 26). Walking the lead's settle order with
-    // per-partition lists reconstructs exactly those dropped pairs; each
-    // pair the member's own search *would* attempt (expander settled by the
+    // Omission certificate: the lead's expansion of `u` into partition `wp`
+    // skipped (line 26) exactly the doors leaveable through `wp` that
+    // settled before `u`, so none of those relaxations is on record. Each
+    // one the member's own search *would* attempt (expander settled by the
     // member, target labelled above it) is checked against the real
     // door-to-door weight. Private partitions follow the sweep's rule 2.
     let src_p = member.source.partition;
     let allowed = |v: PartitionId| -> bool { v == src_p || space.partition(v).kind.traversable() };
-    for &u in &lead.order {
-        let ui = u as usize;
-        let du = dist[ui];
-        if du < t_hat {
-            let via = lead.via[ui]; // == the member's entry, certified above
-            for &wp in space.d2p_enterable(DoorId(u)) {
-                if Some(wp) == via || !allowed(wp) {
-                    continue;
-                }
-                if part_max[wp.index()] <= du {
-                    continue; // every earlier label ≤ du: skips are no-ops
-                }
-                for &v in &part_doors[wp.index()] {
-                    let dv = dist[v as usize];
-                    if dv <= du {
-                        continue;
-                    }
-                    let Some(w) = space.door_to_door(wp, DoorId(u), DoorId(v)) else {
-                        continue;
-                    };
-                    let cand = du + w;
-                    if !cand.is_finite() || cand > dv {
-                        continue; // the member's relax of this edge is a no-op
-                    }
-                    if cand == dv
-                        && writer_key(dist, Some(u))
-                            >= writer_key(
-                                dist,
-                                prev[v as usize]
-                                    .expect("finite label has a predecessor") // itspq-lint: allow(no-panic-in-lib, "reached only when cand == dv with cand finite, and the fixpoint stores every finite label with its PrevEntry")
-                                    .from,
-                            )
-                    {
-                        continue; // ties to the derived writer, which wrote first
-                    }
-                    // The unrecorded edge decides — unless the member's own
-                    // TV verdict rejects it (pure, so directly computable).
-                    if space
-                        .door(DoorId(v))
-                        .atis
-                        .is_open_at(t0 + config.velocity.travel_time(cand))
-                    {
-                        return Err(ReplayBail::Omission);
-                    }
-                }
-            }
+    for (ru, settle) in trace.settles.iter().enumerate() {
+        let u = settle.door;
+        let du = dist[u as usize];
+        if du >= t_hat {
+            continue;
         }
-        for &wp in space.d2p_leaveable(DoorId(u)) {
-            let wi = wp.index();
-            if part_doors[wi].is_empty() {
-                part_touched.push(wi as u32);
+        for &wp in space.d2p_enterable(DoorId(u)) {
+            // `settle.via` is the member's entry too, certified above.
+            if Some(wp) == settle.via || !allowed(wp) {
+                continue;
             }
-            part_doors[wi].push(u);
-            if du > part_max[wi] {
-                part_max[wi] = du;
+            for &dv in space.p2d_leaveable(wp) {
+                let v = dv.index();
+                if lead.rank[v] >= ru as u32 {
+                    continue; // settled after `u` (or never): relax on record
+                }
+                let dvl = dist[v];
+                if dvl <= du {
+                    continue; // the member settles `v` first: a skip here too
+                }
+                let Some(w) = space.door_to_door(wp, DoorId(u), dv) else {
+                    continue;
+                };
+                let cand = du + w;
+                if !cand.is_finite() || cand > dvl {
+                    continue; // the member's relax of this edge is a no-op
+                }
+                if cand == dvl
+                    && writer_key(dist, Some(u))
+                        >= writer_key(
+                            dist,
+                            prev[v]
+                                .expect("finite label has a predecessor") // itspq-lint: allow(no-panic-in-lib, "reached only when cand == dvl with cand finite, and the fixpoint stores every finite label with its PrevEntry")
+                                .from,
+                        )
+                {
+                    continue; // ties to the derived writer, which wrote first
+                }
+                // The unrecorded edge decides — unless the member's own
+                // TV verdict rejects it (pure, so directly computable).
+                if verdict(v as u32, cand) {
+                    return Err(ReplayBail::Omission);
+                }
             }
         }
     }

@@ -48,13 +48,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use indoor_space::{IndoorPoint, PartitionId};
-use parking_lot::Mutex;
 
 use crate::framework::{direct_path, SweepObserver, Trace};
 use crate::replay::{replay_member, LeadIndex, ReplayScratch};
 use crate::{
-    AsynEngine, AsynMode, BatchStats, DoorHop, ExpandPolicy, GroupKey, ItGraph, ItspqConfig, Path,
-    Query, QueryError, QueryResult, SearchStats, SynEngine,
+    AsynEngine, AsynMode, BatchStats, DoorHop, ExpandPolicy, ItGraph, ItspqConfig, Path, Query,
+    QueryError, QueryResult, SearchStats, SynEngine,
 };
 
 /// Rounding slack subtracted from the interval-coalescing margin: a member's
@@ -75,54 +74,26 @@ pub enum ServeMethod {
 
 /// How [`VenueServer::query_batch`] executes a batch.
 ///
-/// The three sharing levels are strictly nested: every group the `Shared`
-/// planner forms is also formed (possibly merged further) by `SharedDoor`,
-/// and every `SharedDoor` group by `SharedInterval`. All levels answer
-/// byte-identically to `Independent` — coarser keys admit members whose
-/// answers are *derived* from the group search (replayed or retimed) only
-/// when a per-member certificate proves the derivation exact; uncertifiable
-/// members fall back to their own per-query search (see `ARCHITECTURE.md`
-/// §Shared execution).
+/// Both strategies answer byte-identically: `Shared` derives a member's
+/// answer from its group's search (verbatim, recomputed, retimed or
+/// replayed) only when a per-member certificate proves the derivation
+/// exact, and uncertifiable members fall back to their own per-query search
+/// (see `ARCHITECTURE.md` §Shared execution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchStrategy {
     /// One search per query, exactly as submitted.
     Independent,
-    /// Group queries by [`GroupKey`] (identical source point and departure
-    /// time) and answer each ≥ 2-member group with a single shared search
-    /// frontier; singleton groups and shared-ineligible queries fall back to
-    /// per-query execution. Sharing only happens where the search is provably
-    /// target-independent.
+    /// Group queries that leave the same source partition inside one
+    /// [`indoor_time::CheckpointSet`] interval — the span in which every
+    /// door's open/closed label is constant — and answer each ≥ 2-member
+    /// group from one search by its earliest-departing member, the *lead*.
+    /// Exact duplicates of the lead take its answer verbatim, same-partition
+    /// targets are recomputed directly, same-point later departures are
+    /// retimed under a margin certificate and other members replay the
+    /// lead's recorded relaxations against their own source legs; a member
+    /// none of these certifies runs its own search. Singleton groups and
+    /// shared-ineligible queries fall back to per-query execution.
     Shared,
-    /// Door-level sharing: additionally group queries that depart from
-    /// *different points of the same source partition* at the identical
-    /// time. The group search runs from one member's source and records its
-    /// decision trace; every other member's answer is recomputed by replaying
-    /// that trace against the member's own source legs, bailing to a
-    /// per-query search on the first divergent decision.
-    SharedDoor,
-    /// Interval coalescing: additionally group queries whose departure times
-    /// differ but fall in the same [`indoor_time::CheckpointSet`] interval.
-    /// The earliest departure leads; same-point members are retimed under a
-    /// margin certificate, different-point members are replayed as in
-    /// [`BatchStrategy::SharedDoor`].
-    SharedInterval,
-}
-
-impl BatchStrategy {
-    /// Does this level group across source points within a partition?
-    #[must_use]
-    pub fn shares_door(self) -> bool {
-        matches!(
-            self,
-            BatchStrategy::SharedDoor | BatchStrategy::SharedInterval
-        )
-    }
-
-    /// Does this level group across departure times within an interval?
-    #[must_use]
-    pub fn shares_interval(self) -> bool {
-        self == BatchStrategy::SharedInterval
-    }
 }
 
 /// Tunables of a [`VenueServer`].
@@ -143,15 +114,6 @@ pub struct ServerConfig {
     pub method: ServeMethod,
     /// How batches are executed.
     pub strategy: BatchStrategy,
-    /// Warm-start donation across plan groups: merge same-partition groups
-    /// whose departures share a checkpoint interval, run the largest
-    /// constituent group first, and answer the remaining members from its
-    /// recorded frontier (replay / retime under the usual per-member
-    /// certificates — byte-identical or per-query fallback). Only meaningful
-    /// at [`BatchStrategy::SharedDoor`] (at `SharedInterval` the planner key
-    /// already merges these groups); off by default so each level's plan
-    /// stays a strict coarsening of the previous one.
-    pub warm_start: bool,
     /// Engine configuration shared by both methods.
     pub itspq: ItspqConfig,
 }
@@ -183,7 +145,6 @@ impl Default for ServerConfig {
             pin_workers: false,
             method: ServeMethod::Asyn,
             strategy: BatchStrategy::Shared,
-            warm_start: false,
             itspq: ItspqConfig::default().with_asyn_mode(AsynMode::Exact),
         }
     }
@@ -214,7 +175,6 @@ pub struct VenueServer {
     syn: SynEngine,
     asyn: AsynEngine,
     config: ServerConfig,
-    scratch: ScratchPool,
 }
 
 impl VenueServer {
@@ -233,7 +193,6 @@ impl VenueServer {
             asyn: AsynEngine::new(Arc::clone(&graph), config.itspq),
             graph,
             config,
-            scratch: ScratchPool::default(),
         }
     }
 
@@ -251,14 +210,6 @@ impl VenueServer {
     pub fn with_pinned_workers(mut self, workers: usize) -> Self {
         self.config.workers = workers.max(1);
         self.config.pin_workers = true;
-        self
-    }
-
-    /// Returns the server with warm-start frontier donation toggled (see
-    /// [`ServerConfig::warm_start`]).
-    #[must_use]
-    pub fn with_warm_start(mut self, warm: bool) -> Self {
-        self.config.warm_start = warm;
         self
     }
 
@@ -387,30 +338,23 @@ impl VenueServer {
     ///
     /// A query joins a shared group only when every sharing precondition
     /// holds (strategy, `FullRelax` expansion, validity, traversable-or-same
-    /// target partition — see [`BatchStrategy`]); the grouping key widens
-    /// with the strategy level (exact source+time, then source partition +
-    /// exact time, then source partition + checkpoint interval). Groups that
-    /// end up with a single member are demoted to per-query items, so a
-    /// plan's groups always amortise at least two queries. Each group's first
+    /// target partition — see [`BatchStrategy`]); groups are keyed by source
+    /// partition and the departure's checkpoint interval. Groups that end up
+    /// with a single member are demoted to per-query items, so a plan's
+    /// groups always amortise at least two queries. Each group's first
     /// member — its *lead*, whose search the others derive from — is rotated
     /// to the earliest departure so every member's time shift is ≥ 0.
     #[must_use]
     pub fn plan(&self, queries: &[Query], reject_malformed: bool) -> BatchPlan {
         let space = self.graph.space();
-        let strategy = self.config.strategy;
-        let sharing = strategy != BatchStrategy::Independent
+        let sharing = self.config.strategy == BatchStrategy::Shared
             && self.config.itspq.expand == ExpandPolicy::FullRelax;
 
         let mut items: Vec<WorkItem> = Vec::with_capacity(queries.len());
-        // The grouping map and the per-group rosters are pooled on the
-        // server: planning a steady stream of batches reuses one allocation
-        // set instead of rebuilding a map and one Vec per group each
-        // call. Rosters are compacted into the plan-owned `members` arena
-        // (one allocation) on the way out.
-        let mut scratch = self.scratch.plan.lock(); // itspq-lint: allow(lock-scope, "plan scratch guard spans the grouping loop by design; the or_insert_with closure only grows a pooled roster Vec — no cache build, no re-entrant locking")
-        let PlanScratch { group_of, groups } = &mut *scratch;
-        group_of.clear();
-        let mut active = 0usize;
+        // An ordered map, so that if grouping ever iterates it, the order is
+        // a pure function of the keys — never of hasher state.
+        let mut group_of: BTreeMap<(PartitionId, usize), usize> = BTreeMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
         for (i, q) in queries.iter().enumerate() {
             match q.validate(space) {
                 Err(e) if reject_malformed => {
@@ -419,7 +363,7 @@ impl VenueServer {
                 }
                 Err(_) => {
                     // Raw mode: run it unvalidated like `query` would, but
-                    // never share it (a NaN key would alias distinct
+                    // never share it (a NaN source would alias distinct
                     // searches).
                     items.push(WorkItem::Single(i));
                     continue;
@@ -433,83 +377,29 @@ impl VenueServer {
                 items.push(WorkItem::Single(i));
                 continue;
             }
-            let key = match strategy {
-                BatchStrategy::SharedDoor => PlanKey::Door {
-                    partition: q.source.partition,
-                    time: time_bits(q),
-                },
-                BatchStrategy::SharedInterval => PlanKey::Interval {
-                    partition: q.source.partition,
-                    interval: space.checkpoints().interval_index(q.time),
-                },
-                // `Independent` cannot reach here (sharing is false).
-                _ => PlanKey::Exact(GroupKey::of(q, space)),
-            };
+            let key = (
+                q.source.partition,
+                space.checkpoints().interval_index(q.time),
+            );
             let gi = *group_of.entry(key).or_insert_with(|| {
-                if active == groups.len() {
-                    groups.push(Vec::new());
-                }
-                groups[active].clear();
-                active += 1;
-                active - 1
+                groups.push(Vec::new());
+                groups.len() - 1
             });
             groups[gi].push(i);
         }
 
+        // Rosters are compacted into the plan-owned `members` arena (one
+        // allocation) on the way out.
         let mut members: Vec<usize> = Vec::new();
-        let warm = sharing && self.config.warm_start && strategy.shares_door();
-        if warm {
-            // Warm-start donation: key-distinct groups leaving the same
-            // partition inside one checkpoint interval merge into a single
-            // item. The largest constituent group is the *donor* — it runs
-            // (as `members[..donor_len]`, its earliest departure leading)
-            // and the appended neighbors are answered from its recorded
-            // frontier under the usual certificates. At `SharedInterval`
-            // the plan key equals the neighborhood key, so every
-            // neighborhood is a single group and this is the identity.
-            let mut hood_of: BTreeMap<(PartitionId, usize), usize> = BTreeMap::new();
-            let mut hoods: Vec<Vec<usize>> = Vec::new();
-            for g in 0..active {
-                let q = &queries[groups[g][0]];
-                let key = (
-                    q.source.partition,
-                    space.checkpoints().interval_index(q.time),
-                );
-                let h = *hood_of.entry(key).or_insert_with(|| {
-                    hoods.push(Vec::new());
-                    hoods.len() - 1
-                });
-                hoods[h].push(g);
+        for roster in &mut groups {
+            if let [only] = roster[..] {
+                items.push(WorkItem::Single(only));
+                continue;
             }
-            for hood in hoods {
-                if let [only] = hood[..] {
-                    flush_group(queries, &mut groups[only], &mut items, &mut members);
-                    continue;
-                }
-                let mut donor = hood[0];
-                for &g in &hood[1..] {
-                    if groups[g].len() > groups[donor].len() {
-                        donor = g; // first-created wins ties
-                    }
-                }
-                rotate_earliest_lead(queries, &mut groups[donor]);
-                let start = members.len();
-                members.extend_from_slice(&groups[donor]);
-                let donor_len = groups[donor].len();
-                for &g in &hood {
-                    if g != donor {
-                        members.extend_from_slice(&groups[g]);
-                    }
-                }
-                items.push(WorkItem::Group {
-                    members: start..members.len(),
-                    donor_len,
-                });
-            }
-        } else {
-            for roster in groups.iter_mut().take(active) {
-                flush_group(queries, roster, &mut items, &mut members);
-            }
+            rotate_earliest_lead(queries, roster);
+            let start = members.len();
+            members.extend_from_slice(roster);
+            items.push(WorkItem::Group(start..members.len()));
         }
         BatchPlan {
             queries: queries.len(),
@@ -545,8 +435,8 @@ impl VenueServer {
                 out.push((*i, Ok(r)));
                 report
             }
-            WorkItem::Group { members, donor_len } => {
-                self.run_group(queries, &plan.members[members.clone()], *donor_len, ws, out)
+            WorkItem::Group(members) => {
+                self.run_group(queries, &plan.members[members.clone()], ws, out)
             }
         }
     }
@@ -561,7 +451,6 @@ impl VenueServer {
         &self,
         queries: &[Query],
         members: &[usize],
-        donor_len: usize,
         ws: &mut WorkerScratch,
         out: &mut Vec<(usize, Result<QueryResult, QueryError>)>,
     ) -> ItemReport {
@@ -570,8 +459,8 @@ impl VenueServer {
         let lead_time = time_bits(lead);
         // Record the decision trace only if some member starts elsewhere;
         // track checkpoint margins only if some same-point member departs at
-        // another time. Exact-key singleton-neighborhood groups need neither
-        // and pay no observer work at all. Replay additionally requires
+        // another time. Groups of exact duplicates need neither and pay no
+        // observer work at all. Replay additionally requires
         // order-pure TV verdicts — true for ITG/S and ITG/A(Exact), false
         // for the paper-faithful cursor, whose verdict depends on the
         // sequence of preceding checks — so Faithful groups skip recording
@@ -588,8 +477,8 @@ impl VenueServer {
         ws.targets.clear();
         ws.targets
             .extend(members.iter().map(|&i| queries[i].target));
-        // The trace buffer is pooled per worker: recording reuses the same
-        // door/target streams across every group this worker runs.
+        // The trace buffer belongs to the worker: recording reuses the same
+        // streams across every group this worker runs in the batch.
         let mut observer = SweepObserver::with_trace(
             needs_trace,
             needs_margin,
@@ -610,16 +499,12 @@ impl VenueServer {
         let mut lead_indexed = false;
         for (k, (&i, path)) in members.iter().zip(paths).enumerate() {
             let q = &queries[i];
-            let seeded = k >= donor_len;
             let same_pos = pos_bits(q) == lead_pos;
             if same_pos && time_bits(q) == lead_time {
                 // Every member reports the group's (single) search: the
                 // work its answer actually cost. Summing member stats
                 // therefore overcounts a shared batch — sum per *search*
                 // via `BatchStats` instead.
-                if seeded {
-                    report.seeded_labels += 1;
-                }
                 out.push((i, Ok(QueryResult { path, stats })));
                 continue;
             }
@@ -639,11 +524,10 @@ impl VenueServer {
                 // Same start, later departure: retime iff the shift clears
                 // the smallest margin every lead arrival had to its next
                 // checkpoint — then every TV verdict provably transfers.
-                // The explicit ordering guard matters: `Timestamp`
-                // subtraction saturates at zero, so an *earlier*-departing
-                // member (possible for warm-seeded neighbors — the donor's
-                // lead is only the earliest of the donor) would otherwise
-                // masquerade as a zero shift and be wrongly certified.
+                // The lead departs first by construction; the ordering
+                // guard keeps that an explicit precondition, because
+                // `Timestamp` subtraction saturates at zero and an earlier
+                // departure would masquerade as a zero shift.
                 let delta = (q.departure() - lead.departure()).seconds();
                 let ok = (delta + RETIME_SLACK_SECS < observer.min_margin_secs)
                     .then(|| retime(path.as_ref(), q, config));
@@ -680,21 +564,18 @@ impl VenueServer {
                     } else {
                         report.replayed += 1;
                     }
-                    if seeded {
-                        report.seeded_labels += 1;
-                    }
                     out.push((i, Ok(QueryResult { path: p, stats })));
                 }
                 None => {
                     let r = self.query(q);
                     report.fallbacks += 1;
-                    if seeded {
-                        report.seed_rejects += 1;
-                    }
                     report.views += r.stats.views_built;
                     out.push((i, Ok(r)));
                 }
             }
+        }
+        if lead_indexed {
+            ws.lead.clear(&observer.trace);
         }
         report.scatter_nanos = scatter_start.elapsed_nanos();
         ws.trace = observer.take_trace();
@@ -733,11 +614,10 @@ impl VenueServer {
         let mut indexed: Vec<(usize, Result<QueryResult, QueryError>)>;
         if workers == 1 {
             indexed = Vec::with_capacity(queries.len());
-            let mut ws = self.scratch.checkout();
+            let mut ws = WorkerScratch::default();
             for item in items {
                 report.absorb(self.run_item(queries, &plan, item, &mut ws, &mut indexed));
             }
-            self.scratch.restore(ws);
         } else {
             let next = AtomicUsize::new(0);
             let per_worker: Vec<(Vec<_>, ItemReport)> = std::thread::scope(|scope| {
@@ -746,7 +626,7 @@ impl VenueServer {
                         scope.spawn(|| {
                             let mut local = Vec::new();
                             let mut report = ItemReport::default();
-                            let mut ws = self.scratch.checkout();
+                            let mut ws = WorkerScratch::default();
                             loop {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
                                 let Some(item) = items.get(i) else { break };
@@ -754,7 +634,6 @@ impl VenueServer {
                                     self.run_item(queries, &plan, item, &mut ws, &mut local),
                                 );
                             }
-                            self.scratch.restore(ws);
                             (local, report)
                         })
                     })
@@ -784,8 +663,6 @@ impl VenueServer {
         stats.replayed += report.replayed;
         stats.retimed += report.retimed;
         stats.fallbacks += report.fallbacks;
-        stats.seeded_labels += report.seeded_labels;
-        stats.seed_rejects += report.seed_rejects;
         stats.search_nanos += report.search_nanos;
         stats.scatter_nanos += report.scatter_nanos;
         stats.groups += report.fallbacks;
@@ -805,42 +682,13 @@ enum WorkItem {
     Rejected(usize, QueryError),
     /// Answer all member queries (a range of [`BatchPlan::members`]) with
     /// one shared frontier. Invariants: ≥ 2 members, all shared-eligible,
-    /// the first `donor_len` share one [`PlanKey`] with the earliest
-    /// departure leading; any members beyond `donor_len` are warm-seeded
-    /// neighbors — other plan groups from the same partition and checkpoint
-    /// interval, answered from the donor's recorded frontier.
-    /// `donor_len == members.len()` means no donation happened.
-    Group {
-        members: Range<usize>,
-        donor_len: usize,
-    },
-}
-
-/// Demotes a 1-member roster to a [`WorkItem::Single`], otherwise rotates
-/// the earliest departure to the lead slot and appends the roster to the
-/// plan's member arena as a [`WorkItem::Group`] (no donation).
-fn flush_group(
-    queries: &[Query],
-    roster: &mut [usize],
-    items: &mut Vec<WorkItem>,
-    members: &mut Vec<usize>,
-) {
-    if let [only] = roster[..] {
-        items.push(WorkItem::Single(only));
-        return;
-    }
-    rotate_earliest_lead(queries, roster);
-    let start = members.len();
-    members.extend_from_slice(roster);
-    items.push(WorkItem::Group {
-        members: start..members.len(),
-        donor_len: roster.len(),
-    });
+    /// one source partition and checkpoint interval, earliest departure
+    /// leading.
+    Group(Range<usize>),
 }
 
 /// Swaps the member with the earliest departure (first occurrence on ties)
-/// into slot 0, so retime deltas within the roster are non-negative; under
-/// exact keys all times are equal and the rotation is the identity.
+/// into slot 0, so retime deltas within the roster are non-negative.
 fn rotate_earliest_lead(queries: &[Query], roster: &mut [usize]) {
     let lead = roster
         .iter()
@@ -850,48 +698,16 @@ fn rotate_earliest_lead(queries: &[Query], roster: &mut [usize]) {
     roster.swap(0, lead);
 }
 
-/// Pooled planner state, reused across `plan` calls (see the satellite
-/// allocation-churn note in `ARCHITECTURE.md` §Shared execution): the
-/// grouping map and the per-group rosters. A `BTreeMap` keyed by the `Ord`
-/// plan key, so that if grouping ever iterates the map, the order is a pure
-/// function of the keys — never of hasher state. Guarded by a mutex so
-/// `plan` keeps taking `&self`; concurrent planners fall back to queueing on
-/// the lock (batches are planned one at a time per server in every entry
-/// point).
-#[derive(Debug, Default)]
-struct PlanScratch {
-    group_of: BTreeMap<PlanKey, usize>,
-    groups: Vec<Vec<usize>>,
-}
-
-/// Per-worker reusable buffers: the recorded trace, the replay label state
-/// and the gathered target list. Checked out of [`ScratchPool`] once per
-/// worker per batch, so steady-state batch execution allocates nothing per
-/// group.
+/// One worker's reusable buffers for the length of a batch: the recorded
+/// trace, the lead index, the replay label state and the gathered target
+/// list. Every group the worker runs reuses them; they are dropped with the
+/// worker when the batch ends, so an idle server holds no replay state.
 #[derive(Debug, Default)]
 struct WorkerScratch {
     trace: Trace,
     lead: LeadIndex,
     replay: ReplayScratch,
     targets: Vec<IndoorPoint>,
-}
-
-/// The server's scratch arena: planner state plus a stack of worker
-/// scratches (one per concurrently executing worker, grown on demand).
-#[derive(Debug, Default)]
-struct ScratchPool {
-    plan: Mutex<PlanScratch>,
-    workers: Mutex<Vec<WorkerScratch>>,
-}
-
-impl ScratchPool {
-    fn checkout(&self) -> WorkerScratch {
-        self.workers.lock().pop().unwrap_or_default()
-    }
-
-    fn restore(&self, ws: WorkerScratch) {
-        self.workers.lock().push(ws);
-    }
 }
 
 /// Monotonic phase-timer reads for [`BatchStats`] attribution — the only
@@ -916,23 +732,6 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, start.elapsed_nanos())
 }
 
-/// The planner's grouping key, one variant per sharing level. Strictly
-/// nested: equal `Exact` keys imply equal `Door` keys imply equal `Interval`
-/// keys, so each level's plan is a coarsening of the previous one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum PlanKey {
-    /// [`BatchStrategy::Shared`]: identical source point and departure time.
-    Exact(GroupKey),
-    /// [`BatchStrategy::SharedDoor`]: same source partition, identical time.
-    Door { partition: PartitionId, time: u64 },
-    /// [`BatchStrategy::SharedInterval`]: same source partition, departure
-    /// in the same checkpoint interval.
-    Interval {
-        partition: PartitionId,
-        interval: usize,
-    },
-}
-
 /// What one work item cost and how its members were answered; summed into
 /// the batch's [`BatchStats`] after execution. Pure sums over items, so the
 /// batch totals cannot depend on worker count or scheduling.
@@ -942,8 +741,6 @@ struct ItemReport {
     replayed: usize,
     retimed: usize,
     fallbacks: usize,
-    seeded_labels: usize,
-    seed_rejects: usize,
     search_nanos: u64,
     scatter_nanos: u64,
 }
@@ -954,15 +751,13 @@ impl ItemReport {
         self.replayed += other.replayed;
         self.retimed += other.retimed;
         self.fallbacks += other.fallbacks;
-        self.seeded_labels += other.seeded_labels;
-        self.seed_rejects += other.seed_rejects;
         self.search_nanos += other.search_nanos;
         self.scatter_nanos += other.scatter_nanos;
     }
 }
 
-/// The source-point identity used by group scatter: bitwise, so NaN equals
-/// itself and `-0.0 ≠ 0.0` — exactly the aliasing rule of [`GroupKey`].
+/// The source-point identity used by group scatter: bitwise, so `-0.0 ≠ 0.0`
+/// and only bit-identical sources take the lead's answer verbatim.
 fn pos_bits(q: &Query) -> (u64, u64) {
     (q.source.position.x.to_bits(), q.source.position.y.to_bits())
 }
@@ -1026,7 +821,7 @@ impl BatchPlan {
     pub fn shared_groups(&self) -> usize {
         self.items
             .iter()
-            .filter(|i| matches!(i, WorkItem::Group { .. }))
+            .filter(|i| matches!(i, WorkItem::Group(_)))
             .count()
     }
 
@@ -1036,22 +831,10 @@ impl BatchPlan {
         self.items
             .iter()
             .map(|i| match i {
-                WorkItem::Group { members, .. } => members.len(),
+                WorkItem::Group(members) => members.len(),
                 _ => 0,
             })
             .sum()
-    }
-
-    /// Number of groups that will run warm-started: merged from several plan
-    /// groups, with the donor's frontier answering the seeded neighbors.
-    #[must_use]
-    pub fn warm_starts(&self) -> usize {
-        self.items
-            .iter()
-            .filter(|i| {
-                matches!(i, WorkItem::Group { members, donor_len } if *donor_len < members.len())
-            })
-            .count()
     }
 
     /// The batch-level report this plan implies (`views_built`, the derived
@@ -1070,7 +853,6 @@ impl BatchPlan {
             shared_queries: self.shared_queries(),
             frontier_reuses: self.shared_queries() - self.shared_groups(),
             rejected,
-            warm_starts: self.warm_starts(),
             ..BatchStats::default()
         }
     }
@@ -1243,7 +1025,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_groups_by_identical_source_and_time() {
+    fn plan_groups_one_partition_and_interval() {
         let ex = paper_example::build();
         let server = sharing_server(&ex);
         let plan = server.plan(&skewed_batch(&ex), false);
@@ -1338,38 +1120,28 @@ mod tests {
     }
 
     #[test]
-    fn door_level_plan_groups_same_partition_sources() {
+    fn plan_groups_spread_points_and_times_of_one_interval() {
         let ex = paper_example::build();
-        let exact = sharing_server(&ex);
-        let door = sharing_server(&ex).with_strategy(BatchStrategy::SharedDoor);
-        let batch = door_batch(&ex);
-        // Exact keys only merge the two literal p3 queries …
-        assert_eq!(exact.plan(&batch, false).shared_queries(), 2);
-        // … door keys merge all five (same partition, same instant).
-        let plan = door.plan(&batch, false);
+        let server = sharing_server(&ex);
+        // Distinct points of p3 at one instant all merge …
+        let plan = server.plan(&door_batch(&ex), false);
         assert_eq!(plan.shared_groups(), 1);
         assert_eq!(plan.shared_queries(), 5);
         assert_eq!(plan.searches(), 1);
-    }
-
-    #[test]
-    fn interval_plan_groups_same_interval_times() {
-        let ex = paper_example::build();
-        let door = sharing_server(&ex).with_strategy(BatchStrategy::SharedDoor);
-        let interval = sharing_server(&ex).with_strategy(BatchStrategy::SharedInterval);
+        // … and so do departures spread across one checkpoint interval.
         let batch = interval_batch(&ex);
-        // Door keys need identical instants: only the two 9:00 queries merge.
-        assert_eq!(door.plan(&batch, false).shared_queries(), 2);
-        // Interval keys merge every query in the same checkpoint interval.
-        let plan = interval.plan(&batch, false);
+        let plan = server.plan(&batch, false);
         assert!(plan.shared_queries() >= 4);
         assert!(plan.searches() < batch.len());
+        // Independent execution plans one search per query.
+        let independent = sharing_server(&ex).with_strategy(BatchStrategy::Independent);
+        assert_eq!(independent.plan(&batch, false).searches(), batch.len());
     }
 
     #[test]
-    fn interval_group_lead_is_earliest_departure() {
+    fn group_lead_is_earliest_departure() {
         let ex = paper_example::build();
-        let server = sharing_server(&ex).with_strategy(BatchStrategy::SharedInterval);
+        let server = sharing_server(&ex);
         // Later departures submitted first: the lead must still be 9:00.
         let batch = vec![
             Query::new(ex.p3, ex.p4, TimeOfDay::hm(10, 30)),
@@ -1381,7 +1153,7 @@ mod tests {
             .items
             .iter()
             .filter_map(|it| match it {
-                WorkItem::Group { members, .. } => Some(plan.members[members.start]),
+                WorkItem::Group(members) => Some(plan.members[members.start]),
                 _ => None,
             })
             .collect();
@@ -1389,54 +1161,36 @@ mod tests {
     }
 
     #[test]
-    fn door_level_answers_match_per_query() {
+    fn derived_answers_match_per_query() {
         let ex = paper_example::build();
         for method in [ServeMethod::Asyn, ServeMethod::Syn] {
-            let server = sharing_server(&ex)
-                .with_strategy(BatchStrategy::SharedDoor)
-                .with_method(method)
-                .with_workers(1);
+            let server = sharing_server(&ex).with_method(method).with_workers(1);
             assert_parity(&server, &door_batch(&ex));
-        }
-    }
-
-    #[test]
-    fn interval_answers_match_per_query() {
-        let ex = paper_example::build();
-        for method in [ServeMethod::Asyn, ServeMethod::Syn] {
-            let server = sharing_server(&ex)
-                .with_strategy(BatchStrategy::SharedInterval)
-                .with_method(method)
-                .with_workers(1);
             assert_parity(&server, &interval_batch(&ex));
         }
     }
 
     #[test]
-    fn all_levels_keep_consistent_books() {
+    fn both_strategies_keep_consistent_books() {
         let ex = paper_example::build();
         let mut batch = skewed_batch(&ex);
         batch.extend(door_batch(&ex));
         batch.extend(interval_batch(&ex));
-        for strategy in [
-            BatchStrategy::Independent,
-            BatchStrategy::Shared,
-            BatchStrategy::SharedDoor,
-            BatchStrategy::SharedInterval,
-        ] {
+        for strategy in [BatchStrategy::Independent, BatchStrategy::Shared] {
             let server = sharing_server(&ex).with_strategy(strategy);
             let (_, stats) = server.query_batch_with_stats(&batch);
             assert!(
                 stats.is_consistent(),
                 "strategy {strategy:?} broke the accounting identity: {stats}"
             );
+            assert_parity(&server, &batch);
         }
     }
 
     #[test]
     fn derived_members_report_replays_and_retimes() {
         let ex = paper_example::build();
-        let server = sharing_server(&ex).with_strategy(BatchStrategy::SharedInterval);
+        let server = sharing_server(&ex);
         let mut batch = door_batch(&ex);
         batch.extend(interval_batch(&ex));
         let (_, stats) = server.query_batch_with_stats(&batch);
@@ -1451,16 +1205,14 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_donates_frontiers_across_door_groups() {
+    fn one_search_answers_spread_points_and_instants() {
         let ex = paper_example::build();
-        let warm = sharing_server(&ex)
-            .with_strategy(BatchStrategy::SharedDoor)
-            .with_warm_start(true);
+        let server = sharing_server(&ex);
         let p3 = ex.p3.partition;
         let at = |x: f64, y: f64| indoor_space::IndoorPoint::new(p3, indoor_geom::Point::new(x, y));
-        // Three door-level plan groups (9:00, 9:20 and the 9:40 singleton)
-        // leave p3 inside one checkpoint interval: warm starting merges them
-        // behind the largest group's frontier.
+        // Three instants (9:00, 9:20 and a lone 9:40) from distinct p3
+        // points, all inside one checkpoint interval: a single group whose
+        // 9:00 lead answers everyone it can certify.
         let batch = vec![
             Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
             Query::new(at(1.0, 1.0), ex.p4, TimeOfDay::hm(9, 0)),
@@ -1469,60 +1221,16 @@ mod tests {
             Query::new(at(1.0, 1.0), ex.p1, TimeOfDay::hm(9, 20)),
             Query::new(at(0.5, 2.0), ex.p1, TimeOfDay::hm(9, 40)),
         ];
-        let plan = warm.plan(&batch, false);
-        assert_eq!(plan.warm_starts(), 1, "the three 9:xx groups must merge");
+        let plan = server.plan(&batch, false);
         assert_eq!(plan.searches(), 1);
         assert_eq!(plan.shared_queries(), 6);
-        // Cold door-level planning pays one search per distinct instant.
-        let cold = sharing_server(&ex).with_strategy(BatchStrategy::SharedDoor);
-        assert_eq!(cold.plan(&batch, false).warm_starts(), 0);
-        assert_eq!(cold.plan(&batch, false).searches(), 3);
-        // Execution books: warm starts engage, every seeded member is
-        // accounted as seeded or rejected, identity holds.
-        let (_, stats) = warm.query_batch_with_stats(&batch);
+        let (_, stats) = server.query_batch_with_stats(&batch);
         assert!(stats.is_consistent(), "{stats}");
-        assert!(stats.warm_starts > 0, "warm starts must engage: {stats}");
-        assert_eq!(
-            stats.seeded_labels + stats.seed_rejects,
-            3,
-            "the 9:20 pair and the 9:40 singleton are seeded: {stats}"
-        );
         assert!(
-            stats.seeded_labels > 0,
-            "donation must answer at least one member: {stats}"
+            stats.replayed + stats.retimed > 0,
+            "the lead's search must answer some member: {stats}"
         );
-        // And the answers stay byte-identical to per-query execution.
-        assert_parity(&warm, &batch);
-    }
-
-    #[test]
-    fn warm_start_books_stay_consistent_on_mixed_batches() {
-        let ex = paper_example::build();
-        let mut batch = skewed_batch(&ex);
-        batch.extend(door_batch(&ex));
-        batch.extend(interval_batch(&ex));
-        for strategy in [BatchStrategy::SharedDoor, BatchStrategy::SharedInterval] {
-            let server = sharing_server(&ex)
-                .with_strategy(strategy)
-                .with_warm_start(true);
-            let (_, stats) = server.query_batch_with_stats(&batch);
-            assert!(
-                stats.is_consistent(),
-                "warm {strategy:?} broke the accounting identity: {stats}"
-            );
-            assert_parity(&server, &batch);
-        }
-        // At SharedInterval the neighborhood key equals the plan key: warm
-        // merging must be the identity.
-        let interval = sharing_server(&ex).with_strategy(BatchStrategy::SharedInterval);
-        let warm_interval = sharing_server(&ex)
-            .with_strategy(BatchStrategy::SharedInterval)
-            .with_warm_start(true);
-        assert_eq!(
-            warm_interval.plan(&batch, false).searches(),
-            interval.plan(&batch, false).searches()
-        );
-        assert_eq!(warm_interval.plan(&batch, false).warm_starts(), 0);
+        assert_parity(&server, &batch);
     }
 
     #[test]

@@ -109,23 +109,6 @@ impl CheckpointSet {
         (self.previous(t), self.next(t))
     }
 
-    /// Interval-identity witness: whether two timeline instants fall into the
-    /// *same* constant-topology interval — same day **and** same checkpoint
-    /// interval within that day.
-    ///
-    /// This is the exact condition under which every temporal-variation
-    /// verdict transfers from one instant to the other: door open/closed
-    /// status, the reduced graph of the interval, and the side of every
-    /// checkpoint instant on the whole timeline are all constant across a
-    /// `[previous, next)` interval. Shared batch execution uses it to certify
-    /// that a query replayed at a shifted arrival time makes the identical
-    /// `TV_Check` decisions.
-    #[must_use]
-    pub fn same_topology_interval(&self, a: Timestamp, b: Timestamp) -> bool {
-        a.day_offset() == b.day_offset()
-            && self.interval_index(a.time_of_day()) == self.interval_index(b.time_of_day())
-    }
-
     /// The margin (in seconds) from `ts` to the next checkpoint instant on
     /// the timeline: how far an arrival can slip later without leaving its
     /// constant-topology interval. Always strictly positive (`next_instant`
@@ -133,40 +116,6 @@ impl CheckpointSet {
     #[must_use]
     pub fn margin_to_next(&self, ts: Timestamp) -> f64 {
         (self.next_instant(ts) - ts).seconds()
-    }
-
-    /// The half-open timeline window `[lo, hi)` — in raw timeline seconds —
-    /// of the constant-topology interval containing `ts`: `lo` is the
-    /// instant of the latest checkpoint at or before `ts` on `ts`'s day,
-    /// `hi` the instant of the next checkpoint after it (next-day midnight
-    /// in the day's last interval, exactly as [`CheckpointSet::next_instant`]
-    /// computes it).
-    ///
-    /// For finite timestamps this is the *membership form* of
-    /// [`CheckpointSet::same_topology_interval`]:
-    ///
-    /// `same_topology_interval(a, b)  ⟺  lo(a) <= b.seconds() < hi(a)`
-    ///
-    /// (same day offset and same within-day interval index on the left;
-    /// the equivalence is pinned by tests, including across the midnight
-    /// wrap). Replay verification precomputes these bounds once per recorded
-    /// relaxation so each member's interval-identity check is two `f64`
-    /// comparisons instead of two binary searches. The margin of
-    /// [`CheckpointSet::margin_to_next`] is `hi - ts.seconds()` for free.
-    ///
-    /// Degenerate (non-finite) timestamps return an empty window, so no
-    /// instant — not even the input itself — certifies against them.
-    #[must_use]
-    pub fn timeline_interval(&self, ts: Timestamp) -> (f64, f64) {
-        let day_base = f64::from(ts.day_offset()) * crate::SECONDS_PER_DAY;
-        let tod = ts.time_of_day();
-        let lo = day_base + self.previous(tod).seconds();
-        let hi = match self.next(tod) {
-            Some(cp) => day_base + cp.seconds(),
-            // Wrap to the first checkpoint (midnight) of the next day.
-            None => day_base + crate::SECONDS_PER_DAY,
-        };
-        (lo, hi)
     }
 }
 
@@ -274,23 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn same_topology_interval_witnesses_identity() {
-        let cps = sample(); // checkpoints at 0:00, 8:00, 9:00, 16:00
-        let ts = |t: TimeOfDay| Timestamp::from_time_of_day(t);
-        // Same interval, same day.
-        assert!(cps.same_topology_interval(ts(TimeOfDay::hm(10, 0)), ts(TimeOfDay::hm(15, 59))));
-        // Reflexive on boundaries.
-        assert!(cps.same_topology_interval(ts(TimeOfDay::hm(8, 0)), ts(TimeOfDay::hm(8, 0))));
-        // Crossing a checkpoint breaks the witness.
-        assert!(!cps.same_topology_interval(ts(TimeOfDay::hm(8, 59)), ts(TimeOfDay::hm(9, 0))));
-        // Same clock interval on different days is *not* the same instant set.
-        let next_day = Timestamp::from_seconds(crate::SECONDS_PER_DAY + 10.0 * 3600.0).unwrap();
-        assert!(!cps.same_topology_interval(ts(TimeOfDay::hm(10, 0)), next_day));
-        let next_day_too = Timestamp::from_seconds(crate::SECONDS_PER_DAY + 11.0 * 3600.0).unwrap();
-        assert!(cps.same_topology_interval(next_day, next_day_too));
-    }
-
-    #[test]
     fn margin_to_next_is_positive_and_exact() {
         let cps = sample();
         let at = Timestamp::from_time_of_day(TimeOfDay::hm(8, 30));
@@ -302,42 +234,6 @@ mod tests {
         let late = Timestamp::from_time_of_day(TimeOfDay::hm(20, 0));
         assert!((cps.margin_to_next(late) - 4.0 * 3600.0).abs() < 1e-9);
         assert!(cps.margin_to_next(late) > 0.0);
-    }
-
-    #[test]
-    fn timeline_interval_is_membership_form_of_same_topology_interval() {
-        let cps = sample(); // checkpoints at 0:00, 8:00, 9:00, 16:00
-        let day = crate::SECONDS_PER_DAY;
-        let anchors = [
-            Timestamp::from_time_of_day(TimeOfDay::hm(0, 0)),
-            Timestamp::from_time_of_day(TimeOfDay::hm(8, 30)),
-            Timestamp::from_time_of_day(TimeOfDay::hm(9, 0)),
-            Timestamp::from_time_of_day(TimeOfDay::hm(20, 0)), // last interval: wraps
-            Timestamp::from_seconds(day + 10.0 * 3600.0).unwrap(), // next day
-        ];
-        let probes: Vec<Timestamp> = (0..2 * 24 * 4)
-            .map(|q| Timestamp::from_seconds(f64::from(q) * 900.0).unwrap())
-            .collect();
-        for a in anchors {
-            let (lo, hi) = cps.timeline_interval(a);
-            assert!(
-                lo <= a.seconds() && a.seconds() < hi,
-                "window contains its anchor"
-            );
-            // Bit-exact margin agreement: both sides compute
-            // `day_base + checkpoint.seconds() - ts.seconds()`.
-            assert_eq!(cps.margin_to_next(a), hi - a.seconds());
-            for &b in &probes {
-                assert_eq!(
-                    cps.same_topology_interval(a, b),
-                    lo <= b.seconds() && b.seconds() < hi,
-                    "membership form diverges at anchor {a:?}, probe {b:?}"
-                );
-            }
-        }
-        // Day wrap: 20:00's window closes at next-day midnight exactly.
-        let (_, hi) = cps.timeline_interval(Timestamp::from_time_of_day(TimeOfDay::hm(20, 0)));
-        assert_eq!(hi, day);
     }
 
     #[test]

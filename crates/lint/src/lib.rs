@@ -22,9 +22,7 @@
 //! 6. [`allow`] parses `// itspq-lint: allow(<rule>, "<justification>")`
 //!    directives — themselves checked: no justification, unknown rule or a
 //!    stale (unused) allow is an `allow-discipline` error;
-//! 7. [`engine`] suppresses, aggregates into a workspace [`Report`], and
-//!    optionally caches per-file analyses by content hash so warm runs
-//!    re-lex nothing.
+//! 7. [`engine`] suppresses and aggregates into a workspace [`Report`].
 //!
 //! ## Rules
 //!
@@ -65,7 +63,7 @@ pub use allow::{collect_allows, Allow, ALLOW_RULE};
 pub use diag::{Diagnostic, Severity};
 pub use engine::{
     audit_allows, audit_workspace_allows, collect_workspace_allows, lint_files, lint_source,
-    lint_workspace, lint_workspace_cached, AllowAudit, CacheStats, FileOutcome, Report,
+    lint_workspace, AllowAudit, FileOutcome, Report,
 };
 pub use graph::{extract_facts, FnFact, Workspace};
 pub use lexer::{lex, Token, TokenKind};

@@ -83,28 +83,8 @@ pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
 /// `allow-discipline` meta-rule is deliberately *not* allowable.
 #[must_use]
 pub fn is_known_rule(name: &str) -> bool {
-    name != crate::allow::ALLOW_RULE && static_rule_name(name).is_some()
-}
-
-/// Maps a rule name to its `&'static str` identity — the full catalogue,
-/// both layers plus the allow-discipline meta-rule. Used by the incremental
-/// cache to restore static rule names from parsed text.
-#[must_use]
-pub fn static_rule_name(name: &str) -> Option<&'static str> {
-    for r in all_rules() {
-        if r.name() == name {
-            return Some(r.name());
-        }
-    }
-    for r in workspace_rules() {
-        if r.name() == name {
-            return Some(r.name());
-        }
-    }
-    if name == crate::allow::ALLOW_RULE {
-        return Some(crate::allow::ALLOW_RULE);
-    }
-    None
+    all_rules().iter().any(|r| r.name() == name)
+        || workspace_rules().iter().any(|r| r.name() == name)
 }
 
 /// Shared constructor for rule findings.

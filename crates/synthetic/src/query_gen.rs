@@ -36,8 +36,9 @@ pub enum SourceDistribution {
     },
     /// Like [`SourceDistribution::Zipf`], but each draw yields a *fresh*
     /// random point inside the ranked anchor's partition instead of the
-    /// anchor point itself: sources cluster by partition — the shape
-    /// `BatchStrategy::SharedDoor` groups on — without being bit-identical.
+    /// anchor point itself: sources cluster by partition — what
+    /// `BatchStrategy::Shared` groups on, answering members by replay —
+    /// without being bit-identical.
     ZipfNear {
         /// Skew exponent `s ≥ 0` over the anchor ranks.
         exponent: f64,

@@ -1,19 +1,31 @@
-//! Named regression pins for door-level and interval shared execution.
+//! Named regression pins for shared execution.
 //!
 //! Each test constructs one specific source-leg edge case the replay/retime
 //! machinery must handle — a source exactly on a door, a zero-length source
 //! leg on the *lead*, a sealed source door at departure — and pins the
-//! batch answer against per-query `try_query`, byte for byte. A second group
-//! of tests pins the `BatchStats` bookkeeping invariants: the accounting
-//! identity, view-count monotonicity versus independent execution, and
-//! worker-count independence of the whole report.
+//! batch answer against per-query `try_query`, byte for byte. The `warm_`
+//! pins cover members that depart at another instant than the lead and are
+//! answered from its already-run ("warm") frontier: a frontier sealed at
+//! the member's departure, a lone pair, a member source on a door the lead
+//! settled, and a member submitted ahead of an earlier-departing lead.
+//!
+//! Two pins build their own venue so that one certificate alone decides the
+//! answer: `omitted_settled_skip_edge_forces_fallback` (the member's
+//! shortest route uses an edge the lead's sweep skipped) and
+//! `member_arriving_after_a_closing_takes_its_own_verdict` (a door closes
+//! between the lead's and the members' arrivals, which decides both the
+//! replayed verdict and the retime margin).
+//!
+//! A second group of tests pins the `BatchStats` bookkeeping invariants:
+//! the accounting identity, view-count monotonicity versus independent
+//! execution, and worker-count independence of the whole report.
 
 use itspq_repro::core::server::BatchStrategy;
 use itspq_repro::core::{AsynMode, QueryResult};
 use itspq_repro::prelude::*;
-use itspq_repro::space::paper_example;
+use itspq_repro::space::{paper_example, Connection};
 
-/// A paper-example server with sharing engaged (FullRelax) at `strategy`.
+/// A paper-example server with sharing engaged (FullRelax) under `strategy`.
 fn server(ex: &paper_example::PaperExample, strategy: BatchStrategy) -> VenueServer {
     let config = ServerConfig {
         strategy,
@@ -47,7 +59,7 @@ fn source_exactly_on_a_door_matches_per_query() {
     // A member whose source sits bitwise on d18's position: its source leg
     // to d18 is exactly 0.0, the degenerate case of the replayed relax.
     let ex = paper_example::build();
-    let srv = server(&ex, BatchStrategy::SharedDoor);
+    let srv = server(&ex, BatchStrategy::Shared);
     let on_door = IndoorPoint::new(ex.p3.partition, ex.space.door(ex.d(18)).position);
     let nine = TimeOfDay::hm(9, 0);
     let batch = vec![
@@ -74,7 +86,7 @@ fn lead_with_zero_length_source_leg_matches_per_query() {
     // recorded source-leg relax carries a 0.0 base distance and members with
     // ordinary source legs must replay against it.
     let ex = paper_example::build();
-    let srv = server(&ex, BatchStrategy::SharedInterval);
+    let srv = server(&ex, BatchStrategy::Shared);
     let on_door = IndoorPoint::new(ex.p3.partition, ex.space.door(ex.d(18)).position);
     let batch = vec![
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 30)),
@@ -92,7 +104,7 @@ fn source_door_sealed_at_departure_matches_per_query() {
     // records rejected relaxes and genuine no-routes; members from other p3
     // points must reach the identical verdicts.
     let ex = paper_example::build();
-    let srv = server(&ex, BatchStrategy::SharedDoor);
+    let srv = server(&ex, BatchStrategy::Shared);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let night = TimeOfDay::hm(23, 30);
     let batch = vec![
@@ -128,12 +140,7 @@ fn mixed_batch(ex: &paper_example::PaperExample) -> Vec<Query> {
 #[test]
 fn stats_invariants_hold_at_every_level() {
     let ex = paper_example::build();
-    for strategy in [
-        BatchStrategy::Independent,
-        BatchStrategy::Shared,
-        BatchStrategy::SharedDoor,
-        BatchStrategy::SharedInterval,
-    ] {
+    for strategy in [BatchStrategy::Independent, BatchStrategy::Shared] {
         let srv = server(&ex, strategy);
         let (_, stats) = srv.query_batch_with_stats(&mixed_batch(&ex));
         assert!(
@@ -149,87 +156,76 @@ fn shared_views_never_exceed_independent_views() {
     let ex = paper_example::build();
     let (_, independent) =
         server(&ex, BatchStrategy::Independent).query_batch_with_stats(&mixed_batch(&ex));
-    for strategy in [
-        BatchStrategy::Shared,
-        BatchStrategy::SharedDoor,
-        BatchStrategy::SharedInterval,
-    ] {
-        let (_, shared) = server(&ex, strategy).query_batch_with_stats(&mixed_batch(&ex));
-        assert!(
-            shared.views_built <= independent.views_built,
-            "{strategy:?} built {} views, independent built {}",
-            shared.views_built,
-            independent.views_built
-        );
-    }
+    let (_, shared) = server(&ex, BatchStrategy::Shared).query_batch_with_stats(&mixed_batch(&ex));
+    assert!(
+        shared.views_built <= independent.views_built,
+        "shared built {} views, independent built {}",
+        shared.views_built,
+        independent.views_built
+    );
 }
 
 #[test]
 fn stats_are_identical_across_worker_counts() {
+    // The planner groups through an ordered map keyed by (partition,
+    // interval); this pin holds the whole non-timing report equal between a
+    // serial and a 4-worker run, on the mixed batch and on a batch whose
+    // spread instants all derive from one lead.
     let ex = paper_example::build();
-    let batch = mixed_batch(&ex);
-    for strategy in [
-        BatchStrategy::Shared,
-        BatchStrategy::SharedDoor,
-        BatchStrategy::SharedInterval,
-    ] {
+    let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
+    let far = IndoorPoint::new(ex.p3.partition, indoor_geom_point(2.5, 0.5));
+    let spread = vec![
+        Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
+        Query::new(elsewhere, ex.p2, TimeOfDay::hm(9, 20)),
+        Query::new(far, ex.p4, TimeOfDay::hm(9, 40)),
+        Query::new(ex.p1, ex.p2, TimeOfDay::hm(12, 0)),
+        Query::new(elsewhere, ex.p4, TimeOfDay::hm(9, 5)),
+    ];
+    for batch in [mixed_batch(&ex), spread] {
         // Pinned so the 4-worker run really threads even on a 1-core host;
         // timings are measured wall-clock and are the one legitimately
         // nondeterministic part of the report, so compare them zeroed.
-        let (r1, s1) = server(&ex, strategy)
+        let (r1, s1) = server(&ex, BatchStrategy::Shared)
             .with_pinned_workers(1)
             .query_batch_with_stats(&batch);
-        let (r4, s4) = server(&ex, strategy)
+        let (r4, s4) = server(&ex, BatchStrategy::Shared)
             .with_pinned_workers(4)
             .query_batch_with_stats(&batch);
+        assert!(s1.frontier_reuses > 0, "batch must share: {s1}");
         assert_eq!(
             s1.timings_zeroed(),
             s4.timings_zeroed(),
-            "{strategy:?}: stats depend on worker count"
+            "stats depend on worker count"
         );
         for (a, b) in r1.iter().zip(&r4) {
-            assert_eq!(
-                a.path, b.path,
-                "{strategy:?}: answers depend on worker count"
-            );
+            assert_eq!(a.path, b.path, "answers depend on worker count");
         }
     }
 }
 
-/// A warm door-level server: frontier donation across same-interval groups.
-fn warm_server(ex: &paper_example::PaperExample) -> VenueServer {
-    let config = ServerConfig {
-        strategy: BatchStrategy::SharedDoor,
-        warm_start: true,
-        itspq: ItspqConfig::full_relax().with_asyn_mode(AsynMode::Exact),
-        ..ServerConfig::default()
-    };
-    VenueServer::with_config(ItGraph::shared(ex.space.clone()), config)
-}
-
 #[test]
 fn warm_donor_fully_sealed_at_member_departure_matches_per_query() {
-    // 23:30: d18 is sealed, so the donor group's frontier dies immediately
-    // (every p3 exit rejected). The 23:40 neighbors are seeded from that
-    // dead frontier and must reach the identical "no such routes" verdicts
-    // — or fall back — never a phantom route.
+    // 23:30: d18 is sealed, so the lead's frontier dies immediately (every
+    // p3 exit rejected). The 23:40 members derive from that dead frontier
+    // and must reach the identical "no such routes" verdicts — or fall back
+    // — never a phantom route.
     let ex = paper_example::build();
-    let srv = warm_server(&ex);
+    let srv = server(&ex, BatchStrategy::Shared);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let far = IndoorPoint::new(ex.p3.partition, indoor_geom_point(2.5, 0.5));
     let batch = vec![
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(23, 30)),
         Query::new(elsewhere, ex.p2, TimeOfDay::hm(23, 30)),
-        Query::new(far, ex.p4, TimeOfDay::hm(23, 40)), // seeded group
+        Query::new(far, ex.p4, TimeOfDay::hm(23, 40)),
         Query::new(elsewhere, ex.p4, TimeOfDay::hm(23, 40)),
     ];
     let plan = srv.plan(&batch, false);
     assert_eq!(
         plan.searches(),
         1,
-        "both night groups must merge behind one donor"
+        "both night instants must plan behind one lead"
     );
-    assert_pinned(&srv, &batch, "sealed donor frontier");
+    assert_pinned(&srv, &batch, "sealed lead frontier");
     let got = srv.try_query_batch(&batch);
     assert!(
         !result_found(&got[0]) && !result_found(&got[2]),
@@ -237,134 +233,229 @@ fn warm_donor_fully_sealed_at_member_departure_matches_per_query() {
     );
     let (_, stats) = srv.query_batch_with_stats(&batch);
     assert!(stats.is_consistent(), "{stats}");
-    assert!(stats.warm_starts > 0, "{stats}");
 }
 
 #[test]
 fn warm_merged_singletons_donate_an_empty_frontier_delta() {
-    // Two singleton plan groups in one interval: warm merging is the only
-    // reason either shares at all. The donor is a lone query whose frontier
-    // answers the other — including when the donor's own target is
-    // unreachable (empty result, non-empty frontier).
+    // Two lone queries from distinct p3 points at distinct instants of one
+    // interval: the interval key is the only reason they share at all. The
+    // lead's frontier answers the other — including when the lead's own
+    // target is unreachable (empty result, non-empty frontier).
     let ex = paper_example::build();
-    let srv = warm_server(&ex);
+    let srv = server(&ex, BatchStrategy::Shared);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let batch = vec![
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
         Query::new(elsewhere, ex.p2, TimeOfDay::hm(9, 20)),
     ];
     let plan = srv.plan(&batch, false);
-    assert_eq!(plan.searches(), 1, "two singletons must merge");
+    assert_eq!(plan.searches(), 1, "the two lone queries must group");
     assert_eq!(plan.shared_queries(), 2);
-    assert_pinned(&srv, &batch, "merged singleton donation");
+    assert_pinned(&srv, &batch, "lone pair");
     let (_, stats) = srv.query_batch_with_stats(&batch);
     assert!(stats.is_consistent(), "{stats}");
-    assert_eq!(stats.warm_starts, 1, "{stats}");
-    assert_eq!(stats.seeded_labels + stats.seed_rejects, 1, "{stats}");
+    assert_eq!(
+        stats.replayed + stats.fallbacks,
+        1,
+        "the member is replayed or falls back: {stats}"
+    );
 }
 
 #[test]
 fn warm_member_source_on_a_donated_settled_door_matches_per_query() {
-    // The seeded member starts bitwise on d18's position — a door the
-    // donor's sweep settles. Its replay sees a 0.0-length source leg onto a
-    // settled label; the answer must still be byte-for-byte per-query.
+    // The 9:20 members start bitwise on d18's position — a door the lead's
+    // sweep settles. Their replay sees a 0.0-length source leg onto a
+    // settled label; the answers must still be byte-for-byte per-query.
     let ex = paper_example::build();
-    let srv = warm_server(&ex);
+    let srv = server(&ex, BatchStrategy::Shared);
     let on_door = IndoorPoint::new(ex.p3.partition, ex.space.door(ex.d(18)).position);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let batch = vec![
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
         Query::new(elsewhere, ex.p2, TimeOfDay::hm(9, 0)),
-        Query::new(on_door, ex.p4, TimeOfDay::hm(9, 20)), // seeded, on-door
+        Query::new(on_door, ex.p4, TimeOfDay::hm(9, 20)),
         Query::new(on_door, ex.p1, TimeOfDay::hm(9, 20)),
     ];
     let plan = srv.plan(&batch, false);
     assert_eq!(plan.searches(), 1);
-    assert_pinned(&srv, &batch, "seeded source on settled door");
+    assert_pinned(&srv, &batch, "member source on a settled door");
     let got = srv.try_query_batch(&batch);
     assert!(result_found(&got[2]) && result_found(&got[3]));
     let (_, stats) = srv.query_batch_with_stats(&batch);
     assert!(stats.is_consistent(), "{stats}");
-    assert!(stats.warm_starts > 0, "{stats}");
 }
 
 #[test]
 fn warm_earlier_departing_seeded_member_matches_per_query() {
-    // The donor (largest group) departs at 9:20; the seeded neighbors
-    // depart *earlier* at 9:05 — including one from the donor's own source
-    // point, which must not be retimed through the saturating-to-zero
-    // timestamp delta. Replay (whose windows use the member's own clock)
-    // or fallback must answer them, byte-for-byte.
+    // The 9:05 pair is submitted after the 9:20 trio, and one of them
+    // leaves from the trio's first source point: the planner must rotate
+    // the earliest departure to the lead so no member is retimed through
+    // the saturating-to-zero timestamp delta of an earlier departure.
+    // Retime, replay or fallback answer the rest, byte-for-byte.
     let ex = paper_example::build();
-    let srv = warm_server(&ex);
+    let srv = server(&ex, BatchStrategy::Shared);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let far = IndoorPoint::new(ex.p3.partition, indoor_geom_point(2.5, 0.5));
     let batch = vec![
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 20)),
         Query::new(elsewhere, ex.p2, TimeOfDay::hm(9, 20)),
         Query::new(far, ex.p1, TimeOfDay::hm(9, 20)),
-        Query::new(ex.p3, ex.p2, TimeOfDay::hm(9, 5)), // seeded, earlier, same pos as lead
+        Query::new(ex.p3, ex.p2, TimeOfDay::hm(9, 5)), // earlier, same point as the first
         Query::new(elsewhere, ex.p4, TimeOfDay::hm(9, 5)),
     ];
     let plan = srv.plan(&batch, false);
-    assert_eq!(plan.searches(), 1, "9:20 trio donates to the 9:05 pair");
-    assert_pinned(&srv, &batch, "earlier-departing seeded member");
+    assert_eq!(plan.searches(), 1, "all five share one interval");
+    assert_pinned(&srv, &batch, "earlier-departing member");
     let (_, stats) = srv.query_batch_with_stats(&batch);
     assert!(stats.is_consistent(), "{stats}");
-    assert!(stats.warm_starts > 0, "{stats}");
 }
 
 #[test]
-fn warm_start_stats_are_identical_across_worker_counts() {
-    // The warm planner groups neighborhoods through an ordered map keyed by
-    // (partition, interval); this pin holds the whole non-timing report —
-    // including `warm_starts` and `seeded_labels` — equal between a serial
-    // and a 4-worker run of the same batch.
-    let ex = paper_example::build();
-    let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
-    let far = IndoorPoint::new(ex.p3.partition, indoor_geom_point(2.5, 0.5));
+fn omitted_settled_skip_edge_forces_fallback() {
+    // The lead's sweep records no relaxation into a door it has already
+    // settled (Algorithm 1 line 26). Here the lead settles `x` before `u`,
+    // so its expansion of `u` into the corridor skips `u → x`; the member
+    // starts next to `u` and reaches `x` fastest over exactly that edge.
+    // The record alone would route the member the long way, through `s1`,
+    // so the omission certificate must send it to its own search.
+    let mut b = VenueBuilder::new();
+    let hall = b.add_partition("hall", PartitionKind::Public);
+    let west = b.add_partition("west", PartitionKind::Public);
+    let east = b.add_partition("east", PartitionKind::Public);
+    let corridor = b.add_partition("corridor", PartitionKind::Public);
+    let far = b.add_partition("far", PartitionKind::Public);
+    let mut door = |name: &str, x: f64, y: f64, a: PartitionId, c: PartitionId| {
+        let d = b.add_door(
+            name,
+            DoorKind::Public,
+            AtiList::always_open(),
+            indoor_geom_point(x, y),
+        );
+        b.connect(d, Connection::TwoWay(a, c))
+            .expect("fresh door between known partitions");
+        d
+    };
+    door("s1", 0.0, 0.0, hall, west);
+    let s2 = door("s2", 100.0, 0.0, hall, east);
+    let x = door("x", 0.0, 50.0, west, corridor);
+    let u = door("u", 100.0, 10.0, east, corridor);
+    door("y", 200.0, 10.0, corridor, far);
+    let space = b.build().expect("valid venue");
+
+    let at = |p: PartitionId, x: f64, y: f64| IndoorPoint::new(p, indoor_geom_point(x, y));
+    let nine = TimeOfDay::hm(9, 0);
     let batch = vec![
-        Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
-        Query::new(elsewhere, ex.p2, TimeOfDay::hm(9, 20)),
-        Query::new(far, ex.p4, TimeOfDay::hm(9, 40)),
-        Query::new(ex.p1, ex.p2, TimeOfDay::hm(12, 0)),
-        Query::new(elsewhere, ex.p4, TimeOfDay::hm(9, 5)),
+        // Lead: beside s1, bound for the far room, so its sweep settles
+        // s1, x, s2, u, y in that order before it finishes.
+        Query::new(at(hall, 2.0, 0.0), at(far, 210.0, 10.0), nine),
+        // Member: beside s2, bound for the west room just inside x.
+        Query::new(at(hall, 98.0, 0.0), at(west, 0.0, 49.0), nine),
     ];
-    let (r1, s1) = warm_server(&ex)
-        .with_pinned_workers(1)
-        .query_batch_with_stats(&batch);
-    let (r4, s4) = warm_server(&ex)
-        .with_pinned_workers(4)
-        .query_batch_with_stats(&batch);
-    assert!(s1.warm_starts > 0, "batch must exercise donation: {s1}");
-    assert_eq!(
-        s1.timings_zeroed(),
-        s4.timings_zeroed(),
-        "warm-start stats depend on worker count"
-    );
-    for (a, b) in r1.iter().zip(&r4) {
-        assert_eq!(a.path, b.path, "warm answers depend on worker count");
+    for method in [ServeMethod::Asyn, ServeMethod::Syn] {
+        let config = ServerConfig {
+            method,
+            itspq: ItspqConfig::full_relax().with_asyn_mode(AsynMode::Exact),
+            ..ServerConfig::default()
+        };
+        let srv = VenueServer::with_config(ItGraph::shared(space.clone()), config);
+        assert_eq!(srv.plan(&batch, false).searches(), 1, "one group");
+        assert_pinned(&srv, &batch, "omitted settled-skip edge");
+        let (answers, stats) = srv.query_batch_with_stats(&batch);
+        let route: Vec<_> = answers[1]
+            .path
+            .as_ref()
+            .expect("the member has a route")
+            .doors()
+            .collect();
+        assert_eq!(route, vec![s2, u, x], "{method:?}");
+        assert_eq!(
+            (stats.replayed, stats.fallbacks),
+            (0, 1),
+            "{method:?}: the member must fall back, not replay: {stats}"
+        );
+    }
+}
+
+#[test]
+fn member_arriving_after_a_closing_takes_its_own_verdict() {
+    // Door `d` closes at 10:00, the only checkpoint after midnight, so a
+    // 9:00 lead and two 9:59:30 members share one interval. The lead
+    // crosses `d` at 9:01; both members would reach it at 10:00:41 and must
+    // detour through `e`. Replay records no verdicts: it has to take the
+    // member's own from the door's ATIs. The member at the lead's own point
+    // is a retime candidate whose 59.5 min shift exceeds the lead's
+    // smallest checkpoint margin (under 55 min), so it must be replayed
+    // too, never retimed.
+    let mut b = VenueBuilder::new();
+    let hall = b.add_partition("hall", PartitionKind::Public);
+    let room = b.add_partition("room", PartitionKind::Public);
+    let mut door = |name: &str, atis: AtiList, x: f64, y: f64| {
+        let d = b.add_door(name, DoorKind::Public, atis, indoor_geom_point(x, y));
+        b.connect(d, Connection::TwoWay(hall, room))
+            .expect("fresh door between known partitions");
+        d
+    };
+    let d = door("d", AtiList::hm(&[((0, 0), (10, 0))]), 100.0, 0.0);
+    let e = door("e", AtiList::always_open(), 2.0, 200.0);
+    let space = b.build().expect("valid venue");
+
+    let at = |p: PartitionId, x: f64, y: f64| IndoorPoint::new(p, indoor_geom_point(x, y));
+    let batch = vec![
+        Query::new(at(hall, 1.0, 0.0), at(room, 60.0, 0.0), TimeOfDay::hm(9, 0)),
+        Query::new(
+            at(hall, 2.0, 0.0),
+            at(room, 50.0, 100.0),
+            TimeOfDay::hms(9, 59, 30),
+        ),
+        Query::new(
+            at(hall, 1.0, 0.0),
+            at(room, 60.0, 0.0),
+            TimeOfDay::hms(9, 59, 30),
+        ),
+    ];
+    for method in [ServeMethod::Asyn, ServeMethod::Syn] {
+        let config = ServerConfig {
+            method,
+            itspq: ItspqConfig::full_relax().with_asyn_mode(AsynMode::Exact),
+            ..ServerConfig::default()
+        };
+        let srv = VenueServer::with_config(ItGraph::shared(space.clone()), config);
+        assert_eq!(srv.plan(&batch, false).searches(), 1, "one group");
+        assert_pinned(&srv, &batch, "member verdict after a closing");
+        let (answers, stats) = srv.query_batch_with_stats(&batch);
+        let doors = |i: usize| -> Vec<DoorId> {
+            answers[i]
+                .path
+                .as_ref()
+                .expect("every query has a route")
+                .doors()
+                .collect()
+        };
+        assert_eq!(
+            [doors(0), doors(1), doors(2)],
+            [vec![d], vec![e], vec![e]],
+            "{method:?}"
+        );
+        assert_eq!(
+            (stats.replayed, stats.retimed),
+            (2, 0),
+            "{method:?}: {stats}"
+        );
     }
 }
 
 #[test]
 fn plan_shape_is_a_pure_function_of_the_batch() {
     // Two fresh servers must produce byte-identical plans for the same
-    // batch at every sharing level: grouping runs over ordered maps, so no
-    // hasher seed can reorder groups or rosters between processes.
+    // batch: grouping runs over an ordered map, so no hasher seed can
+    // reorder groups or rosters between processes.
     let ex = paper_example::build();
     let batch = mixed_batch(&ex);
-    for strategy in [
-        BatchStrategy::Shared,
-        BatchStrategy::SharedDoor,
-        BatchStrategy::SharedInterval,
-    ] {
-        let a = server(&ex, strategy).plan(&batch, false);
-        let b = server(&ex, strategy).plan(&batch, false);
-        assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "{strategy:?}: plan differs between identical servers"
-        );
-    }
+    let a = server(&ex, BatchStrategy::Shared).plan(&batch, false);
+    let b = server(&ex, BatchStrategy::Shared).plan(&batch, false);
+    assert_eq!(
+        format!("{a:?}"),
+        format!("{b:?}"),
+        "plan differs between identical servers"
+    );
 }

@@ -1,22 +1,20 @@
 //! Property-based parity pin for the shared-execution batch engine.
 //!
-//! The tentpole claim of the server's sharing levels ([`BatchStrategy`]
-//! `Shared` / `SharedDoor` / `SharedInterval`) is that sharing is
-//! *invisible* in the answers: grouping queries — by identical (source
-//! point, departure time), by source partition, or by checkpoint interval —
-//! and answering each group from one multi-target frontier (verbatim,
-//! replayed against the member's own source legs, or retimed under the
-//! margin certificate) returns exactly what per-query execution returns —
-//! the same `Path` values bit for bit, the same "no such routes", the same
-//! typed errors for malformed queries — for every engine (ITG/S, ITG/A
-//! Exact *and* the stateful paper-faithful ITG/A), any worker count, and
-//! adversarially skewed batches.
+//! The claim of [`BatchStrategy::Shared`] is that sharing is *invisible* in
+//! the answers: grouping queries by source partition and checkpoint
+//! interval and answering each group from one multi-target frontier
+//! (verbatim, recomputed directly, replayed against the member's own source
+//! legs, or retimed under the margin certificate) returns exactly what
+//! per-query execution returns — the same `Path` values bit for bit, the
+//! same "no such routes", the same typed errors for malformed queries — for
+//! every engine (ITG/S, ITG/A Exact *and* the stateful paper-faithful
+//! ITG/A), any worker count, and adversarially skewed batches.
 //!
 //! These properties drive randomized venues (seeded ATIs on the tiny mall),
 //! zipf-like source skew (a tiny source pool with many duplicates),
-//! partition-clustered sources with second-granularity time jitter (the
-//! door/interval traffic shape, including night hours where doors seal and
-//! near-boundary departures that force certified fallbacks), batch sizes,
+//! partition-clustered sources with second-granularity time jitter
+//! (including night hours where doors seal and near-boundary departures
+//! that force certified fallbacks), batch sizes,
 //! worker counts, and injected malformed queries (NaN coordinates,
 //! unknown partitions), asserting byte-identity against the per-query
 //! reference the whole way. Failures render compactly: the offending index
@@ -105,7 +103,7 @@ fn inject_malformed(batch: &mut [Query], seed: u64) {
 
 /// `per` random points in each of the first `parts` traversable polygon
 /// partitions: many *distinct* source points concentrated in few partitions —
-/// the batch shape door-level sharing exists for.
+/// the batch shape replay exists for.
 fn partition_clustered_points(
     graph: &ItGraph,
     seed: u64,
@@ -187,7 +185,7 @@ fn outcome_kind(r: &Result<QueryResult, QueryError>) -> String {
     }
 }
 
-/// A server with sharing actually engaged (FullRelax) at `strategy` level.
+/// A server with sharing actually engaged (FullRelax) under `strategy`.
 fn sharing_server(
     graph: &ItGraph,
     method: ServeMethod,
@@ -204,17 +202,9 @@ fn sharing_server(
         method,
         strategy,
         itspq: ItspqConfig::full_relax().with_asyn_mode(mode),
-        ..ServerConfig::default()
     };
     VenueServer::with_config(graph.clone(), config)
 }
-
-/// Every sharing level, coarsest last.
-const LEVELS: [BatchStrategy; 3] = [
-    BatchStrategy::Shared,
-    BatchStrategy::SharedDoor,
-    BatchStrategy::SharedInterval,
-];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -354,11 +344,44 @@ proptest! {
         prop_assert!(stats.sharing_ratio() < 1.0);
     }
 
-    /// Door-level and interval sharing are byte-identical to per-query
-    /// execution for every sharing level, every engine (ITG/S, ITG/A Exact,
-    /// stateful ITG/A Faithful) and workers ∈ {1, 4}, on partition-clustered
-    /// batches with jittered departures, sealed night doors and malformed
-    /// queries (NaN source, unknown-partition target) mixed in.
+    /// The whole report — replays, retimes, fallbacks, views — keeps the
+    /// batch books balanced and is independent of the worker count (phase
+    /// timings, the one wall-clock part, compared zeroed).
+    #[test]
+    fn leveled_stats_are_consistent_and_worker_independent(
+        seed in 0u64..150,
+        size in 4usize..20,
+    ) {
+        let (graph, pts) = venue_and_points(seed, 6);
+        let cluster = partition_clustered_points(&graph, seed, 2, 3);
+        prop_assert!(!cluster.is_empty());
+        let batch = clustered_batch(&cluster, &pts, seed, size);
+        let one = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 1, BatchStrategy::Shared);
+        let four = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 4, BatchStrategy::Shared);
+        let (_, s1) = one.query_batch_with_stats(&batch);
+        let (_, s4) = four.query_batch_with_stats(&batch);
+        prop_assert!(
+            s1.is_consistent(),
+            "broke the accounting identity (seed {}): {}", seed, s1
+        );
+        prop_assert_eq!(
+            s1.timings_zeroed(), s4.timings_zeroed(),
+            "stats depend on worker count (seed {})", seed
+        );
+    }
+}
+
+proptest! {
+    // The clustered property guards the replay certificates, so it gets the
+    // largest case budget.
+    #![proptest_config(ProptestConfig::with_cases(72))]
+
+    /// Sharing across door-spread sources and interval-spread departures is
+    /// byte-identical to per-query execution for every engine (ITG/S, ITG/A
+    /// Exact, stateful ITG/A Faithful) and workers ∈ {1, 4}, on
+    /// partition-clustered batches with jittered departures, sealed night
+    /// doors and malformed queries (NaN source, unknown-partition target)
+    /// mixed in.
     #[test]
     fn door_and_interval_sharing_match_per_query(
         seed in 0u64..150,
@@ -371,103 +394,24 @@ proptest! {
         prop_assert!(!cluster.is_empty());
         let mut batch = clustered_batch(&cluster, &pts, seed, size);
         inject_malformed(&mut batch, seed);
-        for strategy in LEVELS {
-            for (method, mode) in [
-                (ServeMethod::Syn, AsynMode::Exact),
-                (ServeMethod::Asyn, AsynMode::Exact),
-                (ServeMethod::Asyn, AsynMode::Faithful),
-            ] {
-                let server = sharing_server(&graph, method, mode, workers, strategy);
-                let shared = server.try_query_batch(&batch);
-                prop_assert_eq!(shared.len(), batch.len());
-                for (i, (q, got)) in batch.iter().zip(&shared).enumerate() {
-                    let want = server.try_query(q);
-                    prop_assert_eq!(
-                        rendered(&got.as_ref().map(|r| &r.path)),
-                        rendered(&want.as_ref().map(|r| &r.path)),
-                        "{:?}/{:?}/{:?} w{} diverges at index {} (seed {}): \
-                         query {:?} got {} want {}",
-                        strategy, method, mode, workers, i, seed, q,
-                        outcome_kind(got), outcome_kind(&want)
-                    );
-                }
-            }
-        }
-    }
-
-    /// Every sharing level keeps the batch books balanced, and the whole
-    /// report — replays, retimes, fallbacks, views, warm-start seeding — is
-    /// independent of the worker count (phase timings, the one wall-clock
-    /// part, compared zeroed).
-    #[test]
-    fn leveled_stats_are_consistent_and_worker_independent(
-        seed in 0u64..150,
-        size in 4usize..20,
-        warm in any::<bool>(),
-    ) {
-        let (graph, pts) = venue_and_points(seed, 6);
-        let cluster = partition_clustered_points(&graph, seed, 2, 3);
-        prop_assert!(!cluster.is_empty());
-        let batch = clustered_batch(&cluster, &pts, seed, size);
-        for strategy in LEVELS {
-            let one = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 1, strategy)
-                .with_warm_start(warm);
-            let four = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 4, strategy)
-                .with_warm_start(warm);
-            let (_, s1) = one.query_batch_with_stats(&batch);
-            let (_, s4) = four.query_batch_with_stats(&batch);
-            prop_assert!(
-                s1.is_consistent(),
-                "{:?} (warm {}) broke the accounting identity (seed {}): {}",
-                strategy, warm, seed, s1
-            );
-            prop_assert_eq!(
-                s1.timings_zeroed(), s4.timings_zeroed(),
-                "stats depend on worker count under {:?} (warm {}, seed {})",
-                strategy, warm, seed
-            );
-        }
-    }
-
-    /// Warm-start frontier donation is answer-invisible: with `warm_start`
-    /// enabled, door- and interval-level sharing stay byte-identical to
-    /// per-query execution for every engine (ITG/S, ITG/A Exact, stateful
-    /// ITG/A Faithful) and workers ∈ {1, 4}, on partition-clustered batches
-    /// with jittered departures, sealed night doors and malformed queries
-    /// (NaN source, unknown-partition target) mixed in.
-    #[test]
-    fn warm_start_sharing_matches_per_query(
-        seed in 0u64..150,
-        size in 2usize..18,
-        worker_sel in 0usize..2,
-    ) {
-        let workers = [1, 4][worker_sel];
-        let (graph, pts) = venue_and_points(seed, 6);
-        let cluster = partition_clustered_points(&graph, seed, 2, 3);
-        prop_assert!(!cluster.is_empty());
-        let mut batch = clustered_batch(&cluster, &pts, seed, size);
-        inject_malformed(&mut batch, seed);
-        for strategy in [BatchStrategy::SharedDoor, BatchStrategy::SharedInterval] {
-            for (method, mode) in [
-                (ServeMethod::Syn, AsynMode::Exact),
-                (ServeMethod::Asyn, AsynMode::Exact),
-                (ServeMethod::Asyn, AsynMode::Faithful),
-            ] {
-                let server = sharing_server(&graph, method, mode, workers, strategy)
-                    .with_warm_start(true);
-                let shared = server.try_query_batch(&batch);
-                prop_assert_eq!(shared.len(), batch.len());
-                for (i, (q, got)) in batch.iter().zip(&shared).enumerate() {
-                    let want = server.try_query(q);
-                    prop_assert_eq!(
-                        rendered(&got.as_ref().map(|r| &r.path)),
-                        rendered(&want.as_ref().map(|r| &r.path)),
-                        "warm {:?}/{:?}/{:?} w{} diverges at index {} (seed {}): \
-                         query {:?} got {} want {}",
-                        strategy, method, mode, workers, i, seed, q,
-                        outcome_kind(got), outcome_kind(&want)
-                    );
-                }
+        for (method, mode) in [
+            (ServeMethod::Syn, AsynMode::Exact),
+            (ServeMethod::Asyn, AsynMode::Exact),
+            (ServeMethod::Asyn, AsynMode::Faithful),
+        ] {
+            let server = sharing_server(&graph, method, mode, workers, BatchStrategy::Shared);
+            let shared = server.try_query_batch(&batch);
+            prop_assert_eq!(shared.len(), batch.len());
+            for (i, (q, got)) in batch.iter().zip(&shared).enumerate() {
+                let want = server.try_query(q);
+                prop_assert_eq!(
+                    rendered(&got.as_ref().map(|r| &r.path)),
+                    rendered(&want.as_ref().map(|r| &r.path)),
+                    "{:?}/{:?} w{} diverges at index {} (seed {}): \
+                     query {:?} got {} want {}",
+                    method, mode, workers, i, seed, q,
+                    outcome_kind(got), outcome_kind(&want)
+                );
             }
         }
     }
