@@ -165,42 +165,62 @@ fn shared_views_never_exceed_independent_views() {
     );
 }
 
+/// Runs `batch` under `Shared` on a serial and a 4-worker server, asserts
+/// the whole non-timing report and every answer are equal between them, and
+/// returns the serial report.
+fn assert_worker_independent(ex: &paper_example::PaperExample, batch: &[Query]) -> BatchStats {
+    // Pinned so the 4-worker run really threads even on a 1-core host;
+    // timings are measured wall-clock and are the one legitimately
+    // nondeterministic part of the report, so compare them zeroed.
+    let (r1, s1) = server(ex, BatchStrategy::Shared)
+        .with_pinned_workers(1)
+        .query_batch_with_stats(batch);
+    let (r4, s4) = server(ex, BatchStrategy::Shared)
+        .with_pinned_workers(4)
+        .query_batch_with_stats(batch);
+    assert_eq!(
+        s1.timings_zeroed(),
+        s4.timings_zeroed(),
+        "stats depend on worker count"
+    );
+    for (a, b) in r1.iter().zip(&r4) {
+        assert_eq!(a.path, b.path, "answers depend on worker count");
+    }
+    s1
+}
+
 #[test]
 fn stats_are_identical_across_worker_counts() {
     // The planner groups through an ordered map keyed by (partition,
     // interval); this pin holds the whole non-timing report equal between a
-    // serial and a 4-worker run, on the mixed batch and on a batch whose
-    // spread instants all derive from one lead.
+    // serial and a 4-worker run of the mixed batch.
+    let ex = paper_example::build();
+    let stats = assert_worker_independent(&ex, &mixed_batch(&ex));
+    assert!(stats.frontier_reuses > 0, "batch must share: {stats}");
+}
+
+#[test]
+fn warm_start_stats_are_identical_across_worker_counts() {
+    // The same pin on a batch whose p3 members depart at spread instants of
+    // one interval and from other points than the lead, so each is answered
+    // from the lead's already-run frontier: the replay and fallback counts
+    // must not depend on which worker derives which member.
     let ex = paper_example::build();
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let far = IndoorPoint::new(ex.p3.partition, indoor_geom_point(2.5, 0.5));
-    let spread = vec![
+    let batch = vec![
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
         Query::new(elsewhere, ex.p2, TimeOfDay::hm(9, 20)),
         Query::new(far, ex.p4, TimeOfDay::hm(9, 40)),
         Query::new(ex.p1, ex.p2, TimeOfDay::hm(12, 0)),
         Query::new(elsewhere, ex.p4, TimeOfDay::hm(9, 5)),
     ];
-    for batch in [mixed_batch(&ex), spread] {
-        // Pinned so the 4-worker run really threads even on a 1-core host;
-        // timings are measured wall-clock and are the one legitimately
-        // nondeterministic part of the report, so compare them zeroed.
-        let (r1, s1) = server(&ex, BatchStrategy::Shared)
-            .with_pinned_workers(1)
-            .query_batch_with_stats(&batch);
-        let (r4, s4) = server(&ex, BatchStrategy::Shared)
-            .with_pinned_workers(4)
-            .query_batch_with_stats(&batch);
-        assert!(s1.frontier_reuses > 0, "batch must share: {s1}");
-        assert_eq!(
-            s1.timings_zeroed(),
-            s4.timings_zeroed(),
-            "stats depend on worker count"
-        );
-        for (a, b) in r1.iter().zip(&r4) {
-            assert_eq!(a.path, b.path, "answers depend on worker count");
-        }
-    }
+    let stats = assert_worker_independent(&ex, &batch);
+    assert_eq!(
+        stats.replayed + stats.fallbacks,
+        3,
+        "each spread p3 member is replayed or falls back: {stats}"
+    );
 }
 
 #[test]

@@ -12,9 +12,9 @@
 //!
 //! These properties drive randomized venues (seeded ATIs on the tiny mall),
 //! zipf-like source skew (a tiny source pool with many duplicates),
-//! partition-clustered sources with second-granularity time jitter
-//! (including night hours where doors seal and near-boundary departures
-//! that force certified fallbacks), batch sizes,
+//! partition-clustered sources with second-granularity time jitter or
+//! minute-granularity spread (including night hours where doors seal and
+//! near-boundary departures that force certified fallbacks), batch sizes,
 //! worker counts, and injected malformed queries (NaN coordinates,
 //! unknown partitions), asserting byte-identity against the per-query
 //! reference the whole way. Failures render compactly: the offending index
@@ -157,6 +157,33 @@ fn clustered_batch(
         .map(|_| {
             let t =
                 bases[rng.random_range(0..bases.len())] + jitter[rng.random_range(0..jitter.len())];
+            Query::new(
+                cluster[rng.random_range(0..cluster.len())],
+                targets[rng.random_range(0..targets.len())],
+                TimeOfDay::from_seconds(t).expect("in range by construction"),
+            )
+        })
+        .collect()
+}
+
+/// Sources from the partition-clustered pool, departures spread by minutes
+/// after a few base instants (9:00, 12:00, and 23:00 where night sealing
+/// yields genuine no-routes): most members of a group depart at another
+/// instant, and from another point, than its lead, so they are answered
+/// from the lead's already-run ("warm") frontier or fall back.
+fn spread_batch(
+    cluster: &[IndoorPoint],
+    targets: &[IndoorPoint],
+    seed: u64,
+    size: usize,
+) -> Vec<Query> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5B8EAD);
+    let bases = [32_400.0, 43_200.0, 82_800.0];
+    let offsets = [0.0, 300.0, 1_200.0, 2_400.0];
+    (0..size)
+        .map(|_| {
+            let t = bases[rng.random_range(0..bases.len())]
+                + offsets[rng.random_range(0..offsets.len())];
             Query::new(
                 cluster[rng.random_range(0..cluster.len())],
                 targets[rng.random_range(0..targets.len())],
@@ -368,6 +395,46 @@ proptest! {
             s1.timings_zeroed(), s4.timings_zeroed(),
             "stats depend on worker count (seed {})", seed
         );
+    }
+
+    /// Answering members from a lead that departed minutes earlier (or
+    /// later) in the same interval is answer-invisible: byte-identical to
+    /// per-query execution for every engine (ITG/S, ITG/A Exact, stateful
+    /// ITG/A Faithful) and workers ∈ {1, 4}, on partition-clustered batches
+    /// with minute-spread departures, sealed night doors and malformed
+    /// queries (NaN source, unknown-partition target) mixed in.
+    #[test]
+    fn warm_start_sharing_matches_per_query(
+        seed in 0u64..150,
+        size in 2usize..18,
+        worker_sel in 0usize..2,
+    ) {
+        let workers = [1, 4][worker_sel];
+        let (graph, pts) = venue_and_points(seed, 6);
+        let cluster = partition_clustered_points(&graph, seed, 2, 3);
+        prop_assert!(!cluster.is_empty());
+        let mut batch = spread_batch(&cluster, &pts, seed, size);
+        inject_malformed(&mut batch, seed);
+        for (method, mode) in [
+            (ServeMethod::Syn, AsynMode::Exact),
+            (ServeMethod::Asyn, AsynMode::Exact),
+            (ServeMethod::Asyn, AsynMode::Faithful),
+        ] {
+            let server = sharing_server(&graph, method, mode, workers, BatchStrategy::Shared);
+            let shared = server.try_query_batch(&batch);
+            prop_assert_eq!(shared.len(), batch.len());
+            for (i, (q, got)) in batch.iter().zip(&shared).enumerate() {
+                let want = server.try_query(q);
+                prop_assert_eq!(
+                    rendered(&got.as_ref().map(|r| &r.path)),
+                    rendered(&want.as_ref().map(|r| &r.path)),
+                    "warm {:?}/{:?} w{} diverges at index {} (seed {}): \
+                     query {:?} got {} want {}",
+                    method, mode, workers, i, seed, q,
+                    outcome_kind(got), outcome_kind(&want)
+                );
+            }
+        }
     }
 }
 
