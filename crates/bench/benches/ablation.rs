@@ -92,10 +92,6 @@ fn bench_cache_warmth(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(1500));
     let warm = AsynEngine::new(w.graph.clone(), ItspqConfig::default());
     warm.precompute_all();
-    let cold = AsynEngine::new(
-        w.graph.clone(),
-        ItspqConfig::default().with_cache_views(false),
-    );
     g.bench_function("itg-a/warm-cache", |b| {
         b.iter(|| {
             qs.iter().for_each(|q| {
@@ -103,9 +99,12 @@ fn bench_cache_warmth(c: &mut Criterion) {
             })
         });
     });
+    // A fresh engine per query: one cold `Graph_Update` per interval the
+    // query touches.
     g.bench_function("itg-a/cold-graph-update", |b| {
         b.iter(|| {
             qs.iter().for_each(|q| {
+                let cold = AsynEngine::new(w.graph.clone(), ItspqConfig::default());
                 let _ = black_box(cold.query(black_box(q)));
             })
         });

@@ -12,6 +12,9 @@
 //! (a per-interval `OnceLock` slot; the build runs outside the map lock, so
 //! it never stalls traffic on other intervals).
 //!
+//! As in ITG/S, the checker is set up in one place, `query_targets`, which
+//! runs the framework's sweep; a point query is the sweep with one target.
+//!
 //! The engine holds its graph as an `Arc<ItGraph>` and is `Sync`: one
 //! instance can answer queries from many threads concurrently.
 //!
@@ -43,7 +46,7 @@ use indoor_space::{DoorId, IndoorPoint, PartitionId};
 use indoor_time::{TimeOfDay, Timestamp, Velocity};
 use parking_lot::RwLock;
 
-use crate::framework::{run_search, run_search_targets, SweepObserver, TvChecker};
+use crate::framework::{run_search_targets, SweepObserver, TvChecker};
 use crate::{
     AsynMode, ItGraph, ItspqConfig, Path, Query, QueryError, QueryResult, ReducedGraph, SearchStats,
 };
@@ -63,8 +66,8 @@ type ViewSlot = Arc<OnceLock<Arc<ReducedGraph>>>;
 /// and — in the paper's [`AsynMode::Faithful`] — rejects that relaxation.
 ///
 /// Reduced graphs are cached per checkpoint interval (the asynchronous
-/// maintenance an online deployment would perform once per checkpoint);
-/// set [`ItspqConfig::cache_views`] to `false` to rebuild on every request.
+/// maintenance an online deployment would perform once per checkpoint); a
+/// fresh engine starts cold.
 pub struct AsynEngine {
     graph: Arc<ItGraph>,
     config: ItspqConfig,
@@ -136,16 +139,11 @@ impl AsynEngine {
         }
     }
 
-    /// Drops all cached reduced graphs.
-    pub fn clear_cache(&self) {
-        self.cache.write().clear();
-    }
-
     /// `Graph_Update(t, T)` with caching: the reduced view for the checkpoint
     /// interval containing clock time `t`.
     ///
-    /// With caching on, each interval's view is built **exactly once** per
-    /// engine, even under concurrent misses: threads race for the interval's
+    /// Each interval's view is built **exactly once** per engine, even
+    /// under concurrent misses: threads race for the interval's
     /// [`ViewSlot`] (a cheap map insertion under the write lock) and
     /// [`OnceLock::get_or_init`] lets exactly one of them run
     /// `ReducedGraph::build`, outside the map lock — losers of the race block
@@ -153,10 +151,6 @@ impl AsynEngine {
     /// `stats.views_built` counts only actual constructions.
     fn view_for(&self, t: indoor_time::TimeOfDay, stats: &mut SearchStats) -> Arc<ReducedGraph> {
         let space = self.graph.space();
-        if !self.config.cache_views {
-            stats.views_built += 1;
-            return Arc::new(ReducedGraph::build(space, t));
-        }
         let idx = space.checkpoints().interval_index(t);
         // NB: probe and upgrade are separate statements so the read guard is
         // dropped before the write lock is taken (edition-2021 `if let`
@@ -180,26 +174,19 @@ impl AsynEngine {
         Arc::clone(view)
     }
 
-    /// Answers `ITSPQ(ps, pt, t)`.
+    /// Answers `ITSPQ(ps, pt, t)`: the one-target sweep.
     #[must_use]
     pub fn query(&self, query: &Query) -> QueryResult {
-        let mut stats0 = SearchStats::default();
-        let t0 = query.departure();
-        let current = self.view_for(query.time, &mut stats0);
-        let mut checker = AsynChecker {
-            engine: self,
-            velocity: self.config.velocity,
-            t0,
-            next_instant: self.graph.space().checkpoints().next_instant(t0),
-            view_bytes: current.heap_bytes(),
-            seen_intervals: vec![current.interval_index()],
-            current,
-            mode: self.config.asyn_mode,
-            pre_stats: stats0,
-        };
-        let (path, mut stats) = run_search(&self.graph, query, &self.config, &mut checker);
-        stats.views_built += checker.pre_stats.views_built;
-        QueryResult { path, stats }
+        let (mut paths, stats) = self.query_targets(
+            &query.source,
+            query.time,
+            std::slice::from_ref(&query.target),
+            &mut SweepObserver::off(),
+        );
+        QueryResult {
+            path: paths.pop().flatten(),
+            stats,
+        }
     }
 
     /// Answers `ITSPQ(ps, pt, t)` after validating the query.
@@ -212,12 +199,12 @@ impl AsynEngine {
         Ok(self.query(query))
     }
 
-    /// Answers a whole group of targets from one source with a single shared
-    /// search frontier — the checker (including a `Faithful` cursor) evolves
-    /// through the same door-relaxation sequence as each per-target
-    /// [`query`], so answers are byte-identical under the preconditions of
-    /// [`run_search_targets`] (FullRelax config, traversable-or-source target
-    /// partitions).
+    /// Answers targets from one source with a single sweep of Algorithm 1
+    /// (see [`run_search_targets`]). The checker — a `Faithful` cursor
+    /// included — evolves through the same door-relaxation sequence as in
+    /// each target's own [`query`], so with more than one target, under the
+    /// sweep's preconditions (FullRelax config, traversable-or-source target
+    /// partitions), every answer is byte-identical to it.
     ///
     /// [`query`]: AsynEngine::query
     pub(crate) fn query_targets(
@@ -241,7 +228,7 @@ impl AsynEngine {
             mode: self.config.asyn_mode,
             pre_stats: stats0,
         };
-        let (paths, mut stats) = run_search_targets(
+        let mut sweep = run_search_targets(
             &self.graph,
             source,
             time,
@@ -250,8 +237,8 @@ impl AsynEngine {
             &mut checker,
             observer,
         );
-        stats.views_built += checker.pre_stats.views_built;
-        (paths, stats)
+        sweep.stats.views_built += checker.pre_stats.views_built;
+        (sweep.paths, sweep.stats)
     }
 }
 
@@ -390,22 +377,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_disabled_rebuilds() {
-        let (ex, eng) = engine(ItspqConfig::default().with_cache_views(false));
-        let r1 = eng.query(&Query::new(ex.p1, ex.p2, TimeOfDay::hm(12, 0)));
-        let r2 = eng.query(&Query::new(ex.p1, ex.p2, TimeOfDay::hm(12, 0)));
-        assert_eq!(eng.cached_views(), 0);
-        assert!(r1.stats.views_built >= 1);
-        assert!(r2.stats.views_built >= 1);
-    }
-
-    #[test]
     fn precompute_builds_every_interval() {
         let (ex, eng) = engine(ItspqConfig::default());
         eng.precompute_all();
         assert_eq!(eng.cached_views(), ex.space.checkpoints().len());
-        eng.clear_cache();
-        assert_eq!(eng.cached_views(), 0);
     }
 
     #[test]

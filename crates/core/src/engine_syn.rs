@@ -7,6 +7,9 @@
 //! the other method (and this repo's concurrent front-end) is checked
 //! against.
 //!
+//! The engine sets up its checker in one place, `query_targets`, which runs
+//! the framework's sweep; a point query is the sweep with one target.
+//!
 //! The engine holds its graph as an `Arc<ItGraph>`; constructing one from a
 //! plain [`ItGraph`] wraps it on the fly, while constructing many engines
 //! from one [`ItGraph::shared`] handle shares a single venue allocation.
@@ -37,7 +40,7 @@ use std::sync::Arc;
 use indoor_space::{DoorId, IndoorPoint, IndoorSpace, PartitionId};
 use indoor_time::{TimeOfDay, Timestamp, Velocity};
 
-use crate::framework::{run_search, run_search_targets, SweepObserver, TvChecker};
+use crate::framework::{run_search_targets, SweepObserver, TvChecker};
 use crate::{ItGraph, ItspqConfig, Path, Query, QueryError, QueryResult, SearchStats};
 
 /// `Syn_Check` (Algorithm 2): look up the door's ATIs at the arrival time
@@ -103,16 +106,19 @@ impl SynEngine {
         &self.config
     }
 
-    /// Answers `ITSPQ(ps, pt, t)`.
+    /// Answers `ITSPQ(ps, pt, t)`: the one-target sweep.
     #[must_use]
     pub fn query(&self, query: &Query) -> QueryResult {
-        let mut checker = SynChecker {
-            space: self.graph.space(),
-            velocity: self.config.velocity,
-            t0: query.departure(),
-        };
-        let (path, stats) = run_search(&self.graph, query, &self.config, &mut checker);
-        QueryResult { path, stats }
+        let (mut paths, stats) = self.query_targets(
+            &query.source,
+            query.time,
+            std::slice::from_ref(&query.target),
+            &mut SweepObserver::off(),
+        );
+        QueryResult {
+            path: paths.pop().flatten(),
+            stats,
+        }
     }
 
     /// Answers `ITSPQ(ps, pt, t)` after validating the query.
@@ -125,11 +131,11 @@ impl SynEngine {
         Ok(self.query(query))
     }
 
-    /// Answers a whole group of targets from one source with a single shared
-    /// search frontier. Callers must uphold the preconditions of
-    /// [`run_search_targets`] (FullRelax config, traversable-or-source target
-    /// partitions); results are then byte-identical to per-target [`query`]
-    /// calls.
+    /// Answers targets from one source with a single sweep of Algorithm 1
+    /// (see [`run_search_targets`]). With more than one target, callers must
+    /// uphold its preconditions (FullRelax config, traversable-or-source
+    /// target partitions); every answer is then byte-identical to the
+    /// target's own [`query`].
     ///
     /// [`query`]: SynEngine::query
     pub(crate) fn query_targets(
@@ -144,7 +150,7 @@ impl SynEngine {
             velocity: self.config.velocity,
             t0: Timestamp::from_time_of_day(time),
         };
-        run_search_targets(
+        let sweep = run_search_targets(
             &self.graph,
             source,
             time,
@@ -152,7 +158,8 @@ impl SynEngine {
             &self.config,
             &mut checker,
             observer,
-        )
+        );
+        (sweep.paths, sweep.stats)
     }
 }
 

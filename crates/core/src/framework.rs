@@ -2,8 +2,13 @@
 //!
 //! The framework is a Dijkstra-style expansion over doors using each
 //! partition's distance matrix for intra-partition hops, parameterised by a
-//! [`TvChecker`]: the synchronous check of Algorithm 2 (ITG/S) or the
-//! asynchronous reduced-graph check of Algorithm 4 (ITG/A).
+//! [`TvChecker`]: the synchronous check of Algorithm 2 (ITG/S), the
+//! asynchronous reduced-graph check of Algorithm 4 (ITG/A), or a baseline's.
+//!
+//! It has one expansion loop, [`run_search_targets`]: a sweep from one
+//! source toward any number of targets. A point query is the sweep with one
+//! target, a shared batch group the sweep with many, and a reachability map
+//! the sweep with none, run until its frontier is empty.
 //!
 //! Two deliberate deviations from the paper's pseudo-code, neither affecting
 //! results (see `ARCHITECTURE.md` §"Deviations from the paper"):
@@ -207,11 +212,8 @@ struct SearchState {
     prev: Vec<Option<PrevEntry>>,
     settled: Vec<bool>,
     visited_parts: Vec<bool>,
-    enters_target: Vec<bool>,
     heap: MinHeap,
     scratch: Vec<DoorId>,
-    target_dist: f64,
-    target_prev: Option<u32>,
     /// Distinct doors whose tentative distance left ∞ — the populated part of
     /// the search state, which is what a map-based implementation (like the
     /// paper's Java one) would actually hold.
@@ -219,22 +221,15 @@ struct SearchState {
 }
 
 impl SearchState {
-    fn new(space: &IndoorSpace, target_partition: PartitionId) -> Self {
+    fn new(space: &IndoorSpace) -> Self {
         let n = space.num_doors();
-        let mut enters_target = vec![false; n];
-        for &d in space.p2d_enterable(target_partition) {
-            enters_target[d.index()] = true;
-        }
         SearchState {
             dist: vec![f64::INFINITY; n],
             prev: vec![None; n],
             settled: vec![false; n],
             visited_parts: vec![false; space.num_partitions()],
-            enters_target,
             heap: MinHeap::new(),
             scratch: Vec::new(),
-            target_dist: f64::INFINITY,
-            target_prev: None,
             touched_doors: 0,
         }
     }
@@ -253,159 +248,44 @@ impl SearchState {
     }
 }
 
-/// Runs Algorithm 1 and reconstructs the path (lines 11–17).
+/// A target's label: its tentative distance and the door it was last relaxed
+/// from, final once `done` (its heap pop).
+#[derive(Debug, Clone, Copy)]
+struct TargetLabel {
+    dist: f64,
+    prev: Option<u32>,
+    done: bool,
+}
+
+/// What a sweep hands back: one answer per target (input order), the
+/// search's counters, and the final door labels (`∞` = not reached). The
+/// labels are complete only for a sweep without targets, which runs until
+/// its frontier is empty.
+pub(crate) struct Sweep {
+    pub(crate) paths: Vec<Option<Path>>,
+    pub(crate) stats: SearchStats,
+    pub(crate) door_dist: Vec<f64>,
+}
+
+/// Answers one query as the one-target sweep of [`run_search_targets`] (the
+/// baselines and `paths_to_many`'s private-target fallback call it; the
+/// engines go through their own `query_targets`).
 pub(crate) fn run_search<C: TvChecker>(
     graph: &ItGraph,
     query: &Query,
     config: &ItspqConfig,
     checker: &mut C,
 ) -> (Option<Path>, SearchStats) {
-    let space = graph.space();
-    let mut stats = SearchStats::default();
-    let t0 = query.departure();
-    let src_p = query.source.partition;
-    let dst_p = query.target.partition;
-
-    // Both endpoints in one partition: the straight segment is valid (no door
-    // is crossed) and, partitions being decomposed into near-convex cells,
-    // shortest.
-    if src_p == dst_p {
-        let length = query.source.position.distance(query.target.position);
-        checker.account(&mut stats);
-        let path = Path {
-            source: query.source,
-            target: query.target,
-            hops: Vec::new(),
-            length,
-            departure: t0,
-            arrival: t0 + config.velocity.travel_time(length),
-        };
-        return (Some(path), stats);
-    }
-
-    let mut st = SearchState::new(space, dst_p);
-    let mut observer = SweepObserver::off();
-
-    // Rule 2: private partitions may be traversed only if they contain ps/pt.
-    let allowed = |v: PartitionId| -> bool {
-        v == src_p || v == dst_p || space.partition(v).kind.traversable()
-    };
-
-    // Source expansion: Algorithm 1 with di = ps, v = P(ps).
-    st.visited_parts[src_p.index()] = true;
-    stats.partitions_expanded += 1;
-    expand_partition(
-        space,
-        config,
+    let mut sweep = run_search_targets(
+        graph,
         &query.source,
+        query.time,
+        std::slice::from_ref(&query.target),
+        config,
         checker,
-        &mut st,
-        &mut stats,
-        src_p,
-        None,
-        0.0,
-        &allowed,
-        t0,
-        &mut observer,
+        &mut SweepObserver::off(),
     );
-
-    while let Some(entry) = st.heap.pop() {
-        stats.heap_pops += 1;
-        let di = match entry.node {
-            Node::Target(_) => {
-                if entry.dist > st.target_dist {
-                    continue; // stale: the target improved after this push
-                }
-                // `reconstruct` is `None` only on a broken predecessor
-                // invariant; degrade to "no such routes" rather than panic.
-                let path = reconstruct(
-                    &query.source,
-                    &query.target,
-                    config,
-                    &st.dist,
-                    &st.prev,
-                    st.target_dist,
-                    st.target_prev,
-                    t0,
-                );
-                stats.search_bytes = st.search_bytes();
-                checker.account(&mut stats);
-                return (path, stats);
-            }
-            Node::Door(i) => i,
-        };
-        if st.settled[di as usize] {
-            continue; // stale heap entry
-        }
-        st.settled[di as usize] = true;
-        stats.doors_settled += 1;
-        let door = DoorId(di);
-        let d_di = st.dist[di as usize];
-
-        // Lines 20–24: a door that can enter P(pt) relaxes pt directly …
-        if st.enters_target[di as usize] {
-            if let Some(pd) = space.point_to_door(&query.target, door) {
-                let cand = d_di + pd;
-                if cand < st.target_dist {
-                    st.target_dist = cand;
-                    st.target_prev = Some(di);
-                    st.heap.push(cand, Node::Target(0));
-                    stats.heap_pushes += 1;
-                }
-            }
-            // … and, in the paper's reading, is not expanded any further.
-            if config.expand == ExpandPolicy::PaperPruned {
-                continue;
-            }
-        }
-
-        // Lines 18–19 / full relaxation: choose partitions to expand.
-        let came_from = st.prev[di as usize].map(|p| p.via);
-        for vi in 0..space.d2p_enterable(door).len() {
-            let v = space.d2p_enterable(door)[vi];
-            if !allowed(v) {
-                continue;
-            }
-            match config.expand {
-                ExpandPolicy::PaperPruned => {
-                    if st.visited_parts[v.index()] {
-                        continue;
-                    }
-                    st.visited_parts[v.index()] = true;
-                }
-                ExpandPolicy::FullRelax => {
-                    // Never expand back into the partition the door was
-                    // reached through: distance-wise it cannot help (DM
-                    // triangle inequality), and time-wise it would let paths
-                    // *touch* a door to burn walking time until another door
-                    // opens — waiting in disguise, which the paper's
-                    // semantics exclude (footnote 2).
-                    if Some(v) == came_from {
-                        continue;
-                    }
-                }
-            }
-            stats.partitions_expanded += 1;
-            expand_partition(
-                space,
-                config,
-                &query.source,
-                checker,
-                &mut st,
-                &mut stats,
-                v,
-                Some(di),
-                d_di,
-                &allowed,
-                t0,
-                &mut observer,
-            );
-        }
-    }
-
-    stats.search_bytes = st.search_bytes();
-    checker.account(&mut stats);
-    (None, stats) // line 10: "no such routes"
+    (sweep.paths.pop().flatten(), sweep.stats)
 }
 
 /// Lines 25–34: relax every (currently usable) leaveable door of `v`.
@@ -503,9 +383,9 @@ fn expand_partition<C: TvChecker>(
 /// Every relaxed door records a predecessor before entering the heap, so the
 /// chain is complete whenever the target has been popped; `None` signals a
 /// broken invariant and the caller answers "no such routes" instead of
-/// unwinding. Shared verbatim by the single-target search and the
-/// multi-target sweep of [`run_search_targets`], so grouped queries assemble
-/// their paths through exactly the code their per-query twins use.
+/// unwinding. Used by the sweep at each target's pop and by
+/// `crate::replay`, so a replayed member assembles its path through exactly
+/// the code its own search would.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn reconstruct(
     source: &IndoorPoint,
@@ -550,8 +430,8 @@ pub(crate) fn reconstruct(
     })
 }
 
-/// The straight-segment answer for a target sharing the source's partition —
-/// the exact short-circuit `run_search` takes before any expansion.
+/// The straight-segment answer for a target sharing the source's partition:
+/// no door is crossed, so the sweep answers it before any expansion.
 pub(crate) fn direct_path(
     source: &IndoorPoint,
     target: &IndoorPoint,
@@ -569,31 +449,38 @@ pub(crate) fn direct_path(
     }
 }
 
-/// One shared Dijkstra frontier answering a whole group of targets: the
-/// multi-target generalisation of Algorithm 1 that `VenueServer`'s shared
-/// batch execution and [`crate::one_to_many`] run one group at a time.
+/// Algorithm 1 as one sweep from `source` at `time` toward any number of
+/// targets — the only expansion loop of the crate:
 ///
-/// Under [`ExpandPolicy::FullRelax`] the door relaxations of Algorithm 1 do
-/// not depend on the target at all (the virtual target node is only ever
-/// *relaxed from* settled doors, never expanded), so a single sweep can carry
-/// any number of targets and each finalises — at its heap pop, exactly as in
-/// its own search — with byte-identical distance, predecessor chain and
-/// checker-state history to the per-query run. The sweep ends when every
-/// target has popped or the frontier is exhausted (`None` = "no such
-/// routes").
+/// * a point query is a sweep with one target ([`run_search`], the engines'
+///   `query`);
+/// * a shared group is a sweep with many (`VenueServer`'s shared batches,
+///   [`crate::one_to_many::paths_to_many`]);
+/// * a reachability map is a sweep with none: it runs until the frontier is
+///   empty and reads the door labels ([`crate::one_to_many::reachability`]).
 ///
-/// Preconditions, enforced by callers (the server's batch planner and
-/// `one_to_many`) and debug-asserted here, because each would reintroduce a
-/// target-dependence that breaks the sharing argument:
+/// Each target is a virtual node, relaxed from every settled door that can
+/// enter its partition (lines 20–24) and finalised at its heap pop
+/// (lines 11–17). The sweep ends when every target has popped or the
+/// frontier is exhausted (`None` = "no such routes"). A target in the
+/// source's partition gets the straight segment ([`direct_path`]).
 ///
-/// * `config.expand` is `FullRelax` — `PaperPruned` prunes doors that enter
-///   the target's partition, differently per target;
-/// * every target's partition is traversable or is the source's own —
-///   Rule 2 exempts `P(pt)`, so a *private* target partition enlarges the
-///   traversable set for that query alone.
+/// Two rules of Algorithm 1 depend on the target, so only a one-target sweep
+/// applies them:
 ///
-/// Targets sharing the source's partition are answered with the straight
-/// segment, as in the single-target short-circuit.
+/// * [`ExpandPolicy::PaperPruned`] does not expand a door that enters the
+///   target's partition, and expands each partition once (`visited_parts`);
+/// * Rule 2 exempts `P(pt)` as well as `P(ps)`, so a private or outdoor
+///   target partition is the sweep's one exempt partition.
+///
+/// Without them — `FullRelax`, no exempt partition — door relaxations do not
+/// depend on the targets at all (a target node is only ever *relaxed from*
+/// settled doors, never expanded). So every target of a shared sweep
+/// finalises with the distance, predecessor chain and checker-state history
+/// of its own point query: the point query *is* the one-target sweep. Hence
+/// a sweep with any other number of targets requires `FullRelax` and
+/// traversable-or-source target partitions; callers (the server's planner,
+/// `one_to_many`) enforce both, and this function debug-asserts them.
 pub(crate) fn run_search_targets<C: TvChecker>(
     graph: &ItGraph,
     source: &IndoorPoint,
@@ -602,54 +489,62 @@ pub(crate) fn run_search_targets<C: TvChecker>(
     config: &ItspqConfig,
     checker: &mut C,
     observer: &mut SweepObserver,
-) -> (Vec<Option<Path>>, SearchStats) {
-    debug_assert!(
-        config.expand == ExpandPolicy::FullRelax,
-        "shared execution requires FullRelax (target-independent relaxations)"
-    );
+) -> Sweep {
     let space = graph.space();
     let mut stats = SearchStats::default();
     let t0 = Timestamp::from_time_of_day(time);
     let src_p = source.partition;
 
-    let mut paths: Vec<Option<Path>> = vec![None; targets.len()];
-    let mut target_dist = vec![f64::INFINITY; targets.len()];
-    let mut target_prev: Vec<Option<u32>> = vec![None; targets.len()];
-    let mut done = vec![false; targets.len()];
-    let mut remaining = 0usize;
+    // Rule 2: private partitions may be traversed only if they contain ps/pt.
+    let exempt = match targets {
+        [target] => Some(target.partition),
+        _ => None,
+    };
+    debug_assert!(
+        exempt.is_some()
+            || (config.expand == ExpandPolicy::FullRelax
+                && targets.iter().all(|t| {
+                    t.partition == src_p || space.partition(t.partition).kind.traversable()
+                })),
+        "a shared sweep requires FullRelax and traversable target partitions"
+    );
+    let allowed = |v: PartitionId| -> bool {
+        v == src_p || Some(v) == exempt || space.partition(v).kind.traversable()
+    };
 
-    // Doors that can enter each pending target's partition, door-indexed.
-    let mut enters: Vec<Vec<u32>> = vec![Vec::new(); space.num_doors()];
+    let mut paths: Vec<Option<Path>> = vec![None; targets.len()];
+    let mut labels = vec![
+        TargetLabel {
+            dist: f64::INFINITY,
+            prev: None,
+            done: false,
+        };
+        targets.len()
+    ];
+    // Pending targets sorted by partition: a settled door finds the targets
+    // it enters through its own `d2p_enterable` list.
+    let mut by_partition: Vec<(PartitionId, u32)> = Vec::new();
     for (k, target) in targets.iter().enumerate() {
         if target.partition == src_p {
             paths[k] = Some(direct_path(source, target, config, t0));
-            done[k] = true;
-            continue;
-        }
-        debug_assert!(
-            space.partition(target.partition).kind.traversable(),
-            "shared execution requires traversable target partitions"
-        );
-        remaining += 1;
-        for &d in space.p2d_enterable(target.partition) {
-            enters[d.index()].push(k as u32);
+        } else {
+            by_partition.push((target.partition, k as u32));
         }
     }
-    if remaining == 0 {
+    by_partition.sort_unstable();
+    let mut pending = by_partition.len();
+    if pending == 0 && !targets.is_empty() {
         checker.account(&mut stats);
-        return (paths, stats);
+        return Sweep {
+            paths,
+            stats,
+            door_dist: Vec::new(),
+        };
     }
 
-    // The single-target state, reused so `expand_partition` is shared
-    // verbatim; its per-target fields (`enters_target`, `target_dist`,
-    // `target_prev`) stay untouched — this sweep keeps its own per-target
-    // arrays instead.
-    let mut st = SearchState::new(space, src_p);
+    let mut st = SearchState::new(space);
 
-    // Rule 2 under the preconditions: every partition a route may traverse is
-    // traversable or the source's own (target partitions are traversable).
-    let allowed = |v: PartitionId| -> bool { v == src_p || space.partition(v).kind.traversable() };
-
+    // Source expansion: Algorithm 1 with di = ps, v = P(ps).
     st.visited_parts[src_p.index()] = true;
     stats.partitions_expanded += 1;
     expand_partition(
@@ -661,23 +556,25 @@ pub(crate) fn run_search_targets<C: TvChecker>(
         stats.heap_pops += 1;
         let di = match entry.node {
             Node::Target(k) => {
-                let k = k as usize;
-                if done[k] || entry.dist > target_dist[k] {
+                let label = &mut labels[k as usize];
+                if label.done || entry.dist > label.dist {
                     continue; // finalised already, or stale after an improvement
                 }
-                paths[k] = reconstruct(
+                label.done = true;
+                // `reconstruct` is `None` only on a broken predecessor
+                // invariant; degrade to "no such routes" rather than panic.
+                paths[k as usize] = reconstruct(
                     source,
-                    &targets[k],
+                    &targets[k as usize],
                     config,
                     &st.dist,
                     &st.prev,
-                    target_dist[k],
-                    target_prev[k],
+                    label.dist,
+                    label.prev,
                     t0,
                 );
-                done[k] = true;
-                remaining -= 1;
-                if remaining == 0 {
+                pending -= 1;
+                if pending == 0 {
                     break;
                 }
                 continue;
@@ -694,31 +591,57 @@ pub(crate) fn run_search_targets<C: TvChecker>(
         let came_from = st.prev[di as usize].map(|p| p.via);
         observer.push_settle(di, came_from);
 
-        // Lines 20–24 per pending target: a settled door entering P(pt)
-        // relaxes that target directly.
-        for &k in &enters[di as usize] {
-            let k = k as usize;
-            if done[k] {
-                continue;
-            }
-            if let Some(pd) = space.point_to_door(&targets[k], door) {
-                let cand = d_di + pd;
-                observer.push_target(k as u32, di, pd);
-                if cand < target_dist[k] {
-                    target_dist[k] = cand;
-                    target_prev[k] = Some(di);
-                    st.heap.push(cand, Node::Target(k as u32));
-                    stats.heap_pushes += 1;
+        // Lines 20–24: a door that can enter a pending target's partition
+        // relaxes that target directly …
+        let mut into_target = false;
+        for &v in space.d2p_enterable(door) {
+            let first = by_partition.partition_point(|&(p, _)| p < v);
+            for &(_, k) in by_partition[first..].iter().take_while(|&&(p, _)| p == v) {
+                into_target = true;
+                let label = &mut labels[k as usize];
+                if label.done {
+                    continue;
+                }
+                if let Some(pd) = space.point_to_door(&targets[k as usize], door) {
+                    let cand = d_di + pd;
+                    observer.push_target(k, di, pd);
+                    if cand < label.dist {
+                        label.dist = cand;
+                        label.prev = Some(di);
+                        st.heap.push(cand, Node::Target(k));
+                        stats.heap_pushes += 1;
+                    }
                 }
             }
         }
+        // … and, in the paper's reading, is not expanded any further.
+        if into_target && config.expand == ExpandPolicy::PaperPruned {
+            continue;
+        }
 
-        // Full relaxation: expand every enterable partition except the one
-        // the door was reached through (see `run_search` for why).
-        for vi in 0..space.d2p_enterable(door).len() {
-            let v = space.d2p_enterable(door)[vi];
-            if !allowed(v) || Some(v) == came_from {
+        // Lines 18–19 / full relaxation: choose partitions to expand.
+        for &v in space.d2p_enterable(door) {
+            if !allowed(v) {
                 continue;
+            }
+            match config.expand {
+                ExpandPolicy::PaperPruned => {
+                    if st.visited_parts[v.index()] {
+                        continue;
+                    }
+                    st.visited_parts[v.index()] = true;
+                }
+                ExpandPolicy::FullRelax => {
+                    // Never expand back into the partition the door was
+                    // reached through: distance-wise it cannot help (DM
+                    // triangle inequality), and time-wise it would let paths
+                    // *touch* a door to burn walking time until another door
+                    // opens — waiting in disguise, which the paper's
+                    // semantics exclude (footnote 2).
+                    if Some(v) == came_from {
+                        continue;
+                    }
+                }
             }
             stats.partitions_expanded += 1;
             expand_partition(
@@ -738,7 +661,12 @@ pub(crate) fn run_search_targets<C: TvChecker>(
         }
     }
 
-    stats.search_bytes = st.search_bytes() + targets.len() * (std::mem::size_of::<f64>() + 2 + 8);
+    stats.peak_heap = st.heap.peak();
+    stats.search_bytes = st.search_bytes();
     checker.account(&mut stats);
-    (paths, stats)
+    Sweep {
+        paths,
+        stats,
+        door_dist: st.dist,
+    }
 }

@@ -12,6 +12,7 @@
 
 use indoor_space::{DoorId, PartitionId};
 
+use crate::framework::direct_path;
 use crate::heap::{MinHeap, Node};
 use crate::ord::cmp_dist;
 use crate::{DoorHop, ItGraph, ItspqConfig, Path, Query};
@@ -33,16 +34,12 @@ pub fn k_shortest_paths(
     let space = graph.space();
     if query.source.partition == query.target.partition {
         // Only the direct segment exists inside one partition.
-        let length = query.source.position.distance(query.target.position);
-        let t0 = query.departure();
-        return vec![Path {
-            source: query.source,
-            target: query.target,
-            hops: Vec::new(),
-            length,
-            departure: t0,
-            arrival: t0 + config.velocity.travel_time(length),
-        }];
+        return vec![direct_path(
+            &query.source,
+            &query.target,
+            config,
+            query.departure(),
+        )];
     }
 
     let n = space.num_doors();

@@ -2,9 +2,11 @@
 //!
 //! Evacuation planning, coverage analysis and facility dashboards need "how
 //! far is everything from here, *right now*" rather than a single target:
-//! this module runs the ITSPQ expansion (ITG/S semantics, full relaxation)
-//! from one point and reports the valid shortest distance to **every door**
-//! and to **every partition** (through its nearest open, enterable door).
+//! [`reachability`] runs the search framework's sweep (ITG/S semantics, full
+//! relaxation) with no targets, so it only stops when its frontier is empty,
+//! and reports the valid shortest distance to **every door** and to **every
+//! partition** (through its nearest open, enterable door). [`paths_to_many`]
+//! runs the same sweep with a set of targets and returns full routes.
 //!
 //! The same two rules apply per relaxation: doors must be open at the
 //! arrival time; private partitions are traversed only if they contain the
@@ -16,7 +18,6 @@ use indoor_time::{TimeOfDay, Timestamp};
 
 use crate::engine_syn::SynChecker;
 use crate::framework::{run_search, run_search_targets, SweepObserver};
-use crate::heap::{MinHeap, Node};
 use crate::ord::min_dist;
 use crate::{ExpandPolicy, ItGraph, ItspqConfig, Path, SearchStats};
 
@@ -104,53 +105,48 @@ pub fn paths_to_many(
 ) -> TargetPaths {
     let space = graph.space();
     let config = config.with_expand(ExpandPolicy::FullRelax);
-    let t0 = Timestamp::from_time_of_day(time);
-
-    // Split off targets the shared frontier cannot carry (private/outdoor
-    // partitions away from the source): they run as singleton searches.
-    let sharable: Vec<IndoorPoint> = targets
-        .iter()
-        .copied()
-        .filter(|t| {
-            t.partition == source.partition || space.partition(t.partition).kind.traversable()
-        })
-        .collect();
-
-    let mut checker = SynChecker {
+    let checker = || SynChecker {
         space,
         velocity: config.velocity,
-        t0,
+        t0: Timestamp::from_time_of_day(time),
     };
-    let (mut shared_paths, mut stats) = run_search_targets(
-        graph,
-        &source,
-        time,
-        &sharable,
-        &config,
-        &mut checker,
-        &mut SweepObserver::off(),
-    );
 
-    let mut paths = Vec::with_capacity(targets.len());
-    let mut shared_iter = 0usize;
-    for target in targets {
-        if target.partition == source.partition
-            || space.partition(target.partition).kind.traversable()
-        {
-            paths.push(shared_paths[shared_iter].take());
-            shared_iter += 1;
-        } else {
-            let mut single = SynChecker {
-                space,
-                velocity: config.velocity,
-                t0,
-            };
-            let q = crate::Query::new(source, *target, time);
-            let (path, s) = run_search(graph, &q, &config, &mut single);
-            stats.merge(&s);
-            paths.push(path);
-        }
-    }
+    // Targets the shared frontier cannot carry (private/outdoor partitions
+    // away from the source) run as one-target sweeps of their own.
+    let sharable = |t: &IndoorPoint| {
+        t.partition == source.partition || space.partition(t.partition).kind.traversable()
+    };
+    let shared_targets: Vec<IndoorPoint> = targets.iter().copied().filter(sharable).collect();
+    // (A sweep without targets would map the whole venue: skip it.)
+    let (shared, mut stats) = if shared_targets.is_empty() {
+        (Vec::new(), SearchStats::default())
+    } else {
+        let sweep = run_search_targets(
+            graph,
+            &source,
+            time,
+            &shared_targets,
+            &config,
+            &mut checker(),
+            &mut SweepObserver::off(),
+        );
+        (sweep.paths, sweep.stats)
+    };
+
+    let mut shared = shared.into_iter();
+    let paths = targets
+        .iter()
+        .map(|target| {
+            if sharable(target) {
+                shared.next().flatten()
+            } else {
+                let q = crate::Query::new(source, *target, time);
+                let (path, s) = run_search(graph, &q, &config, &mut checker());
+                stats.merge(&s);
+                path
+            }
+        })
+        .collect();
 
     TargetPaths {
         source,
@@ -161,7 +157,8 @@ pub fn paths_to_many(
 }
 
 /// Computes valid shortest distances from `source` at `time` to every door
-/// and partition.
+/// and partition (ITG/S semantics, full relaxation — `config.expand` is
+/// ignored).
 #[must_use]
 pub fn reachability(
     graph: &ItGraph,
@@ -170,66 +167,21 @@ pub fn reachability(
     config: &ItspqConfig,
 ) -> ReachabilityMap {
     let space = graph.space();
-    let n = space.num_doors();
-    let t0 = Timestamp::from_time_of_day(time);
-
-    let mut dist = vec![f64::INFINITY; n];
-    let mut came_from: Vec<Option<PartitionId>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut heap = MinHeap::new();
-
-    let traversable =
-        |v: PartitionId| -> bool { v == source.partition || space.partition(v).kind.traversable() };
-
-    {
-        let v = source.partition;
-        for &dj in space.p2d_leaveable(v) {
-            if let Some(w) = space.point_to_door(&source, dj) {
-                let tarr = t0 + config.velocity.travel_time(w);
-                if space.door(dj).atis.is_open_at(tarr) && w < dist[dj.index()] {
-                    dist[dj.index()] = w;
-                    came_from[dj.index()] = Some(v);
-                    heap.push(w, Node::Door(dj.index() as u32));
-                }
-            }
-        }
-    }
-
-    while let Some(entry) = heap.pop() {
-        let Node::Door(di) = entry.node else { continue };
-        if settled[di as usize] {
-            continue;
-        }
-        settled[di as usize] = true;
-        let door = DoorId(di);
-        let base = dist[di as usize];
-        for vi in 0..space.d2p_enterable(door).len() {
-            let v = space.d2p_enterable(door)[vi];
-            // Expansion continues only through traversable partitions, and
-            // never straight back through the entry side.
-            if Some(v) == came_from[di as usize] || !traversable(v) {
-                continue;
-            }
-            for &dj in space.p2d_leaveable(v) {
-                if dj.index() as u32 == di || settled[dj.index()] {
-                    continue;
-                }
-                let Some(w) = space.door_to_door(v, door, dj) else {
-                    continue;
-                };
-                let cand = base + w;
-                let tarr = t0 + config.velocity.travel_time(cand);
-                if !space.door(dj).atis.is_open_at(tarr) {
-                    continue;
-                }
-                if cand < dist[dj.index()] {
-                    dist[dj.index()] = cand;
-                    came_from[dj.index()] = Some(v);
-                    heap.push(cand, Node::Door(dj.index() as u32));
-                }
-            }
-        }
-    }
+    let mut checker = SynChecker {
+        space,
+        velocity: config.velocity,
+        t0: Timestamp::from_time_of_day(time),
+    };
+    let dist = run_search_targets(
+        graph,
+        &source,
+        time,
+        &[],
+        &config.with_expand(ExpandPolicy::FullRelax),
+        &mut checker,
+        &mut SweepObserver::off(),
+    )
+    .door_dist;
 
     // Partition distances: best open enterable door.
     let mut partition_distance = vec![f64::INFINITY; space.num_partitions()];

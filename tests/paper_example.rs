@@ -29,6 +29,15 @@ fn example1_morning_query_returns_d18_path() {
         );
         assert!((path.length - 12.0).abs() < 1e-9, "{name}: length 12 m");
         validate_path(&ex.space, &path, q.time, WALKING_SPEED).expect("valid path");
+        // The queue's high-water mark: at least one entry, never more than
+        // were pushed.
+        let s = res.stats;
+        assert!(
+            0 < s.peak_heap && s.peak_heap <= s.heap_pushes,
+            "{name}: peak queue {} vs {} pushes",
+            s.peak_heap,
+            s.heap_pushes
+        );
     }
 }
 

@@ -327,13 +327,13 @@ const PAPER_GOLDEN: &[(&str, u64)] = &[
     ("paper/snapshot/FullRelax", 0xd9c4dd82bb84ec0d),
     ("paper/reachability", 0xccb3a8e4f30b6d65),
     ("paper/batch/ITG/S", 0x8b8e98371cf14e8e),
-    ("paper/batch/ITG/S/search_bytes", 0x55c978b455a6b9da),
+    ("paper/batch/ITG/S/search_bytes", 0x907f64da1dd43bb9),
     ("paper/batch/ITG/A-Exact", 0x54841f7f9b395738),
-    ("paper/batch/ITG/A-Exact/search_bytes", 0x55c978b455a6b9da),
+    ("paper/batch/ITG/A-Exact/search_bytes", 0x907f64da1dd43bb9),
     ("paper/batch/ITG/A-Faithful", 0xf5c35845f914dd6d),
     (
         "paper/batch/ITG/A-Faithful/search_bytes",
-        0x77a660d242462f87,
+        0x71cdac5ec68498b7,
     ),
 ];
 
@@ -350,9 +350,9 @@ const MALL_GOLDEN: &[(&str, u64)] = &[
     ("mall/snapshot/FullRelax", 0x5ceba15c49e25d23),
     ("mall/reachability", 0xd40f68c496e96ad3),
     ("mall/batch/ITG/S", 0x85d6a3116f6dbb6a),
-    ("mall/batch/ITG/S/search_bytes", 0x06330d6dbddedc07),
+    ("mall/batch/ITG/S/search_bytes", 0xf7e7e229f0696cb2),
     ("mall/batch/ITG/A-Exact", 0x9a5cbe838a41f31f),
-    ("mall/batch/ITG/A-Exact/search_bytes", 0x06330d6dbddedc07),
+    ("mall/batch/ITG/A-Exact/search_bytes", 0xf7e7e229f0696cb2),
     ("mall/batch/ITG/A-Faithful", 0xf3714af95f7d5274),
-    ("mall/batch/ITG/A-Faithful/search_bytes", 0x0815a8ffd9292254),
+    ("mall/batch/ITG/A-Faithful/search_bytes", 0x09844aed444c725f),
 ];
