@@ -4,13 +4,14 @@
 //! ITG/A trades the per-relaxation ATI lookups of ITG/S for **reduced
 //! IT-Graphs**: per checkpoint interval, a view of the topology with every
 //! closed door deleted, so within an interval a door's usability is a
-//! constant-time bitset probe. The views are cached behind a
-//! [`parking_lot::RwLock`] keyed by interval index — the shared structure a
-//! [`crate::server::VenueServer`] amortises across worker threads: reads
-//! (cache hits) take the shared lock, and a miss builds the interval's view
-//! exactly once per engine no matter how many threads miss simultaneously
-//! (a per-interval `OnceLock` slot; the build runs outside the map lock, so
-//! it never stalls traffic on other intervals).
+//! constant-time bitset probe. The engine keeps one build-once slot per
+//! checkpoint interval — a [`OnceLock`] indexed by interval, sized from the
+//! venue's checkpoint set when the engine is built. This is the shared
+//! structure a [`crate::server::VenueServer`] amortises across worker
+//! threads: a filled slot is read with no lock, and a cold slot builds its
+//! interval's view exactly once per engine no matter how many threads miss
+//! it at the same time (the others wait on that slot only, so a build never
+//! stalls traffic on other intervals).
 //!
 //! As in ITG/S, the checker is set up in one place, `query_targets`, which
 //! runs the framework's sweep; a point query is the sweep with one target.
@@ -39,23 +40,15 @@
 //! assert!(night.path.is_none());
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use indoor_space::{DoorId, IndoorPoint, PartitionId};
 use indoor_time::{TimeOfDay, Timestamp, Velocity};
-use parking_lot::RwLock;
 
 use crate::framework::{run_search_targets, SweepObserver, TvChecker};
 use crate::{
     AsynMode, ItGraph, ItspqConfig, Path, Query, QueryError, QueryResult, ReducedGraph, SearchStats,
 };
-
-/// One cache slot: a view built at most once, by whichever thread first
-/// touches its interval. The slot is created under the map's write lock, but
-/// the (comparatively expensive) `ReducedGraph::build` runs outside it, so a
-/// miss on one interval never blocks hits — or builds — on others.
-type ViewSlot = Arc<OnceLock<Arc<ReducedGraph>>>;
 
 /// The ITG/A query engine.
 ///
@@ -71,10 +64,9 @@ type ViewSlot = Arc<OnceLock<Arc<ReducedGraph>>>;
 pub struct AsynEngine {
     graph: Arc<ItGraph>,
     config: ItspqConfig,
-    // A BTreeMap so every enumeration of the cache (stats, byte counts) is
-    // in interval order — hasher-state iteration in a parity-critical
-    // module would trip `nondet-iteration`, and deservedly.
-    cache: RwLock<BTreeMap<usize, ViewSlot>>,
+    /// One build-once view per checkpoint interval, indexed by
+    /// `Checkpoints::interval_index`.
+    views: Box<[OnceLock<ReducedGraph>]>,
 }
 
 impl AsynEngine {
@@ -82,10 +74,12 @@ impl AsynEngine {
     /// with other engines) or a plain [`ItGraph`] (wrapped on the fly).
     #[must_use]
     pub fn new(graph: impl Into<Arc<ItGraph>>, config: ItspqConfig) -> Self {
+        let graph: Arc<ItGraph> = graph.into();
+        let intervals = graph.space().checkpoints().len();
         AsynEngine {
-            graph: graph.into(),
+            graph,
             config,
-            cache: RwLock::new(BTreeMap::new()),
+            views: (0..intervals).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -111,21 +105,16 @@ impl AsynEngine {
     /// finished building).
     #[must_use]
     pub fn cached_views(&self) -> usize {
-        self.cache
-            .read()
-            .values()
-            .filter(|s| s.get().is_some())
-            .count()
+        self.views.iter().filter(|s| s.get().is_some()).count()
     }
 
     /// Total heap bytes of the cached reduced graphs.
     #[must_use]
     pub fn cache_bytes(&self) -> usize {
-        self.cache
-            .read()
-            .values()
-            .filter_map(|s| s.get())
-            .map(|v| v.heap_bytes())
+        self.views
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(ReducedGraph::heap_bytes)
             .sum()
     }
 
@@ -143,35 +132,21 @@ impl AsynEngine {
     /// interval containing clock time `t`.
     ///
     /// Each interval's view is built **exactly once** per engine, even
-    /// under concurrent misses: threads race for the interval's
-    /// [`ViewSlot`] (a cheap map insertion under the write lock) and
-    /// [`OnceLock::get_or_init`] lets exactly one of them run
-    /// `ReducedGraph::build`, outside the map lock — losers of the race block
-    /// on that slot only, while hits and builds for other intervals proceed.
-    /// `stats.views_built` counts only actual constructions.
-    fn view_for(&self, t: indoor_time::TimeOfDay, stats: &mut SearchStats) -> Arc<ReducedGraph> {
+    /// under concurrent misses: [`OnceLock::get_or_init`] lets one thread
+    /// run `ReducedGraph::build` while the others wait on that interval's
+    /// slot only. `stats.views_built` counts only actual constructions.
+    fn view_for(&self, t: TimeOfDay, stats: &mut SearchStats) -> &ReducedGraph {
         let space = self.graph.space();
-        let idx = space.checkpoints().interval_index(t);
-        // NB: probe and upgrade are separate statements so the read guard is
-        // dropped before the write lock is taken (edition-2021 `if let`
-        // temporaries live through the `else` branch — self-deadlock bait).
-        let probed = self.cache.read().get(&idx).map(Arc::clone);
-        let slot: ViewSlot = match probed {
-            Some(s) => s,
-            None => {
-                let mut cache = self.cache.write();
-                Arc::clone(cache.entry(idx).or_default())
-            }
-        };
+        let slot = &self.views[space.checkpoints().interval_index(t)];
         let mut built_here = false;
         let view = slot.get_or_init(|| {
             built_here = true;
-            Arc::new(ReducedGraph::build(space, t))
+            ReducedGraph::build(space, t)
         });
         if built_here {
             stats.views_built += 1;
         }
-        Arc::clone(view)
+        view
     }
 
     /// Answers `ITSPQ(ps, pt, t)`: the one-target sweep.
@@ -267,7 +242,7 @@ struct AsynChecker<'a> {
     engine: &'a AsynEngine,
     velocity: Velocity,
     t0: Timestamp,
-    current: Arc<ReducedGraph>,
+    current: &'a ReducedGraph,
     /// Timeline instant at which the current view expires.
     next_instant: Timestamp,
     /// Accumulated bytes of every distinct view consulted by this query.
@@ -315,7 +290,7 @@ impl TvChecker for AsynChecker<'_> {
                 // Crossing: Graph_Update(tarr, T), then return false.
                 let view = self.engine.view_for(tarr.time_of_day(), stats);
                 self.next_instant = self.engine.graph.space().checkpoints().next_instant(tarr);
-                self.account_view(&view);
+                self.account_view(view);
                 self.current = view;
                 stats.graph_updates += 1;
                 false
@@ -323,8 +298,8 @@ impl TvChecker for AsynChecker<'_> {
             AsynMode::Exact => {
                 // Constant-time bitset lookup in the arrival interval's view.
                 let view = self.engine.view_for(tarr.time_of_day(), stats);
-                self.account_view(&view);
-                if !Arc::ptr_eq(&view, &self.current) {
+                self.account_view(view);
+                if !std::ptr::eq(view, self.current) {
                     stats.graph_updates += 1;
                     self.current = view;
                 }

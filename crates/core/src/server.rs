@@ -9,12 +9,12 @@
 //!
 //! What makes this safe and fast is the ownership model of the rest of the
 //! crate: the IT-Graph is immutable and `Arc`-shared, so workers borrow it
-//! freely, and the only mutable shared state is ITG/A's reduced-graph cache
-//! behind a `parking_lot::RwLock` — read-locked on the hot path, write-locked
-//! only the first time a checkpoint interval is seen. Each interval's view is
-//! built exactly once per server, never per worker (see
-//! `AsynEngine::view_for`). Call [`VenueServer::warm`] to precompute every
-//! interval before opening the floodgates.
+//! freely, and the only shared state written after construction is ITG/A's
+//! reduced-graph cache: one build-once `OnceLock` slot per checkpoint
+//! interval, read with no lock once filled. Each interval's view is built
+//! exactly once per server, never per worker (see `AsynEngine::view_for`).
+//! Call [`VenueServer::warm`] to precompute every interval before opening
+//! the floodgates.
 //!
 //! By default the server answers with ITG/A in [`AsynMode::Exact`], which is
 //! answer-for-answer identical to ITG/S while sharing the cached reduced
@@ -239,14 +239,8 @@ impl VenueServer {
         &self.config
     }
 
-    /// Worker threads used per batch.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.config.workers
-    }
-
     /// Precomputes the reduced graph of every checkpoint interval, so no
-    /// query ever pays the write-lock construction path.
+    /// query ever builds a view or waits on another thread's build.
     pub fn warm(&self) {
         self.asyn.precompute_all();
     }
@@ -914,7 +908,7 @@ mod tests {
     fn empty_batch_and_worker_clamping() {
         let ex = paper_example::build();
         let server = VenueServer::new(ItGraph::new(ex.space)).with_workers(0);
-        assert_eq!(server.workers(), 1); // clamped
+        assert_eq!(server.config().workers, 1); // clamped
         assert!(server.query_batch(&[]).is_empty());
         // More workers than queries is fine too.
         let server = server.with_workers(16);

@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn block_comment_directive_works() {
         let (a, e) = allows_of(
-            "/* itspq-lint: allow(lock-scope, \"guard dropped first\") */\nlet g = m.read();\n",
+            "/* itspq-lint: allow(scoped-threads-only, \"joined below\") */\nlet h = std::thread::spawn(work);\n",
         );
         assert!(e.is_empty());
         assert_eq!(a[0].target_line, 2);

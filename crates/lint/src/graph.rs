@@ -1,13 +1,10 @@
-//! The workspace symbol table, approximate call graph and lock-acquisition
-//! graph.
+//! The workspace symbol table and approximate call graph.
 //!
 //! [`extract_facts`] distils each library/binary file into [`FnFact`]s — per
-//! function: the calls it makes, the locks it takes (and which were already
-//! held at each site), and its unallowed panic sites. [`Workspace`]
-//! aggregates the facts of every file, resolves calls against the symbol
-//! table and answers the two interprocedural questions the graph rules ask:
-//! *which functions can transitively panic* and *which lock can be waited on
-//! while which other is held*.
+//! function: the calls it makes and its unallowed panic sites.
+//! [`Workspace`] aggregates the facts of every file, resolves calls against
+//! the symbol table and answers the interprocedural question the
+//! `panic-reachability` rule asks: *which functions can transitively panic*.
 //!
 //! ## Resolution model (approximate, conservative by construction)
 //!
@@ -20,23 +17,12 @@
 //!   qualifier, approximated away);
 //! * `self.foo(..)` → `fn foo` in any impl of the enclosing type;
 //! * `expr.foo(..)` on anything else does **not** resolve — the receiver's
-//!   type is unknown to a parser. Lock methods are the exception: they are
-//!   tracked by receiver *field chain*, which is exactly the identity that
-//!   matters for lock ordering.
+//!   type is unknown to a parser.
 //!
 //! Ambiguity resolves to *all* candidates, so reachability over-approximates
-//! (a finding can be silenced with a justified allow, a missed deadlock
+//! (a finding can be silenced with a justified allow, a missed panic path
 //! cannot be un-shipped). Test files, examples, benches, vendored stubs and
 //! `#[cfg(test)]` items contribute no facts at all.
-//!
-//! ## Lock classes
-//!
-//! A lock acquisition (`.lock()`, `.read()`, `.write()`, `try_` variants,
-//! `OnceLock::get_or_init`) is keyed by `crate::receiver-chain` — e.g.
-//! `core::scratch.plan` for `self.scratch.plan.lock()`. Guard lifetimes
-//! follow the workspace idiom: a `let`-bound guard lives to the end of its
-//! block, a temporary to the end of its statement, a `get_or_init` hold to
-//! the end of its argument list; `drop(guard)` releases a `let` guard early.
 
 use std::collections::BTreeMap;
 
@@ -44,13 +30,6 @@ use crate::allow::Allow;
 use crate::lexer::TokenKind;
 use crate::parser::ItemTree;
 use crate::source::{FileKind, FileView};
-
-/// Methods whose call acquires a lock guard on their receiver.
-pub const GUARD_METHODS: &[&str] = &["lock", "read", "write", "try_lock", "try_read", "try_write"];
-
-/// Methods that hold a `OnceLock`/`Lazy`-style slot for the duration of
-/// their closure argument.
-pub const SLOT_METHODS: &[&str] = &["get_or_init", "get_or_try_init"];
 
 /// The diverging macros counted as panic sites.
 pub const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
@@ -82,25 +61,10 @@ pub struct CallFact {
     pub line: u32,
     /// 1-based column of the call.
     pub col: u32,
-    /// Lock classes held when the call is made.
-    pub held: Vec<String>,
     /// Whether the line carries an `allow(panic-reachability, ..)` — such a
     /// call is reported (so the allow is exercised) but does not propagate
     /// panickiness to its caller.
     pub allowed_panic: bool,
-}
-
-/// One lock acquisition inside a function body.
-#[derive(Debug, Clone)]
-pub struct LockFact {
-    /// The crate-qualified lock class (`core::cache`).
-    pub class: String,
-    /// 1-based line of the acquisition.
-    pub line: u32,
-    /// 1-based column of the acquisition.
-    pub col: u32,
-    /// Lock classes already held when this one is acquired.
-    pub held: Vec<String>,
 }
 
 /// One unallowed panic site inside a function body.
@@ -140,8 +104,6 @@ pub struct FnFact {
     pub discipline: bool,
     /// Call sites, in source order.
     pub calls: Vec<CallFact>,
-    /// Lock acquisitions, in source order.
-    pub locks: Vec<LockFact>,
     /// Unallowed panic sites, in source order.
     pub panics: Vec<PanicFact>,
 }
@@ -170,7 +132,6 @@ pub fn extract_facts(view: &FileView<'_>, tree: &ItemTree, allows: &[Allow]) -> 
             is_test: item.cfg_test,
             discipline: view.ctx.lib_discipline() && !item.cfg_test,
             calls: Vec::new(),
-            locks: Vec::new(),
             panics: Vec::new(),
         };
         scan_body(view, body_open, body_end, allows, &mut fact);
@@ -179,28 +140,7 @@ pub fn extract_facts(view: &FileView<'_>, tree: &ItemTree, allows: &[Allow]) -> 
     out
 }
 
-/// A live lock guard during the body scan.
-struct Guard {
-    class: String,
-    /// `let`-bound binding name, for `drop(name)` release.
-    binding: Option<String>,
-    /// Lifetime: block depth for `let` guards, statement depth for
-    /// temporaries, code-index end for slot holds.
-    dies: GuardLife,
-}
-
-enum GuardLife {
-    /// Dies when the bracket depth drops below this.
-    Block(i64),
-    /// Dies at the next `;` at or below this depth.
-    Stmt(i64),
-    /// Dies at this code index (end of a `get_or_init` argument list).
-    At(usize),
-}
-
-/// Walks one function body, maintaining the set of live guards and
-/// recording call, lock and panic facts.
-#[allow(clippy::too_many_lines)]
+/// Walks one function body token by token, recording call and panic facts.
 fn scan_body(
     view: &FileView<'_>,
     body_open: usize,
@@ -208,82 +148,14 @@ fn scan_body(
     allows: &[Allow],
     fact: &mut FnFact,
 ) {
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth = 0i64;
-    // Whether the current statement opened with `let`, and its binding.
-    let mut stmt_is_let = false;
-    let mut let_binding: Option<String> = None;
-    let mut stmt_fresh = true; // next token starts a statement
-
-    let mut i = body_open + 1;
-    while i + 1 < body_end.max(1) && i < view.code_len() {
-        let text = view.ctext(i);
-        guards.retain(|g| !matches!(g.dies, GuardLife::At(end) if i >= end));
-
-        match text {
-            "{" | "(" | "[" => {
-                depth += 1;
-                stmt_fresh = text == "{";
-            }
-            "}" | ")" | "]" => {
-                depth -= 1;
-                guards.retain(|g| match g.dies {
-                    GuardLife::Block(d) | GuardLife::Stmt(d) => d <= depth,
-                    GuardLife::At(_) => true,
-                });
-                stmt_fresh = text == "}";
-            }
-            ";" => {
-                guards.retain(|g| !matches!(g.dies, GuardLife::Stmt(d) if d >= depth));
-                stmt_is_let = false;
-                let_binding = None;
-                stmt_fresh = true;
-            }
-            "let" if stmt_fresh => {
-                stmt_is_let = true;
-                let_binding = first_ident_after(view, i + 1, body_end);
-                stmt_fresh = false;
-            }
-            "drop" if view.ctext(i + 1) == "(" => {
-                // `drop(guard)` releases a let-bound guard early.
-                if view.ckind(i + 2) == Some(TokenKind::Ident) && view.ctext(i + 3) == ")" {
-                    let name = view.ctext(i + 2);
-                    guards.retain(|g| g.binding.as_deref() != Some(name));
-                }
-                stmt_fresh = false;
-            }
-            _ => {
-                scan_token(
-                    view,
-                    i,
-                    body_end,
-                    depth,
-                    allows,
-                    fact,
-                    &mut guards,
-                    stmt_is_let,
-                    &let_binding,
-                );
-                stmt_fresh = false;
-            }
-        }
-        i += 1;
+    let end = body_end.saturating_sub(1).min(view.code_len());
+    for i in body_open + 1..end {
+        scan_token(view, i, allows, fact);
     }
 }
 
-/// Handles one non-structural token: lock acquisitions, calls, panic sites.
-#[allow(clippy::too_many_arguments)]
-fn scan_token(
-    view: &FileView<'_>,
-    i: usize,
-    body_end: usize,
-    depth: i64,
-    allows: &[Allow],
-    fact: &mut FnFact,
-    guards: &mut Vec<Guard>,
-    stmt_is_let: bool,
-    let_binding: &Option<String>,
-) {
+/// Handles one token: a call or a panic site, if it is one.
+fn scan_token(view: &FileView<'_>, i: usize, allows: &[Allow], fact: &mut FnFact) {
     let text = view.ctext(i);
     if view.ckind(i) != Some(TokenKind::Ident)
         || view.ctext(i + 1) != "(" && view.ctext(i + 1) != "!"
@@ -291,11 +163,6 @@ fn scan_token(
         return;
     }
     let Some(tok) = view.ct(i) else { return };
-    let held: Vec<String> = {
-        let mut h: Vec<String> = guards.iter().map(|g| g.class.clone()).collect();
-        h.dedup();
-        h
-    };
 
     // Panic macros: `panic!(…)`, `unreachable!(…)`, …
     if view.ctext(i + 1) == "!" {
@@ -310,39 +177,6 @@ fn scan_token(
     }
 
     let after_dot = view.ctext(i.wrapping_sub(1)) == "." && i > 0;
-
-    // Lock and slot acquisitions.
-    if after_dot && (GUARD_METHODS.contains(&text) || SLOT_METHODS.contains(&text)) {
-        let class = format!(
-            "{}::{}",
-            fact.crate_name,
-            receiver_chain(view, i.saturating_sub(1))
-        );
-        fact.locks.push(LockFact {
-            class: class.clone(),
-            line: tok.line,
-            col: tok.col,
-            held: held.clone(),
-        });
-        let after_args = view.skip_balanced(i + 1).min(body_end);
-        let dies = if SLOT_METHODS.contains(&text) {
-            GuardLife::At(after_args)
-        } else if stmt_is_let && view.ctext(after_args) == ";" {
-            GuardLife::Block(depth)
-        } else {
-            GuardLife::Stmt(depth)
-        };
-        guards.push(Guard {
-            class,
-            binding: if matches!(dies, GuardLife::Block(_)) {
-                let_binding.clone()
-            } else {
-                None
-            },
-            dies,
-        });
-        return;
-    }
 
     // Panic methods: `.unwrap()`, `.expect(…)`.
     if after_dot && PANIC_METHODS.contains(&text) {
@@ -360,63 +194,36 @@ fn scan_token(
     let allowed_panic = allows
         .iter()
         .any(|a| a.rule == "panic-reachability" && a.target_line == tok.line);
-    let call = if after_dot {
+    let call = |kind, ty: &str| CallFact {
+        kind,
+        ty: ty.to_string(),
+        name: text.to_string(),
+        line: tok.line,
+        col: tok.col,
+        allowed_panic,
+    };
+    let found = if after_dot {
         // Method call: resolve only `self.foo(..)`.
-        if view.ctext(i.wrapping_sub(2)) == "self" && i >= 2 {
-            Some(CallFact {
-                kind: CalleeKind::SelfMethod,
-                ty: String::new(),
-                name: text.to_string(),
-                line: tok.line,
-                col: tok.col,
-                held,
-                allowed_panic,
-            })
-        } else {
-            None
-        }
+        (view.ctext(i.wrapping_sub(2)) == "self" && i >= 2)
+            .then(|| call(CalleeKind::SelfMethod, ""))
     } else if view.ctext(i.wrapping_sub(1)) == "::" && i > 0 {
         // Path call: `Type::foo(..)` or `module::foo(..)`.
         let quald = view.ctext(i.wrapping_sub(2));
         if i >= 2 && view.ckind(i - 2) == Some(TokenKind::Ident) && !starts_upper(text) {
-            if starts_upper(quald) {
-                Some(CallFact {
-                    kind: CalleeKind::Method,
-                    ty: quald.to_string(),
-                    name: text.to_string(),
-                    line: tok.line,
-                    col: tok.col,
-                    held,
-                    allowed_panic,
-                })
+            Some(if starts_upper(quald) {
+                call(CalleeKind::Method, quald)
             } else {
-                Some(CallFact {
-                    kind: CalleeKind::Free,
-                    ty: String::new(),
-                    name: text.to_string(),
-                    line: tok.line,
-                    col: tok.col,
-                    held,
-                    allowed_panic,
-                })
-            }
+                call(CalleeKind::Free, "")
+            })
         } else {
             None
         }
     } else if !starts_upper(text) && !is_expr_keyword(text) {
-        Some(CallFact {
-            kind: CalleeKind::Free,
-            ty: String::new(),
-            name: text.to_string(),
-            line: tok.line,
-            col: tok.col,
-            held,
-            allowed_panic,
-        })
+        Some(call(CalleeKind::Free, ""))
     } else {
         None
     };
-    if let Some(c) = call {
+    if let Some(c) = found {
         fact.calls.push(c);
     }
 }
@@ -466,101 +273,6 @@ fn is_expr_keyword(s: &str) -> bool {
             | "debug_assert_ne"
             | "drop"
     )
-}
-
-/// The first plain identifier after `from` (skipping `mut`, `(`, `&`) — the
-/// best-effort binding name of a `let` pattern.
-fn first_ident_after(view: &FileView<'_>, from: usize, to: usize) -> Option<String> {
-    let mut i = from;
-    while i < to {
-        match view.ctext(i) {
-            "mut" | "(" | "&" | "ref" => i += 1,
-            t if view.ckind(i) == Some(TokenKind::Ident) => return Some(t.to_string()),
-            _ => return None,
-        }
-    }
-    None
-}
-
-/// Walks the dotted receiver chain backwards from `dot_idx` (the `.` before
-/// a method name) and renders it, `self` elided: `self.scratch.plan.lock()`
-/// → `scratch.plan`; `foo().lock()` → `foo`.
-fn receiver_chain(view: &FileView<'_>, dot_idx: usize) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    let mut j = dot_idx; // index of a '.' token
-    while let Some(prev) = j.checked_sub(1) {
-        if view.ckind(prev) == Some(TokenKind::Ident) {
-            let t = view.ctext(prev);
-            if t == "self" {
-                break;
-            }
-            parts.push(t.to_string());
-            if prev >= 1 && view.ctext(prev - 1) == "." {
-                j = prev - 1;
-                continue;
-            }
-            break;
-        }
-        if view.ctext(prev) == ")" {
-            let Some(open) = backward_match(view, prev) else {
-                break;
-            };
-            if open >= 1 && view.ckind(open - 1) == Some(TokenKind::Ident) {
-                parts.push(view.ctext(open - 1).to_string());
-                if open >= 2 && view.ctext(open - 2) == "." {
-                    j = open - 2;
-                    continue;
-                }
-            }
-            break;
-        }
-        break;
-    }
-    if parts.is_empty() {
-        "?".to_string()
-    } else {
-        parts.reverse();
-        parts.join(".")
-    }
-}
-
-/// Code index of the `(` matching the `)` at `close`, scanning backwards.
-fn backward_match(view: &FileView<'_>, close: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    let mut j = close;
-    loop {
-        match view.ctext(j) {
-            ")" => depth += 1,
-            "(" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            _ => {}
-        }
-        j = j.checked_sub(1)?;
-    }
-}
-
-/// One edge of the workspace lock graph: `to` can be waited on while `from`
-/// is held, witnessed at `path:line:col` inside `via_fn`.
-#[derive(Debug, Clone)]
-pub struct LockEdge {
-    /// The held lock class.
-    pub from: String,
-    /// The acquired (or transitively acquirable) lock class.
-    pub to: String,
-    /// Witness file.
-    pub path: String,
-    /// Witness line.
-    pub line: u32,
-    /// Witness column.
-    pub col: u32,
-    /// The function containing the witness site.
-    pub via_fn: String,
-    /// A note on how the edge arises (direct nesting or via a call chain).
-    pub how: String,
 }
 
 /// The aggregated workspace: every function fact plus the symbol table the
@@ -694,123 +406,6 @@ impl Workspace {
         }
         None
     }
-
-    /// The lock classes each function may acquire, transitively through
-    /// resolved calls.
-    #[must_use]
-    pub fn transitive_locks(&self) -> Vec<Vec<String>> {
-        let mut acq: Vec<Vec<String>> = self
-            .fns
-            .iter()
-            .map(|f| {
-                let mut v: Vec<String> = f.locks.iter().map(|l| l.class.clone()).collect();
-                v.sort();
-                v.dedup();
-                v
-            })
-            .collect();
-        loop {
-            let mut changed = false;
-            for i in 0..self.fns.len() {
-                let mut add: Vec<String> = Vec::new();
-                for c in &self.fns[i].calls {
-                    for &j in self.resolve(i, c) {
-                        if j == i {
-                            continue;
-                        }
-                        for cls in &acq[j] {
-                            if !acq[i].contains(cls) && !add.contains(cls) {
-                                add.push(cls.clone());
-                            }
-                        }
-                    }
-                }
-                if !add.is_empty() {
-                    acq[i].extend(add);
-                    acq[i].sort();
-                    acq[i].dedup();
-                    changed = true;
-                }
-            }
-            if !changed {
-                return acq;
-            }
-        }
-    }
-
-    /// Every edge of the workspace lock graph, deduplicated by
-    /// `(from, to)` with the first witness (in file/source order) kept:
-    ///
-    /// * direct: a lock acquired while another is held;
-    /// * interprocedural: a call made while a lock is held, to a function
-    ///   that (transitively) acquires another lock.
-    #[must_use]
-    pub fn lock_edges(&self) -> Vec<LockEdge> {
-        let acq = self.transitive_locks();
-        let mut seen: BTreeMap<(String, String), usize> = BTreeMap::new();
-        let mut edges: Vec<LockEdge> = Vec::new();
-        let push = |edges: &mut Vec<LockEdge>,
-                    seen: &mut BTreeMap<(String, String), usize>,
-                    e: LockEdge| {
-            let key = (e.from.clone(), e.to.clone());
-            if let std::collections::btree_map::Entry::Vacant(slot) = seen.entry(key) {
-                slot.insert(edges.len());
-                edges.push(e);
-            }
-        };
-        for (i, f) in self.fns.iter().enumerate() {
-            for l in &f.locks {
-                for h in &l.held {
-                    push(
-                        &mut edges,
-                        &mut seen,
-                        LockEdge {
-                            from: h.clone(),
-                            to: l.class.clone(),
-                            path: f.path.clone(),
-                            line: l.line,
-                            col: l.col,
-                            via_fn: f.qual.clone(),
-                            how: format!("`{}` acquired while `{h}` is held", l.class),
-                        },
-                    );
-                }
-            }
-            for c in &f.calls {
-                if c.held.is_empty() {
-                    continue;
-                }
-                for &j in self.resolve(i, c) {
-                    for cls in &acq[j] {
-                        for h in &c.held {
-                            if h == cls {
-                                continue; // same class via call: re-entrancy,
-                                          // reported as a self-edge only when
-                                          // direct (too noisy otherwise)
-                            }
-                            push(
-                                &mut edges,
-                                &mut seen,
-                                LockEdge {
-                                    from: h.clone(),
-                                    to: cls.clone(),
-                                    path: f.path.clone(),
-                                    line: c.line,
-                                    col: c.col,
-                                    via_fn: f.qual.clone(),
-                                    how: format!(
-                                        "call to `{}` (which may acquire `{cls}`) while `{h}` is held",
-                                        c.name
-                                    ),
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        edges
-    }
 }
 
 #[cfg(test)]
@@ -828,14 +423,14 @@ mod tests {
     }
 
     #[test]
-    fn records_calls_locks_and_panics() {
+    fn records_calls_and_panics() {
         let src = "\
 struct S;\n\
 impl S {\n\
     fn f(&self) {\n\
-        let g = self.cache.write();\n\
+        let n = self.cache.len();\n\
         self.probe();\n\
-        helper(g.len());\n\
+        helper(n);\n\
     }\n\
     fn probe(&self) {}\n\
 }\n\
@@ -844,119 +439,21 @@ fn helper(n: usize) { n.to_string().parse().unwrap(); }\n";
         assert_eq!(facts.len(), 3);
         let f = &facts[0];
         assert_eq!(f.qual, "S::f");
-        assert_eq!(f.locks.len(), 1);
-        assert_eq!(f.locks[0].class, "core::cache");
-        // Both the self-method and the free call are made while the guard
-        // is held.
-        let call_names: Vec<(&str, bool)> = f
-            .calls
-            .iter()
-            .map(|c| (c.name.as_str(), !c.held.is_empty()))
-            .collect();
-        assert!(call_names.contains(&("probe", true)));
-        assert!(call_names.contains(&("helper", true)));
+        // The self-method and the free call are recorded; `self.cache.len()`
+        // has an unresolvable receiver and is not.
+        let calls: Vec<(&str, CalleeKind)> =
+            f.calls.iter().map(|c| (c.name.as_str(), c.kind)).collect();
+        assert_eq!(
+            calls,
+            vec![
+                ("probe", CalleeKind::SelfMethod),
+                ("helper", CalleeKind::Free)
+            ]
+        );
+        assert!(f.panics.is_empty());
         // helper's unwrap is a panic fact.
         assert_eq!(facts[2].panics.len(), 1);
         assert_eq!(facts[2].panics[0].what, "unwrap");
-    }
-
-    #[test]
-    fn temporary_guards_die_at_statement_end() {
-        let src = "\
-fn f(&self) {\n\
-    self.pool.lock().push(1);\n\
-    other();\n\
-}\n";
-        let facts = facts_of("crates/core/src/a.rs", src);
-        let f = &facts[0];
-        let other = f.calls.iter().find(|c| c.name == "other").unwrap();
-        assert!(other.held.is_empty(), "temporary guard leaked: {other:?}");
-    }
-
-    #[test]
-    fn let_guards_die_at_block_end_or_drop() {
-        let src = "\
-fn f(&self) {\n\
-    { let g = self.a.lock(); used(); }\n\
-    after_block();\n\
-    let h = self.b.lock();\n\
-    drop(h);\n\
-    after_drop();\n\
-}\n";
-        let facts = facts_of("crates/core/src/a.rs", src);
-        let f = &facts[0];
-        let held_at = |name: &str| {
-            f.calls
-                .iter()
-                .find(|c| c.name == name)
-                .map(|c| c.held.clone())
-                .unwrap_or_default()
-        };
-        assert_eq!(held_at("used"), vec!["core::a".to_string()]);
-        assert!(held_at("after_block").is_empty());
-        assert!(held_at("after_drop").is_empty());
-    }
-
-    #[test]
-    fn get_or_init_holds_its_slot_for_the_closure() {
-        let src = "\
-fn f(&self) {\n\
-    let v = slot.get_or_init(|| build_view());\n\
-    outside();\n\
-}\n";
-        let facts = facts_of("crates/core/src/a.rs", src);
-        let f = &facts[0];
-        let build = f.calls.iter().find(|c| c.name == "build_view").unwrap();
-        assert_eq!(build.held, vec!["core::slot".to_string()]);
-        let outside = f.calls.iter().find(|c| c.name == "outside").unwrap();
-        assert!(outside.held.is_empty());
-    }
-
-    #[test]
-    fn nested_acquisition_yields_a_lock_edge_and_cycles_are_visible() {
-        let a = "\
-fn ab(&self) {\n\
-    let g = self.alpha.lock();\n\
-    let h = self.beta.lock();\n\
-    g.merge(h);\n\
-}\n";
-        let b = "\
-fn ba(&self) {\n\
-    let g = self.beta.lock();\n\
-    let h = self.alpha.lock();\n\
-    g.merge(h);\n\
-}\n";
-        let mut fns = facts_of("crates/core/src/a.rs", a);
-        fns.extend(facts_of("crates/core/src/b.rs", b));
-        let ws = Workspace::build(fns);
-        let edges = ws.lock_edges();
-        let pairs: Vec<(&str, &str)> = edges
-            .iter()
-            .map(|e| (e.from.as_str(), e.to.as_str()))
-            .collect();
-        assert!(pairs.contains(&("core::alpha", "core::beta")));
-        assert!(pairs.contains(&("core::beta", "core::alpha")));
-    }
-
-    #[test]
-    fn interprocedural_lock_edge_via_call() {
-        let src = "\
-fn outer(&self) {\n\
-    let g = self.alpha.lock();\n\
-    inner(g.key());\n\
-}\n\
-fn inner(k: u32) {\n\
-    let h = GLOBAL.beta.lock();\n\
-    h.touch(k);\n\
-}\n";
-        let ws = Workspace::build(facts_of("crates/core/src/a.rs", src));
-        let edges = ws.lock_edges();
-        assert!(
-            edges.iter().any(|e| e.from == "core::alpha"
-                && e.to == "core::GLOBAL.beta"
-                && e.how.contains("inner")),
-            "{edges:?}"
-        );
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! A self-contained lexical analysis pass that enforces the invariants the
 //! serving roadmap depends on: library code that cannot panic a worker pool,
-//! float orderings that survive NaN, lock guards that never straddle a
-//! cache build, scoped threads, and wall-clock-free algorithm code.
+//! float orderings that survive NaN, deterministic iteration and float
+//! reductions on the answer path, scoped threads, and wall-clock-free
+//! algorithm code. Locks are banned outright by `clippy.toml`, so no rule
+//! here reasons about them.
 //!
 //! ## Pipeline
 //!
@@ -15,10 +17,10 @@
 //!    imports) over the token stream;
 //! 4. every token-layer [`rules::Rule`] scans the file and emits
 //!    [`diag::Diagnostic`]s with `file:line:col` positions;
-//! 5. [`graph`] distils each file into function facts — calls, lock
-//!    acquisitions with held-sets, panic sites — and aggregates them into a
-//!    workspace symbol table, approximate call graph and lock graph over
-//!    which the graph-layer [`rules::WorkspaceRule`]s run;
+//! 5. [`graph`] distils each file into function facts — calls and panic
+//!    sites — and aggregates them into a workspace symbol table and
+//!    approximate call graph over which the graph-layer
+//!    [`rules::WorkspaceRule`]s run;
 //! 6. [`allow`] parses `// itspq-lint: allow(<rule>, "<justification>")`
 //!    directives — themselves checked: no justification, unknown rule or a
 //!    stale (unused) allow is an `allow-discipline` error;
@@ -32,7 +34,6 @@
 //! |---|---|
 //! | `no-panic-in-lib` | no `unwrap`/`expect`/`panic!`-family in library code of the algorithm crates |
 //! | `float-total-order` | no `partial_cmp(..).unwrap()` chains, no `==`/`!=` against float literals |
-//! | `lock-scope` | no `let`-bound lock guard living across a cache-build or closure call |
 //! | `scoped-threads-only` | no `std::thread::spawn` outside `crates/bench` |
 //! | `no-wall-clock-in-core` | no `Instant`/`SystemTime` in `crates/core` library code |
 //! | `nondet-iteration` | no `HashMap`/`HashSet` iteration in parity-critical modules |
@@ -42,7 +43,6 @@
 //!
 //! | rule | invariant |
 //! |---|---|
-//! | `lock-order` | the workspace lock-acquisition graph is acyclic |
 //! | `panic-reachability` | disciplined lib fns cannot transitively reach a panic site |
 //!
 //! See `ARCHITECTURE.md` (§ *Static analysis & invariants*) for the policy

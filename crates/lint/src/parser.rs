@@ -1,8 +1,8 @@
 //! A brace-matched item-tree parser over the token stream.
 //!
-//! The token rules of PR 4 are single-file and flat; the graph rules
-//! (`lock-order`, `panic-reachability`) need to know *which function* a
-//! token belongs to, and the symbol table needs names with their nesting
+//! The token rules are single-file and flat; the graph rule
+//! (`panic-reachability`) needs to know *which function* a token belongs
+//! to, and the symbol table needs names with their nesting
 //! (`module::Type::method`). This parser recovers exactly that much
 //! structure — modules, functions, `impl`/`trait` blocks, `use` paths, each
 //! with spans — and nothing more: no expressions, no types, no macro
@@ -14,7 +14,7 @@
 //!
 //! * Functions nested inside function bodies are not items — the fact
 //!   extractor attributes their tokens to the enclosing function, which is
-//!   conservative for panic- and lock-reachability.
+//!   conservative for panic reachability.
 //! * `impl` type names are the last path segment before generics
 //!   (`impl<'a> Iterator for Iter<'a>` → `Iter`), which is how the call
 //!   resolver keys methods.

@@ -9,9 +9,9 @@
 //!   finding can be silenced per-site with a justified
 //!   `// itspq-lint: allow(<rule>, "<why>")`.
 //! * **Graph rules** ([`WorkspaceRule`]) run once over the aggregated
-//!   [`Workspace`] — the symbol table, approximate call graph and
-//!   lock-acquisition graph — and report cross-file facts a single file
-//!   cannot show: deadlock cycles and transitive panic reachability.
+//!   [`Workspace`] — the symbol table and approximate call graph — and
+//!   report cross-file facts a single file cannot show: transitive panic
+//!   reachability.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::graph::Workspace;
@@ -21,8 +21,6 @@ use crate::source::FileView;
 
 mod float_determinism;
 mod float_total_order;
-mod lock_order;
-mod lock_scope;
 mod no_panic_in_lib;
 mod no_wall_clock_in_core;
 mod nondet_iteration;
@@ -31,8 +29,6 @@ mod scoped_threads_only;
 
 pub use float_determinism::FloatDeterminism;
 pub use float_total_order::FloatTotalOrder;
-pub use lock_order::LockOrder;
-pub use lock_scope::LockScope;
 pub use no_panic_in_lib::NoPanicInLib;
 pub use no_wall_clock_in_core::NoWallClockInCore;
 pub use nondet_iteration::NondetIteration;
@@ -65,7 +61,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(NoPanicInLib),
         Box::new(FloatTotalOrder),
-        Box::new(LockScope),
         Box::new(ScopedThreadsOnly),
         Box::new(NoWallClockInCore),
         Box::new(NondetIteration),
@@ -76,7 +71,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
 /// All shipped workspace rules, in reporting order.
 #[must_use]
 pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
-    vec![Box::new(LockOrder), Box::new(PanicReachability)]
+    vec![Box::new(PanicReachability)]
 }
 
 /// Whether `name` is a shipped rule name (either layer). The

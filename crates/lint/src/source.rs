@@ -25,8 +25,8 @@ pub enum FileKind {
     Vendor,
 }
 
-/// The crates whose *library* code is held to panic-, float- and
-/// lock-discipline. `bench` is deliberately absent (it owns the wall clock
+/// The crates whose *library* code is held to panic- and float-discipline.
+/// `bench` is deliberately absent (it owns the wall clock
 /// and the documented `unsafe` allocator); vendored stubs are out of scope.
 pub const LIB_DISCIPLINE_CRATES: &[&str] = &[
     "core",
@@ -68,7 +68,7 @@ pub struct FileCtx {
 }
 
 impl FileCtx {
-    /// Whether library-discipline rules (panic/float/lock) apply here.
+    /// Whether library-discipline rules (panic/float) apply here.
     #[must_use]
     pub fn lib_discipline(&self) -> bool {
         self.kind == FileKind::Lib && LIB_DISCIPLINE_CRATES.contains(&self.crate_name.as_str())

@@ -12,8 +12,8 @@ fn lint_as(path: &str, src: &str) -> FileOutcome {
     lint_source(&classify(path), src)
 }
 
-/// Lints several fixtures as one workspace, so the cross-file rules
-/// (`lock-order`, `panic-reachability`) see all of them at once.
+/// Lints several fixtures as one workspace, so the cross-file rule
+/// (`panic-reachability`) sees all of them at once.
 fn lint_many(files: &[(&str, &str)]) -> Report {
     let files: Vec<_> = files
         .iter()
@@ -80,16 +80,6 @@ fn bad_float_flags_partial_cmp_chains_and_literal_equality() {
         .count();
     assert_eq!(float_findings, 4);
     assert!(rules(&out).contains(&"no-panic-in-lib"));
-}
-
-#[test]
-fn bad_lock_flags_guard_across_build() {
-    let out = lint_as(
-        "crates/core/src/bad_lock.rs",
-        include_str!("fixtures/bad_lock.rs"),
-    );
-    assert_eq!(rules(&out), vec!["lock-scope"]);
-    assert_eq!(out.diagnostics[0].line, 4);
 }
 
 #[test]
@@ -163,43 +153,6 @@ fn ok_clean_has_no_findings() {
     );
     assert!(out.diagnostics.is_empty(), "got {:?}", out.diagnostics);
     assert_eq!(out.suppressed, 0);
-}
-
-#[test]
-fn bad_lock_cycle_across_two_files_is_one_finding() {
-    let out = lint_many(&[
-        (
-            "crates/core/src/bad_lock_cycle_a.rs",
-            include_str!("fixtures/bad_lock_cycle_a.rs"),
-        ),
-        (
-            "crates/core/src/bad_lock_cycle_b.rs",
-            include_str!("fixtures/bad_lock_cycle_b.rs"),
-        ),
-    ]);
-    // Exactly one diagnostic: the cycle, reported once with both classes
-    // and the functions that thread it.
-    let rules: Vec<&str> = out.diagnostics.iter().map(|d| d.rule).collect();
-    assert_eq!(rules, vec!["lock-order"], "{:?}", out.diagnostics);
-    let msg = &out.diagnostics[0].message;
-    assert!(msg.contains("core::PAIR.alpha"), "{msg}");
-    assert!(msg.contains("core::PAIR.beta"), "{msg}");
-    assert!(msg.contains("cycle"), "{msg}");
-}
-
-#[test]
-fn ok_lock_cycle_twins_agree_on_an_order_and_are_clean() {
-    let out = lint_many(&[
-        (
-            "crates/core/src/ok_lock_cycle_a.rs",
-            include_str!("fixtures/ok_lock_cycle_a.rs"),
-        ),
-        (
-            "crates/core/src/ok_lock_cycle_b.rs",
-            include_str!("fixtures/ok_lock_cycle_b.rs"),
-        ),
-    ]);
-    assert!(out.is_clean(), "{:?}", out.diagnostics);
 }
 
 #[test]

@@ -48,13 +48,14 @@ fn main() {
         );
     }
 
-    // The server: 4 workers over one Arc<ItGraph>. `warm()` precomputes the
-    // reduced graph of every checkpoint interval up front.
+    // The server: up to 4 workers (clamped to the host's cores) over one
+    // Arc<ItGraph>. `warm()` precomputes the reduced graph of every
+    // checkpoint interval up front.
     let server = VenueServer::new(graph.clone()).with_workers(4);
     server.warm();
     println!(
         "server: {} workers, {} reduced views cached ({} KB)",
-        server.workers(),
+        server.config().effective_workers(),
         server.cached_views(),
         server.cache_bytes() / 1024
     );

@@ -3,7 +3,7 @@
 //! and the shared reduced-graph cache must be populated once per checkpoint
 //! interval — never once per worker.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use itspq_repro::core::server::{ServeMethod, VenueServer};
 use itspq_repro::prelude::*;
@@ -72,17 +72,24 @@ fn four_workers_match_sequential_itg_s_on_the_mall() {
 fn external_threads_hammering_one_server_agree_with_itg_s() {
     // Not query_batch: four caller-managed threads all using `query(&self)`
     // on one shared server, the "many front-end handlers" deployment shape.
+    // A barrier releases them together onto the cold server, so they race
+    // for the same first views.
     let graph = mall_graph(MallConfig::single_floor());
     let queries = mall_workload(&graph, 6, 600.0);
     let server = VenueServer::new(graph.clone());
+    let start = Barrier::new(4);
 
-    let per_thread: Vec<Vec<Option<f64>>> = std::thread::scope(|scope| {
+    let per_thread: Vec<Vec<(Option<f64>, usize)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 scope.spawn(|| {
+                    start.wait();
                     queries
                         .iter()
-                        .map(|q| server.query(q).path.map(|p| p.length))
+                        .map(|q| {
+                            let r = server.query(q);
+                            (r.path.map(|p| p.length), r.stats.views_built)
+                        })
                         .collect()
                 })
             })
@@ -95,16 +102,20 @@ fn external_threads_hammering_one_server_agree_with_itg_s() {
         .iter()
         .map(|q| syn.query(q).path.map(|p| p.length))
         .collect();
-    for lengths in &per_thread {
-        assert_eq!(lengths, &expected);
+    for answers in &per_thread {
+        let lengths: Vec<Option<f64>> = answers.iter().map(|a| a.0).collect();
+        assert_eq!(lengths, expected);
     }
+    // Every interval was built once, server-wide, however the race fell.
+    let built: usize = per_thread.iter().flatten().map(|a| a.1).sum();
+    assert_eq!(built, server.cached_views());
 }
 
 #[test]
 fn reduced_graph_cache_is_populated_once_not_per_worker() {
     let graph = mall_graph(MallConfig::single_floor());
     let queries = mall_workload(&graph, 6, 600.0);
-    let server = VenueServer::new(graph.clone()).with_workers(4);
+    let server = VenueServer::new(graph.clone()).with_pinned_workers(4);
 
     // Cold server: the batch builds each touched interval exactly once,
     // server-wide, even with four workers missing concurrently.
