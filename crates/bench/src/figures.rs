@@ -63,7 +63,9 @@ impl Figure {
         out
     }
 
-    /// Writes the figure as CSV (one column per series, plus found/total).
+    /// Writes the figure as CSV: per series the mean time, memory and
+    /// allocation columns, found/total, then the per-query time
+    /// distribution (p50, p99, max).
     ///
     /// # Errors
     /// Propagates I/O errors.
@@ -74,7 +76,10 @@ impl Figure {
         let _ = write!(out, "{}", self.x_name);
         if let Some(first) = self.rows.first() {
             for (n, _) in &first.series {
-                let _ = write!(out, ",{n} time_us,{n} mem_kb,{n} alloc_kb,{n} found");
+                let _ = write!(
+                    out,
+                    ",{n} time_us,{n} mem_kb,{n} alloc_kb,{n} found,{n} p50_us,{n} p99_us,{n} max_us"
+                );
             }
         }
         out.push('\n');
@@ -83,8 +88,15 @@ impl Figure {
             for (_, m) in &row.series {
                 let _ = write!(
                     out,
-                    ",{:.2},{:.2},{:.2},{}/{}",
-                    m.mean_time_us, m.mean_mem_kb, m.alloc_peak_kb, m.found, m.total
+                    ",{:.2},{:.2},{:.2},{}/{},{:.2},{:.2},{:.2}",
+                    m.mean_time_us,
+                    m.mean_mem_kb,
+                    m.alloc_peak_kb,
+                    m.found,
+                    m.total,
+                    m.p50_us,
+                    m.p99_us,
+                    m.max_us
                 );
             }
             out.push('\n');

@@ -76,16 +76,27 @@ impl Workload {
 }
 
 /// Aggregated measurement of one (method, setting) cell.
+///
+/// A query's time is the mean of its timed runs; the percentiles rank
+/// these per-query times by the nearest-rank method.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// The measured method.
     pub method: MethodKind,
     /// Mean search time per query in microseconds.
     pub mean_time_us: f64,
+    /// Median per-query time in microseconds.
+    pub p50_us: f64,
+    /// 99th-percentile per-query time in microseconds.
+    pub p99_us: f64,
+    /// Slowest per-query time in microseconds.
+    pub max_us: f64,
     /// Mean estimated working-set per query in KB (the paper's memory cost).
     pub mean_mem_kb: f64,
-    /// Mean allocator peak delta per query in KB (0 when the tracking
-    /// allocator is not registered, e.g. in unit tests).
+    /// Mean allocator peak delta per query in KB: a warm query (its own
+    /// warm-up run just finished) on a thread whose search state is pooled
+    /// from earlier queries. 0 when the tracking allocator is not
+    /// registered, e.g. in unit tests.
     pub alloc_peak_kb: f64,
     /// Queries that found a path.
     pub found: usize,
@@ -116,7 +127,7 @@ pub fn measure_query_set(
         }
     };
 
-    let mut total_us = 0.0;
+    let mut times_us = Vec::with_capacity(queries.len());
     let mut total_mem = 0.0;
     let mut total_alloc = 0.0;
     let mut found = 0;
@@ -137,12 +148,17 @@ pub fn measure_query_set(
         for _ in 0..runs {
             std::hint::black_box(run(std::hint::black_box(q)));
         }
-        total_us += start.elapsed().as_secs_f64() * 1e6 / runs as f64;
+        times_us.push(start.elapsed().as_secs_f64() * 1e6 / runs as f64);
     }
     let n = queries.len().max(1) as f64;
+    let mean_time_us = times_us.iter().sum::<f64>() / n;
+    times_us.sort_by(f64::total_cmp);
     Measurement {
         method,
-        mean_time_us: total_us / n,
+        mean_time_us,
+        p50_us: nearest_rank(&times_us, 0.50),
+        p99_us: nearest_rank(&times_us, 0.99),
+        max_us: times_us.last().copied().unwrap_or(0.0),
         mean_mem_kb: total_mem / n,
         alloc_peak_kb: total_alloc / n,
         found,
@@ -150,10 +166,29 @@ pub fn measure_query_set(
     }
 }
 
+/// The `q`-quantile (`0 < q ≤ 1`) of ascending `sorted` by the nearest-rank
+/// method: the smallest sample with at least `q · n` samples at or below it
+/// (0 for no samples).
+fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.max(1) - 1).copied().unwrap_or(0.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use indoor_synthetic::MallConfig;
+
+    #[test]
+    fn nearest_rank_percentiles() {
+        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(nearest_rank(&xs, 0.50), 50.0);
+        assert_eq!(nearest_rank(&xs, 0.99), 99.0);
+        assert_eq!(nearest_rank(&xs[..3], 0.50), 2.0);
+        assert_eq!(nearest_rank(&xs[..3], 0.99), 3.0);
+        assert_eq!(nearest_rank(&xs[..1], 0.99), 1.0);
+        assert_eq!(nearest_rank(&[], 0.50), 0.0);
+    }
 
     #[test]
     fn measurement_on_single_floor_mall() {
@@ -165,6 +200,7 @@ mod tests {
             assert_eq!(m.total, 2);
             assert!(m.found >= 1, "{}: no paths found", method.label());
             assert!(m.mean_time_us > 0.0);
+            assert!(m.p50_us <= m.p99_us && m.p99_us <= m.max_us);
             assert!(m.mean_mem_kb > 0.0);
         }
     }

@@ -23,6 +23,16 @@ fn runner_measures_paper_example_queries() {
         assert!(m.found >= 1, "{}: found no paths at all", method.label());
         assert!(m.mean_time_us > 0.0, "{}: no time measured", method.label());
         assert!(
+            m.p50_us <= m.p99_us && m.p99_us <= m.max_us,
+            "{}: percentiles out of order: {m:?}",
+            method.label()
+        );
+        assert!(
+            m.mean_time_us <= m.max_us,
+            "{}: mean above max: {m:?}",
+            method.label()
+        );
+        assert!(
             m.mean_mem_kb > 0.0,
             "{}: no memory estimated",
             method.label()

@@ -24,8 +24,8 @@ struct StaticChecker<'a> {
     space: &'a IndoorSpace,
 }
 
-impl TvChecker for StaticChecker<'_> {
-    fn leaveable(&self, v: PartitionId) -> &[DoorId] {
+impl<'a> TvChecker<'a> for StaticChecker<'a> {
+    fn leaveable(&self, v: PartitionId) -> &'a [DoorId] {
         self.space.p2d_leaveable(v)
     }
 
@@ -42,8 +42,8 @@ struct SnapshotChecker<'a> {
     t: indoor_time::TimeOfDay,
 }
 
-impl TvChecker for SnapshotChecker<'_> {
-    fn leaveable(&self, v: PartitionId) -> &[DoorId] {
+impl<'a> TvChecker<'a> for SnapshotChecker<'a> {
+    fn leaveable(&self, v: PartitionId) -> &'a [DoorId] {
         self.space.p2d_leaveable(v)
     }
 

@@ -263,8 +263,8 @@ impl AsynChecker<'_> {
     }
 }
 
-impl TvChecker for AsynChecker<'_> {
-    fn leaveable(&self, v: PartitionId) -> &[DoorId] {
+impl<'a> TvChecker<'a> for AsynChecker<'a> {
+    fn leaveable(&self, v: PartitionId) -> &'a [DoorId] {
         match self.mode {
             // The paper iterates the reduced P2D of the current graph.
             AsynMode::Faithful => self.current.leaveable(v),

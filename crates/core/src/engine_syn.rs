@@ -52,8 +52,8 @@ pub(crate) struct SynChecker<'a> {
     pub(crate) t0: Timestamp,
 }
 
-impl TvChecker for SynChecker<'_> {
-    fn leaveable(&self, v: PartitionId) -> &[DoorId] {
+impl<'a> TvChecker<'a> for SynChecker<'a> {
+    fn leaveable(&self, v: PartitionId) -> &'a [DoorId] {
         self.space.p2d_leaveable(v)
     }
 

@@ -10,6 +10,22 @@
 //! target, a shared batch group the sweep with many, and a reachability map
 //! the sweep with none, run until its frontier is empty.
 //!
+//! A sweep's per-door labels live in a [`SearchState`] pooled per thread,
+//! so a warm query costs what it explores rather than O(|doors|):
+//!
+//! * **take** — the sweep moves the thread's state out of its slot and
+//!   resizes it to the venue. The slot is empty, and a fresh state is
+//!   allocated, on a thread's first sweep, in a sweep nested inside another,
+//!   after a panic dropped the state mid-sweep, and during thread-local
+//!   teardown;
+//! * **give back** — on exit the sweep undoes only its own writes, read off
+//!   the state's touched lists, and returns the state to the slot.
+//!
+//! The state's invariant between sweeps is that every label is at its
+//! default (`∞`, no predecessor, unsettled, unvisited); it holds because
+//! every write to a label array is recorded in a touched list. A thread
+//! keeps its state, sized to the largest venue it served, until it exits.
+//!
 //! Two deliberate deviations from the paper's pseudo-code, neither affecting
 //! results (see `ARCHITECTURE.md` §"Deviations from the paper"):
 //!
@@ -20,6 +36,8 @@
 //!   the check fails*, the only reading under which Example 1 returns the
 //!   paper's answer.
 
+use std::cell::Cell;
+
 use indoor_space::{DoorId, IndoorPoint, IndoorSpace, PartitionId};
 use indoor_time::{TimeOfDay, Timestamp};
 
@@ -27,9 +45,12 @@ use crate::heap::{MinHeap, Node};
 use crate::{DoorHop, ExpandPolicy, ItGraph, ItspqConfig, Path, Query, SearchStats};
 
 /// The pluggable temporal-variation strategy: a topology view plus `TV_Check`.
-pub(crate) trait TvChecker {
+///
+/// `'a` is the lifetime of the venue and views the checker reads, so a
+/// door list stays valid while `check` moves the checker to another view.
+pub(crate) trait TvChecker<'a> {
     /// The doors through which partition `v` can currently be left.
-    fn leaveable(&self, v: PartitionId) -> &[DoorId];
+    fn leaveable(&self, v: PartitionId) -> &'a [DoorId];
 
     /// `TV_Check(d, dist, t)`: whether door `d`, reached after walking `dist`
     /// metres from `ps`, is usable. ITG/A may refresh its reduced view here.
@@ -207,44 +228,101 @@ impl SweepObserver {
     }
 }
 
+thread_local! {
+    /// This thread's pooled search state; `None` while a sweep holds it.
+    static POOL: Cell<Option<SearchState>> = const { Cell::new(None) };
+}
+
+/// A sweep's label arrays, dense over the venue's doors and partitions, and
+/// its priority queue, pooled per thread (see the module docs).
+///
+/// Between sweeps every label is at its default. A sweep may write a label
+/// only together with a touched-list entry: `dist`, `prev` and `settled`
+/// through `touched`, `visited_parts` through `visited`. Giving the state
+/// back resets exactly those entries, so the cost of a reset follows the
+/// search, not the venue.
+#[derive(Default)]
 struct SearchState {
     dist: Vec<f64>,
     prev: Vec<Option<PrevEntry>>,
     settled: Vec<bool>,
     visited_parts: Vec<bool>,
     heap: MinHeap,
-    scratch: Vec<DoorId>,
-    /// Distinct doors whose tentative distance left ∞ — the populated part of
-    /// the search state, which is what a map-based implementation (like the
+    /// Distinct doors whose tentative distance left ∞ (the only doors that
+    /// can be settled or carry a predecessor) — the populated part of the
+    /// search state, which is what a map-based implementation (like the
     /// paper's Java one) would actually hold.
-    touched_doors: usize,
+    touched: Vec<u32>,
+    /// Partitions marked in `visited_parts`.
+    visited: Vec<u32>,
+    /// The capacity a per-sweep `Vec<DoorId>` copy of each expanded door
+    /// list would reach, counted by [`SearchState::search_bytes`].
+    scratch_cap: usize,
 }
 
 impl SearchState {
-    fn new(space: &IndoorSpace) -> Self {
-        let n = space.num_doors();
-        SearchState {
-            dist: vec![f64::INFINITY; n],
-            prev: vec![None; n],
-            settled: vec![false; n],
-            visited_parts: vec![false; space.num_partitions()],
-            heap: MinHeap::new(),
-            scratch: Vec::new(),
-            touched_doors: 0,
+    /// Takes this thread's pooled state, or a fresh one when the slot is
+    /// empty, sized for `space`.
+    fn take(space: &IndoorSpace) -> Self {
+        let mut st = POOL.try_with(Cell::take).ok().flatten().unwrap_or_default();
+        // Every label is at its default, so resizing keeps the invariant.
+        st.dist.resize(space.num_doors(), f64::INFINITY);
+        st.prev.resize(space.num_doors(), None);
+        st.settled.resize(space.num_doors(), false);
+        st.visited_parts.resize(space.num_partitions(), false);
+        st
+    }
+
+    /// Undoes the sweep's writes and returns the state to this thread's slot
+    /// (it is dropped instead during thread-local teardown).
+    fn give_back(mut self) {
+        for &d in &self.touched {
+            self.dist[d as usize] = f64::INFINITY;
+            self.prev[d as usize] = None;
+            self.settled[d as usize] = false;
+        }
+        for &v in &self.visited {
+            self.visited_parts[v as usize] = false;
+        }
+        self.touched.clear();
+        self.visited.clear();
+        self.heap.clear();
+        self.scratch_cap = 0;
+        debug_assert!(
+            self.dist.iter().all(|d| *d == f64::INFINITY)
+                && self.prev.iter().all(Option::is_none)
+                && !self.settled.contains(&true)
+                && !self.visited_parts.contains(&true),
+            "a sweep wrote a label without recording it in a touched list"
+        );
+        let _ = POOL.try_with(|slot| slot.set(Some(self)));
+    }
+
+    fn visit(&mut self, v: PartitionId) {
+        self.visited_parts[v.index()] = true;
+        self.visited.push(v.index() as u32);
+    }
+
+    /// Counts a door list the sweep iterates: a fresh `Vec<DoorId>` cleared
+    /// and refilled with it would grow to `max(2 · cap, len, 4)`.
+    fn note_scratch(&mut self, len: usize) {
+        if len > self.scratch_cap {
+            self.scratch_cap = len.max(2 * self.scratch_cap).max(4);
         }
     }
 
     /// The paper's memory-cost metric counts the *populated* search state —
     /// per touched door a map entry of distance, predecessor and flags — plus
-    /// the priority queue at its peak. A dense-array implementation would add
-    /// a constant O(|doors|) that hides the day-curve of Figure 7.
+    /// the priority queue at its peak and the door-list buffer. A dense-array
+    /// implementation would add a constant O(|doors|) that hides the
+    /// day-curve of Figure 7.
     fn search_bytes(&self) -> usize {
         const PER_DOOR_ENTRY: usize = std::mem::size_of::<f64>()
             + std::mem::size_of::<Option<PrevEntry>>()
             + 2 * std::mem::size_of::<u64>(); // map-entry overhead (key + bucket)
-        self.touched_doors * PER_DOOR_ENTRY
+        self.touched.len() * PER_DOOR_ENTRY
             + self.heap.peak() * std::mem::size_of::<crate::heap::Entry>()
-            + self.scratch.capacity() * std::mem::size_of::<DoorId>()
+            + self.scratch_cap * std::mem::size_of::<DoorId>()
     }
 }
 
@@ -257,20 +335,21 @@ struct TargetLabel {
     done: bool,
 }
 
-/// What a sweep hands back: one answer per target (input order), the
-/// search's counters, and the final door labels (`∞` = not reached). The
-/// labels are complete only for a sweep without targets, which runs until
-/// its frontier is empty.
+/// What a sweep hands back: one answer per target (input order) and the
+/// search's counters.
 pub(crate) struct Sweep {
     pub(crate) paths: Vec<Option<Path>>,
     pub(crate) stats: SearchStats,
+    /// The final door labels (`∞` = not reached), copied out of the pooled
+    /// state only by a sweep without targets, which runs until its frontier
+    /// is empty; empty for every other sweep.
     pub(crate) door_dist: Vec<f64>,
 }
 
 /// Answers one query as the one-target sweep of [`run_search_targets`] (the
 /// baselines and `paths_to_many`'s private-target fallback call it; the
 /// engines go through their own `query_targets`).
-pub(crate) fn run_search<C: TvChecker>(
+pub(crate) fn run_search<'a, C: TvChecker<'a>>(
     graph: &ItGraph,
     query: &Query,
     config: &ItspqConfig,
@@ -290,7 +369,7 @@ pub(crate) fn run_search<C: TvChecker>(
 
 /// Lines 25–34: relax every (currently usable) leaveable door of `v`.
 #[allow(clippy::too_many_arguments)]
-fn expand_partition<C: TvChecker>(
+fn expand_partition<'a, C: TvChecker<'a>>(
     space: &IndoorSpace,
     config: &ItspqConfig,
     source: &IndoorPoint,
@@ -304,13 +383,11 @@ fn expand_partition<C: TvChecker>(
     t0: Timestamp,
     observer: &mut SweepObserver,
 ) {
-    // Copy the view's door list: ITG/A's check() may swap the view mid-loop.
-    st.scratch.clear();
-    st.scratch.extend_from_slice(checker.leaveable(v));
-    let mut k = 0;
-    while k < st.scratch.len() {
-        let dj = st.scratch[k];
-        k += 1;
+    // The list outlives the checker's views, so ITG/A's check() may move
+    // to another view mid-loop without changing the doors iterated here.
+    let doors = checker.leaveable(v);
+    st.note_scratch(doors.len());
+    for &dj in doors {
         if Some(dj.index() as u32) == from {
             continue;
         }
@@ -367,7 +444,7 @@ fn expand_partition<C: TvChecker>(
         // Lines 31–34.
         if cand < st.dist[dj.index()] {
             if st.dist[dj.index()].is_infinite() {
-                st.touched_doors += 1;
+                st.touched.push(dj.index() as u32);
             }
             st.dist[dj.index()] = cand;
             st.prev[dj.index()] = Some(PrevEntry { via: v, from });
@@ -481,7 +558,7 @@ pub(crate) fn direct_path(
 /// a sweep with any other number of targets requires `FullRelax` and
 /// traversable-or-source target partitions; callers (the server's planner,
 /// `one_to_many`) enforce both, and this function debug-asserts them.
-pub(crate) fn run_search_targets<C: TvChecker>(
+pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
     graph: &ItGraph,
     source: &IndoorPoint,
     time: TimeOfDay,
@@ -542,10 +619,10 @@ pub(crate) fn run_search_targets<C: TvChecker>(
         };
     }
 
-    let mut st = SearchState::new(space);
+    let mut st = SearchState::take(space);
 
     // Source expansion: Algorithm 1 with di = ps, v = P(ps).
-    st.visited_parts[src_p.index()] = true;
+    st.visit(src_p);
     stats.partitions_expanded += 1;
     expand_partition(
         space, config, source, checker, &mut st, &mut stats, src_p, None, 0.0, &allowed, t0,
@@ -629,7 +706,7 @@ pub(crate) fn run_search_targets<C: TvChecker>(
                     if st.visited_parts[v.index()] {
                         continue;
                     }
-                    st.visited_parts[v.index()] = true;
+                    st.visit(v);
                 }
                 ExpandPolicy::FullRelax => {
                     // Never expand back into the partition the door was
@@ -664,9 +741,15 @@ pub(crate) fn run_search_targets<C: TvChecker>(
     stats.peak_heap = st.heap.peak();
     stats.search_bytes = st.search_bytes();
     checker.account(&mut stats);
+    let door_dist = if targets.is_empty() {
+        st.dist.clone()
+    } else {
+        Vec::new()
+    };
+    st.give_back();
     Sweep {
         paths,
         stats,
-        door_dist: st.dist,
+        door_dist,
     }
 }

@@ -74,6 +74,13 @@ impl MinHeap {
     pub fn peak(&self) -> usize {
         self.peak
     }
+
+    /// Empties the heap (keeping its capacity) and zeroes the peak, so a
+    /// reused heap reports exactly what a fresh one would.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.peak = 0;
+    }
 }
 
 #[cfg(test)]
@@ -123,5 +130,17 @@ mod tests {
         h.pop();
         h.push(3.0, Node::Door(2));
         assert_eq!(h.peak(), 2);
+    }
+
+    #[test]
+    fn clear_empties_and_zeroes_the_peak() {
+        let mut h = MinHeap::new();
+        h.push(1.0, Node::Door(0));
+        h.push(2.0, Node::Door(1));
+        h.clear();
+        assert_eq!(h.peak(), 0);
+        assert!(h.pop().is_none());
+        h.push(3.0, Node::Door(2));
+        assert_eq!(h.peak(), 1);
     }
 }

@@ -25,6 +25,10 @@ pub struct ReducedGraph {
     part_leaveable: Vec<Vec<DoorId>>,
     /// Number of open doors.
     open_count: usize,
+    /// [`ReducedGraph::heap_bytes`], summed once at build: a query reads
+    /// it per view it consults, and summing per read would cost
+    /// O(|partitions|) per query.
+    heap_bytes: usize,
 }
 
 impl ReducedGraph {
@@ -47,7 +51,7 @@ impl ReducedGraph {
             open_count += usize::from(is_open);
         }
 
-        let part_leaveable = (0..space.num_partitions())
+        let part_leaveable: Vec<Vec<DoorId>> = (0..space.num_partitions())
             .map(|pi| {
                 space
                     .p2d_leaveable(PartitionId::from_index(pi))
@@ -57,6 +61,11 @@ impl ReducedGraph {
                     .collect()
             })
             .collect();
+        let heap_bytes = open.capacity()
+            + part_leaveable
+                .iter()
+                .map(|v| v.capacity() * std::mem::size_of::<DoorId>() + 24)
+                .sum::<usize>();
 
         ReducedGraph {
             cp,
@@ -65,6 +74,7 @@ impl ReducedGraph {
             open,
             part_leaveable,
             open_count,
+            heap_bytes,
         }
     }
 
@@ -108,12 +118,7 @@ impl ReducedGraph {
     /// Approximate heap bytes of this view (for the memory-cost metric).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.open.capacity()
-            + self
-                .part_leaveable
-                .iter()
-                .map(|v| v.capacity() * std::mem::size_of::<DoorId>() + 24)
-                .sum::<usize>()
+        self.heap_bytes
     }
 }
 

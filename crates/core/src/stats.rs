@@ -32,7 +32,11 @@ pub struct SearchStats {
     pub graph_updates: usize,
     /// ITG/A: reduced graphs actually (re)built (cache misses).
     pub views_built: usize,
-    /// Estimated bytes of transient search state.
+    /// Estimated bytes of transient search state, in the paper's memory
+    /// model: a map entry per door the search reached, the priority queue
+    /// at its peak and the door-list buffer. It is not the bytes the
+    /// search allocated: the dense label arrays a thread reuses across
+    /// searches are not counted.
     pub search_bytes: usize,
     /// ITG/A: bytes of the reduced graphs consulted by this query.
     pub reduced_graph_bytes: usize,
