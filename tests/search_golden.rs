@@ -18,6 +18,12 @@
 //!   ITG/A-Faithful. A batch's `search_bytes` sequence has a digest of its
 //!   own, so a re-based memory estimate shows up apart from the answers.
 //!
+//! A second table per corpus pins the extension entry points: Yen's
+//! `k_shortest_paths` (k = 1 and 3; on the mall also over its eight
+//! stair-lobby queries), `earliest_arrival` under each wait policy, a
+//! departure profile over one window, `paths_to_many` (answers and
+//! counters) and the bit patterns of `door_distances`.
+//!
 //! A change to the search that alters any answer, any counter, or their
 //! order, changes a digest. On a mismatch the test prints the whole
 //! computed table, so an intended change is re-pinned by copying it.
@@ -25,8 +31,10 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use itspq_repro::core::one_to_many::reachability;
-use itspq_repro::core::{baselines, QueryResult};
+use itspq_repro::core::one_to_many::{paths_to_many, reachability};
+use itspq_repro::core::profile::departure_profile;
+use itspq_repro::core::waiting::{earliest_arrival, WaitPolicy};
+use itspq_repro::core::{baselines, k_shortest_paths, QueryResult};
 use itspq_repro::geom::Point;
 use itspq_repro::prelude::*;
 use itspq_repro::space::paper_example;
@@ -91,6 +99,10 @@ struct Corpus {
     name: &'static str,
     graph: Arc<ItGraph>,
     queries: Vec<Query>,
+    /// Extra queries only the `k_shortest_paths` digests run.
+    ksp_extra: Vec<Query>,
+    /// The departure window of the profile digest.
+    window: (TimeOfDay, TimeOfDay),
 }
 
 fn paper_corpus() -> Corpus {
@@ -121,6 +133,8 @@ fn paper_corpus() -> Corpus {
         name: "paper",
         graph: ItGraph::shared(ex.space),
         queries,
+        ksp_extra: Vec::new(),
+        window: (TimeOfDay::hm(5, 30), TimeOfDay::hm(16, 30)),
     }
 }
 
@@ -181,11 +195,55 @@ fn mall_corpus() -> Corpus {
         queries.extend(generate_queries(&graph, &cfg).iter().map(|g| g.query));
         seed += 1;
     }
+    let ksp_extra = stair_lobby_queries(graph.space());
     Corpus {
         name: "mall",
         graph,
         queries,
+        ksp_extra,
+        window: (TimeOfDay::hm(7, 30), TimeOfDay::hm(12, 30)),
     }
+}
+
+/// One query per stair lobby at 12:00: from the centroid of the lobby's
+/// hallway neighbour to the lobby's centroid + (1, 1), beside the stair door
+/// in the lobby's middle. Walking to that stair door and turning back
+/// without crossing it is shorter than the straight leg from the hallway
+/// door, so these pin how Yen's spur searches treat a touch.
+fn stair_lobby_queries(space: &IndoorSpace) -> Vec<Query> {
+    let centroid = |p: PartitionId| {
+        space
+            .partition(p)
+            .polygon
+            .as_ref()
+            .expect("mall partitions have polygons")
+            .centroid()
+    };
+    let mut queries = Vec::new();
+    for lobby in space
+        .partitions()
+        .iter()
+        .filter(|p| p.name.contains("/stair"))
+    {
+        let door_name = format!("{}/door", lobby.name);
+        let door = space
+            .doors()
+            .iter()
+            .find(|d| d.name == door_name)
+            .expect("every lobby has a hallway door");
+        let hall = space
+            .d2p(door.id)
+            .into_iter()
+            .find(|&p| p != lobby.id)
+            .expect("the hallway door joins the lobby to a hallway");
+        let c = centroid(lobby.id);
+        queries.push(Query::new(
+            IndoorPoint::new(hall, centroid(hall)),
+            IndoorPoint::new(lobby.id, Point::new(c.x + 1.0, c.y + 1.0)),
+            TimeOfDay::hm(12, 0),
+        ));
+    }
+    queries
 }
 
 fn configs() -> [(&'static str, ItspqConfig); 2] {
@@ -282,6 +340,75 @@ fn batch_digests(c: &Corpus, out: &mut Vec<(String, u64)>) {
     }
 }
 
+/// Distinct items of `items` in first-appearance order.
+fn distinct<T: PartialEq + Copy>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut seen = Vec::new();
+    for x in items {
+        if !seen.contains(&x) {
+            seen.push(x);
+        }
+    }
+    seen
+}
+
+/// Digests of the extension entry points over the corpus.
+fn extension_digests(c: &Corpus, out: &mut Vec<(String, u64)>) {
+    let g = &c.graph;
+    let cfg = ItspqConfig::default();
+
+    for k in [1, 3] {
+        let mut h = Fnv::new();
+        for q in c.queries.iter().chain(&c.ksp_extra) {
+            h.write(&format!("{:?}", k_shortest_paths(g, q, &cfg, k)));
+        }
+        out.push((format!("{}/ksp/k{k}", c.name), h.0));
+    }
+
+    let policies = [
+        ("None", WaitPolicy::None),
+        (
+            "UpTo5min",
+            WaitPolicy::UpTo(DurationSecs::from_minutes(5.0)),
+        ),
+        ("Unlimited", WaitPolicy::Unlimited),
+    ];
+    for (name, policy) in policies {
+        let mut h = Fnv::new();
+        for q in &c.queries {
+            h.write(&format!("{:?}", earliest_arrival(g, q, &cfg, policy)));
+        }
+        out.push((format!("{}/waiting/{name}", c.name), h.0));
+    }
+
+    let mut h = Fnv::new();
+    let (from, to) = c.window;
+    for (s, t) in distinct(c.queries.iter().map(|q| (q.source, q.target))) {
+        let profile = departure_profile(g, s, t, from, to, DurationSecs::from_minutes(1.0), &cfg);
+        h.write(&format!("{profile:?}"));
+    }
+    out.push((format!("{}/profile", c.name), h.0));
+
+    let targets = distinct(c.queries.iter().map(|q| q.target));
+    let mut h = Fnv::new();
+    for (s, t) in distinct(c.queries.iter().map(|q| (q.source, q.time))) {
+        let many = paths_to_many(g, s, t, &targets, &cfg);
+        h.write(&format!("{:?}", many.paths));
+        h.write(&counters(&many.stats));
+        h.write(&many.stats.search_bytes.to_string());
+    }
+    out.push((format!("{}/paths_to_many", c.name), h.0));
+
+    let mut h = Fnv::new();
+    for s in distinct(c.queries.iter().map(|q| q.source)) {
+        let mut line = String::new();
+        for d in baselines::door_distances(g, &s) {
+            let _ = write!(line, "{:x},", d.to_bits());
+        }
+        h.write(&line);
+    }
+    out.push((format!("{}/door_distances", c.name), h.0));
+}
+
 fn check(computed: &[(String, u64)], golden: &[(&str, u64)]) {
     let table: String = computed
         .iter()
@@ -312,6 +439,20 @@ fn mall_corpus_matches_golden_digests() {
     reachability_digest(&c, &mut out);
     batch_digests(&c, &mut out);
     check(&out, MALL_GOLDEN);
+}
+
+#[test]
+fn paper_example_extensions_match_golden_digests() {
+    let mut out = Vec::new();
+    extension_digests(&paper_corpus(), &mut out);
+    check(&out, PAPER_EXTENSION_GOLDEN);
+}
+
+#[test]
+fn mall_extensions_match_golden_digests() {
+    let mut out = Vec::new();
+    extension_digests(&mall_corpus(), &mut out);
+    check(&out, MALL_EXTENSION_GOLDEN);
 }
 
 const PAPER_GOLDEN: &[(&str, u64)] = &[
@@ -355,4 +496,26 @@ const MALL_GOLDEN: &[(&str, u64)] = &[
     ("mall/batch/ITG/A-Exact/search_bytes", 0xf7e7e229f0696cb2),
     ("mall/batch/ITG/A-Faithful", 0xf3714af95f7d5274),
     ("mall/batch/ITG/A-Faithful/search_bytes", 0x09844aed444c725f),
+];
+
+const PAPER_EXTENSION_GOLDEN: &[(&str, u64)] = &[
+    ("paper/ksp/k1", 0xf83b346d826370df),
+    ("paper/ksp/k3", 0x98c7b38ec6a38f19),
+    ("paper/waiting/None", 0xf5fd0057e9305a6f),
+    ("paper/waiting/UpTo5min", 0x622e1a4a0aefad35),
+    ("paper/waiting/Unlimited", 0x332ae51a47bda3e6),
+    ("paper/profile", 0x2fba54765deb43f6),
+    ("paper/paths_to_many", 0xa60da1fe377a4d4b),
+    ("paper/door_distances", 0xcd31070460a0bf65),
+];
+
+const MALL_EXTENSION_GOLDEN: &[(&str, u64)] = &[
+    ("mall/ksp/k1", 0xe9abaa4a1d717e91),
+    ("mall/ksp/k3", 0xafe9f68145f46480),
+    ("mall/waiting/None", 0x4c3fba8a4f43d203),
+    ("mall/waiting/UpTo5min", 0x4c3fba8a4f43d203),
+    ("mall/waiting/Unlimited", 0x18c33eb26605598c),
+    ("mall/profile", 0xf4f5e7a4a73c6937),
+    ("mall/paths_to_many", 0x3e39cc737f571e88),
+    ("mall/door_distances", 0xe94a855d80a11a51),
 ];

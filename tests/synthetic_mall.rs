@@ -2,7 +2,11 @@
 //! statistics, multi-floor routing, query generation and engine agreement at
 //! scale.
 
-use itspq_repro::core::{validate_path, AsynMode};
+use std::sync::Arc;
+
+use itspq_repro::core::one_to_many::paths_to_many;
+use itspq_repro::core::{baselines, k_shortest_paths, validate_path, AsynMode};
+use itspq_repro::geom::Point;
 use itspq_repro::prelude::*;
 use itspq_repro::synthetic::{
     build_mall, generate_queries, HoursConfig, MallConfig, QueryGenConfig, ShopHours,
@@ -216,6 +220,94 @@ fn faithful_asyn_is_conservative() {
                 assert!(fp.length >= sp.length - 1e-9);
             }
         }
+    }
+}
+
+/// The target-side *touch* (ARCHITECTURE §"Deviations from the paper"):
+/// under `FullRelax` a door reached through `P(pt)` still relaxes `pt`, so a
+/// route may walk to a door inside the target's partition and turn back
+/// without crossing it. In a stair lobby the explicit 10 m half-flight to
+/// the up door undercuts the 40 m planar leg from the hallway door, so the
+/// touch is the shortest answer. `PaperPruned`, which does not expand a door
+/// into `P(pt)`, and the exhaustive oracle, which finishes only in the
+/// partition the last door enters, walk the direct leg instead; that is
+/// Yen's second path.
+#[test]
+fn stair_lobby_touch_undercuts_the_direct_leg_under_full_relax() {
+    let hours = ShopHours::sample(&HoursConfig::default());
+    let graph = ItGraph::shared(build_mall(
+        &MallConfig::paper_default()
+            .with_floors(2)
+            .with_comb_corridors(),
+        &hours,
+    ));
+    let space = graph.space();
+    let part = |name: &str| space.partitions().iter().find(|p| p.name == name).unwrap();
+    let door = |name: &str| space.doors().iter().find(|d| d.name == name).unwrap().id;
+    let (hall, lobby) = (part("F0/vseg(0,1)"), part("F0/stair0"));
+    let (entry, up) = (door("F0/stair0/door"), door("F0/stair0/up"));
+    let c = lobby.polygon.as_ref().unwrap().centroid();
+    let q = Query::new(
+        IndoorPoint::new(hall.id, hall.polygon.as_ref().unwrap().centroid()),
+        IndoorPoint::new(lobby.id, Point::new(c.x + 1.0, c.y + 1.0)),
+        TimeOfDay::hm(12, 0),
+    );
+
+    let to_entry = space.point_to_door(&q.source, entry).unwrap();
+    let touch = to_entry
+        + space.door_to_door(lobby.id, entry, up).unwrap()
+        + space.point_to_door(&q.target, up).unwrap();
+    let direct = to_entry + space.point_to_door(&q.target, entry).unwrap();
+    assert!((touch - 17.41).abs() < 5e-3, "touch {touch}");
+    assert!((direct - 45.01).abs() < 5e-3, "direct {direct}");
+
+    let full = ItspqConfig::full_relax();
+    let yen = k_shortest_paths(&graph, &q, &full, 2);
+    assert_eq!(yen.len(), 2);
+    let touches = [
+        (
+            "ITG/S",
+            SynEngine::new(Arc::clone(&graph), full).query(&q).path,
+        ),
+        (
+            "ITG/A-Exact",
+            AsynEngine::new(Arc::clone(&graph), full.with_asyn_mode(AsynMode::Exact))
+                .query(&q)
+                .path,
+        ),
+        (
+            "paths_to_many",
+            paths_to_many(&graph, q.source, q.time, &[q.target], &full)
+                .paths
+                .pop()
+                .flatten(),
+        ),
+        ("Yen's first path", Some(yen[0].clone())),
+    ];
+    for (name, path) in touches {
+        let path = path.unwrap_or_else(|| panic!("{name}: no route"));
+        assert_eq!(path.doors().collect::<Vec<_>>(), [entry, up], "{name}");
+        assert_eq!(path.length.to_bits(), touch.to_bits(), "{name}");
+        validate_path(space, &path, q.time, WALKING_SPEED).unwrap();
+    }
+
+    let directs = [
+        (
+            "PaperPruned",
+            SynEngine::new(Arc::clone(&graph), ItspqConfig::default())
+                .query(&q)
+                .path,
+        ),
+        (
+            "exhaustive",
+            baselines::exhaustive_shortest(&graph, &q, &full, 4),
+        ),
+        ("Yen's second path", Some(yen[1].clone())),
+    ];
+    for (name, path) in directs {
+        let path = path.unwrap_or_else(|| panic!("{name}: no route"));
+        assert_eq!(path.doors().collect::<Vec<_>>(), [entry], "{name}");
+        assert_eq!(path.length.to_bits(), direct.to_bits(), "{name}");
     }
 }
 
