@@ -11,8 +11,7 @@ use indoor_space::IndoorPoint;
 use indoor_synthetic::{build_mall, HoursConfig, MallConfig, ShopHours};
 use indoor_time::{TimeOfDay, WALKING_SPEED};
 use itspq_core::{
-    baselines, validate_path, AsynEngine, AsynMode, ItGraph, ItspqConfig, PathViolation, Query,
-    SynEngine,
+    baselines, validate_path, AsynEngine, ItGraph, ItspqConfig, PathViolation, Query, SynEngine,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -78,7 +77,6 @@ fn main() {
         let pruned = SynEngine::new(graph.clone(), cfg_pruned).query(&q).path;
         let full = SynEngine::new(graph.clone(), cfg_full).query(&q).path;
         let faithful = AsynEngine::new(graph.clone(), cfg_pruned).query(&q).path;
-        let _exact = AsynEngine::new(graph.clone(), cfg_pruned.with_asyn_mode(AsynMode::Exact));
         let oracle = baselines::exhaustive_shortest(&graph, &q, &cfg_full, 10);
 
         if oracle.is_some() {

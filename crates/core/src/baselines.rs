@@ -79,6 +79,16 @@ pub fn snapshot_shortest_path(graph: &ItGraph, query: &Query, config: &ItspqConf
 /// Temporal-oblivious distances from `source` to every door (`f64::INFINITY`
 /// where unreachable). Traversal rules (privacy) still apply, with `source`'s
 /// partition always permitted.
+///
+/// This is its own Dijkstra loop, not a zero-target sweep of the search
+/// framework, because it differs in one rule: it expands a settled door back
+/// into the partition the door was reached through. From a source in a stair
+/// lobby that is a touch that shortens labels — walk to the up door at the
+/// lobby's centre, then take the 10 m half-flight to the hallway door
+/// instead of the 40 m point leg. The synthetic query generator
+/// (`indoor_synthetic::generate_queries`) draws its targets from these
+/// labels, so the sweep in its place would change generated workloads and
+/// every digest built on them.
 #[must_use]
 pub fn door_distances(graph: &ItGraph, source: &IndoorPoint) -> Vec<f64> {
     let space = graph.space();

@@ -211,6 +211,8 @@ impl AsynEngine {
             &self.config,
             &mut checker,
             observer,
+            None,
+            &[],
         );
         sweep.stats.views_built += checker.pre_stats.views_built;
         (sweep.paths, sweep.stats)

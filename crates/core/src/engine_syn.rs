@@ -158,6 +158,8 @@ impl SynEngine {
             &self.config,
             &mut checker,
             observer,
+            None,
+            &[],
         );
         (sweep.paths, sweep.stats)
     }

@@ -5,10 +5,24 @@
 //! [`TvChecker`]: the synchronous check of Algorithm 2 (ITG/S), the
 //! asynchronous reduced-graph check of Algorithm 4 (ITG/A), or a baseline's.
 //!
-//! It has one expansion loop, [`run_search_targets`]: a sweep from one
-//! source toward any number of targets. A point query is the sweep with one
-//! target, a shared batch group the sweep with many, and a reachability map
-//! the sweep with none, run until its frontier is empty.
+//! Its expansion loop, [`run_search_targets`], is a sweep from one source
+//! toward any number of targets. A point query is the sweep with one
+//! target, a shared batch group the sweep with many, a reachability map the
+//! sweep with none, run until its frontier is empty, and a spur of Yen's
+//! algorithm (`crate::ksp`) the one-target sweep from a [`Seed`] door with
+//! some doors banned.
+//!
+//! Two Dijkstra loops stay outside the sweep, because neither is the sweep
+//! with other arguments:
+//!
+//! * `baselines::door_distances` expands back into the partition a door was
+//!   reached through. From a source in a stair lobby that is a touch that
+//!   shortens labels: walk to the up door at the lobby's centre, then take
+//!   its 10 m half-flight to the hallway door instead of the 40 m point leg.
+//!   Its labels feed `generate_queries`, so a zero-target sweep in its place
+//!   would change generated workloads;
+//! * `waiting::earliest_arrival` labels doors with crossing times, not
+//!   distances.
 //!
 //! A sweep's per-door labels live in a [`SearchState`] pooled per thread,
 //! so a warm query costs what it explores rather than O(|doors|):
@@ -67,6 +81,17 @@ pub(crate) struct PrevEntry {
     pub(crate) via: PartitionId,
     /// Previous door index, or `None` when coming directly from `ps`.
     pub(crate) from: Option<u32>,
+}
+
+/// Where a sweep starts instead of `ps`: a door the caller's walk has already
+/// crossed (a spur of Yen's algorithm, `crate::ksp`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Seed {
+    pub(crate) door: DoorId,
+    /// Metres walked from `ps` to the door.
+    pub(crate) dist: f64,
+    /// The partition the door was crossed from.
+    pub(crate) via: PartitionId,
 }
 
 /// One recorded door relaxation of the lead's sweep (Algorithm 1 lines
@@ -248,10 +273,10 @@ struct SearchState {
     settled: Vec<bool>,
     visited_parts: Vec<bool>,
     heap: MinHeap,
-    /// Distinct doors whose tentative distance left ∞ (the only doors that
-    /// can be settled or carry a predecessor) — the populated part of the
-    /// search state, which is what a map-based implementation (like the
-    /// paper's Java one) would actually hold.
+    /// Distinct doors with a written label: every door whose tentative
+    /// distance left ∞, plus a sweep's seed and banned doors — the populated
+    /// part of the search state, which is what a map-based implementation
+    /// (like the paper's Java one) would actually hold.
     touched: Vec<u32>,
     /// Partitions marked in `visited_parts`.
     visited: Vec<u32>,
@@ -363,12 +388,19 @@ pub(crate) fn run_search<'a, C: TvChecker<'a>>(
         config,
         checker,
         &mut SweepObserver::off(),
+        None,
+        &[],
     );
     (sweep.paths.pop().flatten(), sweep.stats)
 }
 
 /// Lines 25–34: relax every (currently usable) leaveable door of `v`.
+///
+/// Inlined at each call site (source, seed, settled door): it runs once per
+/// expanded partition, where a call with this many arguments measurably
+/// slows long sweeps.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn expand_partition<'a, C: TvChecker<'a>>(
     space: &IndoorSpace,
     config: &ItspqConfig,
@@ -527,14 +559,23 @@ pub(crate) fn direct_path(
 }
 
 /// Algorithm 1 as one sweep from `source` at `time` toward any number of
-/// targets — the only expansion loop of the crate:
+/// targets (see the module docs for the two loops that stay outside it):
 ///
 /// * a point query is a sweep with one target ([`run_search`], the engines'
 ///   `query`);
 /// * a shared group is a sweep with many (`VenueServer`'s shared batches,
 ///   [`crate::one_to_many::paths_to_many`]);
 /// * a reachability map is a sweep with none: it runs until the frontier is
-///   empty and reads the door labels ([`crate::one_to_many::reachability`]).
+///   empty and reads the door labels ([`crate::one_to_many::reachability`]);
+/// * a spur of Yen's algorithm is a one-target sweep from a `seed`, with
+///   `banned` doors ([`crate::ksp`]).
+///
+/// A `seed` replaces the source expansion: its door is labelled with the
+/// seed's distance and settled without relaxing any target, then expanded
+/// as a settled door is under `FullRelax` (which a seed requires), so never
+/// back into the partition it was crossed from. Its hop heads the returned
+/// chain. A `banned` door is marked settled (and recorded in the touched
+/// list) before the sweep starts, so no relaxation reaches it.
 ///
 /// Each target is a virtual node, relaxed from every settled door that can
 /// enter its partition (lines 20–24) and finalised at its heap pop
@@ -558,6 +599,7 @@ pub(crate) fn direct_path(
 /// a sweep with any other number of targets requires `FullRelax` and
 /// traversable-or-source target partitions; callers (the server's planner,
 /// `one_to_many`) enforce both, and this function debug-asserts them.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
     graph: &ItGraph,
     source: &IndoorPoint,
@@ -566,6 +608,8 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
     config: &ItspqConfig,
     checker: &mut C,
     observer: &mut SweepObserver,
+    seed: Option<Seed>,
+    banned: &[DoorId],
 ) -> Sweep {
     let space = graph.space();
     let mut stats = SearchStats::default();
@@ -584,6 +628,10 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
                     t.partition == src_p || space.partition(t.partition).kind.traversable()
                 })),
         "a shared sweep requires FullRelax and traversable target partitions"
+    );
+    debug_assert!(
+        seed.is_none() || config.expand == ExpandPolicy::FullRelax,
+        "a seeded sweep requires FullRelax"
     );
     let allowed = |v: PartitionId| -> bool {
         v == src_p || Some(v) == exempt || space.partition(v).kind.traversable()
@@ -621,13 +669,55 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
 
     let mut st = SearchState::take(space);
 
-    // Source expansion: Algorithm 1 with di = ps, v = P(ps).
-    st.visit(src_p);
-    stats.partitions_expanded += 1;
-    expand_partition(
-        space, config, source, checker, &mut st, &mut stats, src_p, None, 0.0, &allowed, t0,
-        observer,
-    );
+    // Banned doors and the seed door count as settled, so no relaxation
+    // reaches them.
+    for d in banned.iter().chain(seed.iter().map(|s| &s.door)) {
+        if !st.settled[d.index()] {
+            st.settled[d.index()] = true;
+            st.touched.push(d.index() as u32);
+        }
+    }
+    match seed {
+        // Source expansion: Algorithm 1 with di = ps, v = P(ps).
+        None => {
+            st.visit(src_p);
+            stats.partitions_expanded += 1;
+            expand_partition(
+                space, config, source, checker, &mut st, &mut stats, src_p, None, 0.0, &allowed,
+                t0, observer,
+            );
+        }
+        // The seed door gets its label, relaxes no target, and is expanded
+        // as the loop below expands a settled door under FullRelax: never
+        // back into the partition it was crossed from.
+        Some(seed) => {
+            let e = seed.door.index();
+            st.dist[e] = seed.dist;
+            st.prev[e] = Some(PrevEntry {
+                via: seed.via,
+                from: None,
+            });
+            for &v in space.d2p_enterable(seed.door) {
+                if v != seed.via && allowed(v) {
+                    stats.partitions_expanded += 1;
+                    expand_partition(
+                        space,
+                        config,
+                        source,
+                        checker,
+                        &mut st,
+                        &mut stats,
+                        v,
+                        Some(e as u32),
+                        seed.dist,
+                        &allowed,
+                        t0,
+                        observer,
+                    );
+                }
+            }
+        }
+    }
 
     while let Some(entry) = st.heap.pop() {
         stats.heap_pops += 1;
@@ -710,11 +800,16 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
                 }
                 ExpandPolicy::FullRelax => {
                     // Never expand back into the partition the door was
-                    // reached through: distance-wise it cannot help (DM
-                    // triangle inequality), and time-wise it would let paths
-                    // *touch* a door to burn walking time until another door
-                    // opens — waiting in disguise, which the paper's
-                    // semantics exclude (footnote 2).
+                    // reached through: it would let paths *touch* a door to
+                    // burn walking time until another door opens — waiting
+                    // in disguise, which the paper's semantics exclude
+                    // (footnote 2). Distance-wise this loses nothing where
+                    // the triangle inequality holds, which it does inside one
+                    // distance matrix but not between a point leg and an
+                    // explicit distance such as a stair's half-flight. The
+                    // target side keeps its touch: a door reached through
+                    // `P(pt)` still relaxes `pt` (ARCHITECTURE.md
+                    // §"Deviations from the paper").
                     if Some(v) == came_from {
                         continue;
                     }

@@ -5,17 +5,19 @@
 //! rules enforced per relaxation exactly as the main engines do).
 //!
 //! Yen's algorithm over the door graph: the best path comes from a
-//! [`crate::SynEngine`]-equivalent search; each further path is the cheapest
-//! candidate obtained by re-searching from every spur position of a previous
-//! path with the deviating doors banned. Spur searches inherit the root's
-//! cumulative distance so arrival-time checks stay consistent.
+//! [`crate::SynEngine`]-equivalent search under full relaxation; each further
+//! path is the cheapest candidate obtained by re-searching from every spur
+//! position of a previous path with the deviating doors banned. Every spur is
+//! a one-target sweep of the search framework: seeded at the root's last door
+//! with the root's cumulative distance, so arrival-time checks stay
+//! consistent, and with the banned doors settled before it starts.
 
-use indoor_space::{DoorId, PartitionId};
+use indoor_space::DoorId;
 
-use crate::framework::direct_path;
-use crate::heap::{MinHeap, Node};
+use crate::engine_syn::SynChecker;
+use crate::framework::{direct_path, run_search_targets, Seed, SweepObserver};
 use crate::ord::cmp_dist;
-use crate::{DoorHop, ItGraph, ItspqConfig, Path, Query};
+use crate::{ExpandPolicy, ItGraph, ItspqConfig, Path, Query};
 
 /// Computes up to `k` shortest valid paths, ordered by increasing length.
 /// Paths are distinct as door sequences. Uses full Dijkstra relaxation
@@ -31,7 +33,6 @@ pub fn k_shortest_paths(
     if k == 0 {
         return Vec::new();
     }
-    let space = graph.space();
     if query.source.partition == query.target.partition {
         // Only the direct segment exists inside one partition.
         return vec![direct_path(
@@ -42,14 +43,14 @@ pub fn k_shortest_paths(
         )];
     }
 
-    let n = space.num_doors();
-    let mut banned = vec![false; n];
-    let Some(first) = spur_search(graph, query, config, None, 0.0, &banned) else {
+    let config = config.with_expand(ExpandPolicy::FullRelax);
+    let Some(first) = spur(graph, query, &config, None, &[]) else {
         return Vec::new();
     };
 
     let mut accepted: Vec<Path> = vec![first];
     let mut candidates: Vec<Path> = Vec::new();
+    let mut banned: Vec<DoorId> = Vec::new();
 
     while accepted.len() < k {
         // `accepted` starts with one path and only grows, but spell the
@@ -62,7 +63,7 @@ pub fn k_shortest_paths(
 
             // Ban: the next door of every known path sharing this root, plus
             // the root's own doors (keeps candidates door-simple).
-            banned.iter_mut().for_each(|b| *b = false);
+            banned.clear();
             for path in accepted.iter().chain(candidates.iter()) {
                 if path.hops.len() > spur_idx
                     && path.hops[..spur_idx]
@@ -70,18 +71,17 @@ pub fn k_shortest_paths(
                         .map(|h| h.door)
                         .eq(root.iter().map(|h| h.door))
                 {
-                    banned[path.hops[spur_idx].door.index()] = true;
+                    banned.push(path.hops[spur_idx].door);
                 }
             }
-            for h in root {
-                banned[h.door.index()] = true;
-            }
+            banned.extend(root.iter().map(|h| h.door));
 
-            let (entry, base_dist) = match root.last() {
-                Some(h) => (Some((h.door, h.via_partition)), h.distance),
-                None => (None, 0.0),
-            };
-            if let Some(tail) = spur_search(graph, query, config, entry, base_dist, &banned) {
+            let seed = root.last().map(|h| Seed {
+                door: h.door,
+                dist: h.distance,
+                via: h.via_partition,
+            });
+            if let Some(tail) = spur(graph, query, &config, seed, &banned) {
                 let mut hops = root.to_vec();
                 hops.extend_from_slice(&tail.hops);
                 let candidate = Path { hops, ..tail };
@@ -111,180 +111,61 @@ pub fn k_shortest_paths(
     accepted
 }
 
-/// A full-relaxation valid-path search that starts either at `ps`
-/// (`entry = None`) or just after crossing the root's last door with
-/// `base_dist` metres already walked, avoiding `banned` doors. `entry`
-/// carries `(door, partition the root crossed it from)`; the search never
-/// steps back into that partition (it would be a zero-cost "touch" producing
-/// duplicate paths). Returns a complete path whose `hops` cover only the
-/// spur portion.
-fn spur_search(
+/// The shortest valid path from `seed` (from `ps` when `None`) to `pt` that
+/// avoids `banned`, under ITG/S's check. Its `hops` cover only the doors
+/// after the seed, which the root already holds.
+fn spur(
     graph: &ItGraph,
     query: &Query,
     config: &ItspqConfig,
-    entry: Option<(DoorId, PartitionId)>,
-    base_dist: f64,
-    banned: &[bool],
+    seed: Option<Seed>,
+    banned: &[DoorId],
 ) -> Option<Path> {
     let space = graph.space();
     let t0 = query.departure();
-    let src_p = query.source.partition;
     let dst_p = query.target.partition;
-    let n = space.num_doors();
-
-    let allowed = |v: PartitionId| -> bool {
-        v == src_p || v == dst_p || space.partition(v).kind.traversable()
+    if let Some(s) = seed {
+        // Direct finish: the seed door enters `P(pt)` from another partition.
+        // The sweep relaxes no target from its seed and would run on to
+        // reach `pt` another way, possibly by a touch (ARCHITECTURE.md
+        // §"Deviations from the paper"), so answer it here.
+        if s.via != dst_p && space.d2p_enterable(s.door).contains(&dst_p) {
+            if let Some(leg) = space.point_to_door(&query.target, s.door) {
+                let length = s.dist + leg;
+                return Some(Path {
+                    source: query.source,
+                    target: query.target,
+                    hops: Vec::new(),
+                    length,
+                    departure: t0,
+                    arrival: t0 + config.velocity.travel_time(length),
+                });
+            }
+        }
+    }
+    let mut checker = SynChecker {
+        space,
+        velocity: config.velocity,
+        t0,
     };
-
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(PartitionId, Option<u32>)>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut heap = MinHeap::new();
-
-    // `link`: the door whose DM row supplies leg weights (the fixed entry door
-    // during seeding, the settled door afterwards); `from_idx`: the
-    // predecessor recorded for reconstruction (None ends the spur's chain).
-    let relax = |v: PartitionId,
-                 link: Option<DoorId>,
-                 from_idx: Option<u32>,
-                 base: f64,
-                 settled: &[bool],
-                 dist: &mut Vec<f64>,
-                 prev: &mut Vec<Option<(PartitionId, Option<u32>)>>,
-                 heap: &mut MinHeap| {
-        for &dj in space.p2d_leaveable(v) {
-            if banned[dj.index()] || settled[dj.index()] || Some(dj) == link {
-                continue;
-            }
-            let weight = match link {
-                Some(l) => space.door_to_door(v, l, dj),
-                None => space.point_to_door(&query.source, dj),
-            };
-            let Some(weight) = weight else { continue };
-            let cand = base + weight;
-            let tarr = t0 + config.velocity.travel_time(cand);
-            if !space.door(dj).atis.is_open_at(tarr) {
-                continue;
-            }
-            if cand < dist[dj.index()] {
-                dist[dj.index()] = cand;
-                prev[dj.index()] = Some((v, from_idx));
-                heap.push(cand, Node::Door(dj.index() as u32));
-            }
-        }
-    };
-
-    // Seed the search.
-    match entry {
-        None => relax(
-            src_p, None, None, 0.0, &settled, &mut dist, &mut prev, &mut heap,
-        ),
-        Some((e, root_side)) => {
-            for vi in 0..space.d2p_enterable(e).len() {
-                let v = space.d2p_enterable(e)[vi];
-                if v != root_side && allowed(v) {
-                    relax(
-                        v,
-                        Some(e),
-                        None,
-                        base_dist,
-                        &settled,
-                        &mut dist,
-                        &mut prev,
-                        &mut heap,
-                    );
-                }
-            }
-            // Direct finish: the entry door may already bound the target.
-            if dst_p != root_side && space.d2p_enterable(e).contains(&dst_p) {
-                if let Some(leg) = space.point_to_door(&query.target, e) {
-                    let length = base_dist + leg;
-                    return Some(Path {
-                        source: query.source,
-                        target: query.target,
-                        hops: Vec::new(),
-                        length,
-                        departure: t0,
-                        arrival: t0 + config.velocity.travel_time(length),
-                    });
-                }
-            }
-        }
+    let mut tail = run_search_targets(
+        graph,
+        &query.source,
+        query.time,
+        std::slice::from_ref(&query.target),
+        config,
+        &mut checker,
+        &mut SweepObserver::off(),
+        seed,
+        banned,
+    )
+    .paths
+    .pop()
+    .flatten()?;
+    if seed.is_some() {
+        tail.hops.remove(0);
     }
-
-    let mut target_dist = f64::INFINITY;
-    let mut target_prev: Option<u32> = None;
-    while let Some(e) = heap.pop() {
-        let Node::Door(di) = e.node else { continue };
-        if settled[di as usize] {
-            continue;
-        }
-        settled[di as usize] = true;
-        let door = DoorId(di);
-        let d_di = dist[di as usize];
-        if d_di >= target_dist {
-            break;
-        }
-        if space.d2p_enterable(door).contains(&dst_p) {
-            if let Some(leg) = space.point_to_door(&query.target, door) {
-                let cand = d_di + leg;
-                if cand < target_dist {
-                    target_dist = cand;
-                    target_prev = Some(di);
-                }
-            }
-        }
-        let came_from = prev[di as usize].map(|p| p.0);
-        for vi in 0..space.d2p_enterable(door).len() {
-            let v = space.d2p_enterable(door)[vi];
-            if Some(v) == came_from || !allowed(v) {
-                continue;
-            }
-            relax(
-                v,
-                Some(door),
-                Some(di),
-                d_di,
-                &settled,
-                &mut dist,
-                &mut prev,
-                &mut heap,
-            );
-        }
-    }
-
-    let last = target_prev?;
-    // Walk predecessor links back to the spur seed. Every door on the path
-    // got a `prev` entry before entering the heap, so a missing link is a
-    // broken invariant — degrade to "no path" rather than panic.
-    let mut rev = Vec::new();
-    let mut cur = last;
-    loop {
-        let (via, from) = prev[cur as usize]?;
-        rev.push((cur, via));
-        match from {
-            Some(p) => cur = p,
-            None => break,
-        }
-    }
-    rev.reverse();
-    let hops: Vec<DoorHop> = rev
-        .iter()
-        .map(|&(di, via)| DoorHop {
-            door: DoorId(di),
-            via_partition: via,
-            distance: dist[di as usize],
-            arrival: t0 + config.velocity.travel_time(dist[di as usize]),
-        })
-        .collect();
-    Some(Path {
-        source: query.source,
-        target: query.target,
-        hops,
-        length: target_dist,
-        departure: t0,
-        arrival: t0 + config.velocity.travel_time(target_dist),
-    })
+    Some(tail)
 }
 
 #[cfg(test)]

@@ -129,6 +129,8 @@ pub fn paths_to_many(
             &config,
             &mut checker(),
             &mut SweepObserver::off(),
+            None,
+            &[],
         );
         (sweep.paths, sweep.stats)
     };
@@ -180,6 +182,8 @@ pub fn reachability(
         &config.with_expand(ExpandPolicy::FullRelax),
         &mut checker,
         &mut SweepObserver::off(),
+        None,
+        &[],
     )
     .door_dist;
 
