@@ -18,6 +18,12 @@
 //!   ITG/A-Faithful. A batch's `search_bytes` sequence has a digest of its
 //!   own, so a re-based memory estimate shows up apart from the answers.
 //!
+//! Two answers-only digests per corpus pin what ITG/A-Exact answers apart
+//! from how it gets there: the `path` of every point answer under both
+//! expand policies, and every `Shared` batch answer, with no `SearchStats`
+//! or `BatchStats`. A change to the work Exact does (which doors it walks,
+//! which it checks) moves the counter digests above and must leave these.
+//!
 //! A second table per corpus pins the extension entry points: Yen's
 //! `k_shortest_paths` (k = 1 and 3; on the mall also over its eight
 //! stair-lobby queries), `earliest_arrival` under each wait policy, a
@@ -340,6 +346,35 @@ fn batch_digests(c: &Corpus, out: &mut Vec<(String, u64)>) {
     }
 }
 
+/// ITG/A-Exact's answers alone: one digest over the `path` of every point
+/// answer under both expand policies, one over the `Shared` batch answers.
+fn exact_answer_digests(c: &Corpus, out: &mut Vec<(String, u64)>) {
+    let mut h = Fnv::new();
+    for (_, cfg) in configs() {
+        let exact = AsynEngine::new(Arc::clone(&c.graph), cfg.with_asyn_mode(AsynMode::Exact));
+        for q in &c.queries {
+            h.write(&format!("{:?}", exact.query(q).path));
+        }
+    }
+    out.push((format!("{}/ITG/A-Exact/answers", c.name), h.0));
+
+    let config = ServerConfig {
+        strategy: BatchStrategy::Shared,
+        method: ServeMethod::Asyn,
+        itspq: ItspqConfig::full_relax().with_asyn_mode(AsynMode::Exact),
+        ..ServerConfig::default()
+    };
+    let server = VenueServer::with_config(Arc::clone(&c.graph), config).with_workers(1);
+    let mut h = Fnv::new();
+    for a in server.try_query_batch(&c.queries) {
+        match a {
+            Ok(r) => h.write(&format!("{:?}", r.path)),
+            Err(e) => h.write(&format!("{e:?}")),
+        }
+    }
+    out.push((format!("{}/batch/ITG/A-Exact/answers", c.name), h.0));
+}
+
 /// Distinct items of `items` in first-appearance order.
 fn distinct<T: PartialEq + Copy>(items: impl IntoIterator<Item = T>) -> Vec<T> {
     let mut seen = Vec::new();
@@ -442,6 +477,20 @@ fn mall_corpus_matches_golden_digests() {
 }
 
 #[test]
+fn paper_example_exact_answers_match_golden_digests() {
+    let mut out = Vec::new();
+    exact_answer_digests(&paper_corpus(), &mut out);
+    check(&out, PAPER_EXACT_ANSWERS_GOLDEN);
+}
+
+#[test]
+fn mall_exact_answers_match_golden_digests() {
+    let mut out = Vec::new();
+    exact_answer_digests(&mall_corpus(), &mut out);
+    check(&out, MALL_EXACT_ANSWERS_GOLDEN);
+}
+
+#[test]
 fn paper_example_extensions_match_golden_digests() {
     let mut out = Vec::new();
     extension_digests(&paper_corpus(), &mut out);
@@ -496,6 +545,16 @@ const MALL_GOLDEN: &[(&str, u64)] = &[
     ("mall/batch/ITG/A-Exact/search_bytes", 0xf7e7e229f0696cb2),
     ("mall/batch/ITG/A-Faithful", 0xf3714af95f7d5274),
     ("mall/batch/ITG/A-Faithful/search_bytes", 0x09844aed444c725f),
+];
+
+const PAPER_EXACT_ANSWERS_GOLDEN: &[(&str, u64)] = &[
+    ("paper/ITG/A-Exact/answers", 0xf4c822b2dc0bde49),
+    ("paper/batch/ITG/A-Exact/answers", 0x0363fd3f6d338f64),
+];
+
+const MALL_EXACT_ANSWERS_GOLDEN: &[(&str, u64)] = &[
+    ("mall/ITG/A-Exact/answers", 0x60e4a148cea323d8),
+    ("mall/batch/ITG/A-Exact/answers", 0x8bc3513551b2d0bd),
 ];
 
 const PAPER_EXTENSION_GOLDEN: &[(&str, u64)] = &[
