@@ -25,8 +25,8 @@ struct StaticChecker<'a> {
 }
 
 impl<'a> TvChecker<'a> for StaticChecker<'a> {
-    fn leaveable(&self, v: PartitionId) -> &'a [DoorId] {
-        self.space.p2d_leaveable(v)
+    fn leaveable(&self, v: PartitionId, _base: Option<f64>) -> (&'a [DoorId], bool) {
+        (self.space.p2d_leaveable(v), false)
     }
 
     fn check(&mut self, _d: DoorId, _dist: f64, _stats: &mut SearchStats) -> bool {
@@ -43,8 +43,8 @@ struct SnapshotChecker<'a> {
 }
 
 impl<'a> TvChecker<'a> for SnapshotChecker<'a> {
-    fn leaveable(&self, v: PartitionId) -> &'a [DoorId] {
-        self.space.p2d_leaveable(v)
+    fn leaveable(&self, v: PartitionId, _base: Option<f64>) -> (&'a [DoorId], bool) {
+        (self.space.p2d_leaveable(v), false)
     }
 
     fn check(&mut self, d: DoorId, _dist: f64, _stats: &mut SearchStats) -> bool {

@@ -30,7 +30,10 @@ pub enum AsynMode {
     /// `Syn_Check` door-by-door, so ITG/A(Exact) always matches ITG/S —
     /// unlike `Faithful`, whose single advancing cursor can judge a
     /// relaxation against the wrong interval (see the `arrive_too_early`
-    /// integration tests).
+    /// integration tests). An expansion whose every arrival provably lies in
+    /// the current interval walks that interval's reduced door list without
+    /// `TV_Check`, as the paper's ITG/A does; any other expansion walks the
+    /// full topology and checks each door.
     Exact,
 }
 

@@ -4,7 +4,14 @@
 //! ITG/A trades the per-relaxation ATI lookups of ITG/S for **reduced
 //! IT-Graphs**: per checkpoint interval, a view of the topology with every
 //! closed door deleted, so within an interval a door's usability is a
-//! constant-time bitset probe. The engine keeps one build-once slot per
+//! constant-time bitset probe. The sound [`AsynMode::Exact`] goes one step
+//! further where it can prove it safe: an expansion whose every arrival lies
+//! in the current view's interval walks that view's reduced door list and
+//! checks none of its doors (the *guard*, see `AsynChecker`). Every other
+//! expansion walks the full topology and resolves each relaxation in the
+//! view of its own arrival interval.
+//!
+//! The engine keeps one build-once slot per
 //! checkpoint interval — a [`OnceLock`] indexed by interval, sized from the
 //! venue's checkpoint set when the engine is built. This is the shared
 //! structure a [`crate::server::VenueServer`] amortises across worker
@@ -67,6 +74,9 @@ pub struct AsynEngine {
     /// One build-once view per checkpoint interval, indexed by
     /// `Checkpoints::interval_index`.
     views: Box<[OnceLock<ReducedGraph>]>,
+    /// Per partition, the longest entry of its distance matrix: no leg of
+    /// an expansion of the partition from one of its doors is longer.
+    max_leg: Box<[f64]>,
 }
 
 impl AsynEngine {
@@ -75,11 +85,20 @@ impl AsynEngine {
     #[must_use]
     pub fn new(graph: impl Into<Arc<ItGraph>>, config: ItspqConfig) -> Self {
         let graph: Arc<ItGraph> = graph.into();
-        let intervals = graph.space().checkpoints().len();
+        let space = graph.space();
+        let views = (0..space.checkpoints().len())
+            .map(|_| OnceLock::new())
+            .collect();
+        let max_leg = space
+            .partitions()
+            .iter()
+            .map(|p| space.distance_matrix(p.id).max_distance())
+            .collect();
         AsynEngine {
             graph,
             config,
-            views: (0..intervals).map(|_| OnceLock::new()).collect(),
+            views,
+            max_leg,
         }
     }
 
@@ -149,6 +168,26 @@ impl AsynEngine {
         view
     }
 
+    /// The timeline instants `[start, end)` during which every arrival
+    /// resolves to `view`, the view of arrival `ts`; `end` is Algorithm 4's
+    /// next checkpoint after `ts` (`next_instant`). On the query day an
+    /// instant's clock time is its timeline value, so they are `view`'s own
+    /// checkpoints. Past midnight the interval is left empty
+    /// (`start == end`), which spares reasoning about rounding in
+    /// `day + checkpoint` for the few walks that get there.
+    fn bounds(&self, view: &ReducedGraph, ts: Timestamp) -> (Timestamp, Timestamp) {
+        if ts.day_offset() == 0 {
+            let end = view.next_checkpoint().unwrap_or(TimeOfDay::END_OF_DAY);
+            (
+                Timestamp::from_time_of_day(view.checkpoint()),
+                Timestamp::from_time_of_day(end),
+            )
+        } else {
+            let end = self.graph.space().checkpoints().next_instant(ts);
+            (end, end)
+        }
+    }
+
     /// Answers `ITSPQ(ps, pt, t)`: the one-target sweep.
     #[must_use]
     pub fn query(&self, query: &Query) -> QueryResult {
@@ -192,11 +231,13 @@ impl AsynEngine {
         let mut stats0 = SearchStats::default();
         let t0 = Timestamp::from_time_of_day(time);
         let current = self.view_for(time, &mut stats0);
+        let (start, end) = self.bounds(current, t0);
         let mut checker = AsynChecker {
             engine: self,
             velocity: self.config.velocity,
             t0,
-            next_instant: self.graph.space().checkpoints().next_instant(t0),
+            start,
+            end,
             view_bytes: current.heap_bytes(),
             seen_intervals: vec![current.interval_index()],
             current,
@@ -230,23 +271,38 @@ impl std::fmt::Debug for AsynEngine {
 
 /// `Asyn_Check` (Algorithm 4) plus the reduced topology view.
 ///
+/// The checker keeps a current view and the timeline instants `[start, end)`
+/// of its interval (`AsynEngine::bounds`).
+///
 /// `Faithful` follows the paper to the letter: one global current graph,
-/// advanced by `Graph_Update` whenever a relaxation's arrival crosses the
-/// next checkpoint (that relaxation is dropped). Because Dijkstra relaxes in
-/// settle order, not arrival order, a far relaxation can advance the cursor
-/// and later, *nearer* relaxations are then judged against the wrong interval
-/// — the paper's algorithm can accept a door that is closed at the actual
-/// arrival time (see the `arrive_too_early` integration tests). `Exact`
-/// instead resolves every relaxation against the reduced graph of its own
-/// arrival interval (served from the engine cache), which is equivalent to
-/// `Syn_Check` door-by-door and therefore always matches ITG/S.
+/// advanced by `Graph_Update` whenever a relaxation's arrival reaches `end`,
+/// the next checkpoint (that relaxation is dropped). Because Dijkstra relaxes
+/// in settle order, not arrival order, a far relaxation can advance the
+/// cursor and later, *nearer* relaxations are then judged against the wrong
+/// interval — the paper's algorithm can accept a door that is closed at the
+/// actual arrival time (see the `arrive_too_early` integration tests).
+///
+/// `Exact` instead resolves every relaxation against the reduced graph of its
+/// own arrival interval, which is equivalent to `Syn_Check` door-by-door and
+/// therefore always matches ITG/S. An arrival in `[start, end)` reads the
+/// current view; any other is looked up in the engine cache and becomes the
+/// current view. The *guard* in `leaveable` vouches for the current view's
+/// reduced list of `v` when an expansion from a door labelled `base` metres
+/// arrives in `[start, end)` both after `base` and after
+/// `base + max_leg(v)`. Every leg lies in `[0, max_leg(v)]`, so every
+/// arrival lies between those two, where a door is open exactly when the
+/// view keeps it. `max_leg` spans the legs to closed doors too: a longer leg
+/// could reach one after the next checkpoint, where it may be open
+/// (ARCHITECTURE.md §"Reading the views in a search").
 struct AsynChecker<'a> {
     engine: &'a AsynEngine,
     velocity: Velocity,
     t0: Timestamp,
     current: &'a ReducedGraph,
+    /// First timeline instant of the current view's interval.
+    start: Timestamp,
     /// Timeline instant at which the current view expires.
-    next_instant: Timestamp,
+    end: Timestamp,
     /// Accumulated bytes of every distinct view consulted by this query.
     view_bytes: usize,
     /// Interval indices already accounted in `view_bytes`.
@@ -257,31 +313,55 @@ struct AsynChecker<'a> {
 }
 
 impl AsynChecker<'_> {
-    fn account_view(&mut self, view: &ReducedGraph) {
+    /// The arrival after walking `dist` metres from `ps`.
+    fn arrival(&self, dist: f64) -> Timestamp {
+        self.t0 + self.velocity.travel_time(dist)
+    }
+
+    /// Whether `t` lies in `[start, end)`, so that it resolves to the
+    /// current view.
+    fn in_current(&self, t: Timestamp) -> bool {
+        self.start <= t && t < self.end
+    }
+
+    /// `Graph_Update(tarr, T)`: moves to the view of `tarr`'s interval.
+    /// Returns whether that is another view than the current one.
+    fn update(&mut self, tarr: Timestamp, stats: &mut SearchStats) -> bool {
+        let view = self.engine.view_for(tarr.time_of_day(), stats);
+        (self.start, self.end) = self.engine.bounds(view, tarr);
         if !self.seen_intervals.contains(&view.interval_index()) {
             self.seen_intervals.push(view.interval_index());
             self.view_bytes += view.heap_bytes();
         }
+        let moved = !std::ptr::eq(view, self.current);
+        self.current = view;
+        moved
     }
 }
 
 impl<'a> TvChecker<'a> for AsynChecker<'a> {
-    fn leaveable(&self, v: PartitionId) -> &'a [DoorId] {
-        match self.mode {
-            // The paper iterates the reduced P2D of the current graph.
-            AsynMode::Faithful => self.current.leaveable(v),
-            // Exact mode must not under-prune doors whose arrival interval
-            // differs from the cursor's; it iterates the full topology and
-            // lets `check` consult the right interval.
-            AsynMode::Exact => self.engine.graph.space().p2d_leaveable(v),
+    fn leaveable(&self, v: PartitionId, base: Option<f64>) -> (&'a [DoorId], bool) {
+        match (self.mode, base) {
+            // The paper iterates the reduced P2D of the current graph and
+            // checks every door against its cursor.
+            (AsynMode::Faithful, _) => (self.current.leaveable(v), false),
+            (AsynMode::Exact, Some(base))
+                if self.in_current(self.arrival(base))
+                    && self.in_current(self.arrival(base + self.engine.max_leg[v.index()])) =>
+            {
+                (self.current.leaveable(v), true)
+            }
+            // Arrivals may leave the current interval: iterate the full
+            // topology and let `check` consult each arrival's own view.
+            (AsynMode::Exact, _) => (self.engine.graph.space().p2d_leaveable(v), false),
         }
     }
 
     fn check(&mut self, d: DoorId, dist: f64, stats: &mut SearchStats) -> bool {
-        let tarr = self.t0 + self.velocity.travel_time(dist);
+        let tarr = self.arrival(dist);
         match self.mode {
             AsynMode::Faithful => {
-                if tarr < self.next_instant {
+                if tarr < self.end {
                     // Within the current interval the door is open by
                     // construction (closed doors are absent from the reduced
                     // P2D lists). Arrivals *before* the interval — possible
@@ -290,20 +370,14 @@ impl<'a> TvChecker<'a> for AsynChecker<'a> {
                     return true;
                 }
                 // Crossing: Graph_Update(tarr, T), then return false.
-                let view = self.engine.view_for(tarr.time_of_day(), stats);
-                self.next_instant = self.engine.graph.space().checkpoints().next_instant(tarr);
-                self.account_view(view);
-                self.current = view;
+                self.update(tarr, stats);
                 stats.graph_updates += 1;
                 false
             }
             AsynMode::Exact => {
                 // Constant-time bitset lookup in the arrival interval's view.
-                let view = self.engine.view_for(tarr.time_of_day(), stats);
-                self.account_view(view);
-                if !std::ptr::eq(view, self.current) {
+                if !self.in_current(tarr) && self.update(tarr, stats) {
                     stats.graph_updates += 1;
-                    self.current = view;
                 }
                 self.current.is_open(d)
             }
@@ -388,6 +462,34 @@ mod tests {
                 b.path.as_ref().map(|p| p.doors().collect::<Vec<_>>()),
                 "ITG/S and ITG/A(Exact) disagree at {h}:{m}"
             );
+        }
+    }
+
+    #[test]
+    fn exact_guard_skips_checks_inside_an_interval() {
+        // At 12:00 the [9:00, 16:00) interval has hours to run, so every
+        // expansion past the source's walks a reduced list unchecked.
+        let (ex, eng) = engine(ItspqConfig::default().with_asyn_mode(AsynMode::Exact));
+        let res = eng.query(&Query::new(ex.p1, ex.p2, TimeOfDay::hm(12, 0)));
+        assert!(res.path.is_some());
+        assert!(res.stats.tv_checks < res.stats.relaxations, "{}", res.stats);
+    }
+
+    #[test]
+    fn exact_guard_refuses_expansions_that_straddle_a_checkpoint() {
+        // 10 s before 16:00 only ~14 m fit into the current interval, so
+        // expansions past the source's straddle the checkpoint: Exact checks
+        // them and still answers as ITG/S does.
+        let ex = paper_example::build();
+        let graph = ItGraph::new(ex.space.clone());
+        for cfg in [ItspqConfig::default(), ItspqConfig::full_relax()] {
+            let syn = crate::SynEngine::new(graph.clone(), cfg);
+            let exact = AsynEngine::new(graph.clone(), cfg.with_asyn_mode(AsynMode::Exact));
+            let q = Query::new(ex.p1, ex.p2, TimeOfDay::hms(15, 59, 50));
+            let res = exact.query(&q);
+            let source_checks = ex.space.p2d_leaveable(ex.p1.partition).len();
+            assert!(res.stats.tv_checks > source_checks, "{}", res.stats);
+            assert_eq!(res.path, syn.query(&q).path);
         }
     }
 

@@ -53,8 +53,8 @@ pub(crate) struct SynChecker<'a> {
 }
 
 impl<'a> TvChecker<'a> for SynChecker<'a> {
-    fn leaveable(&self, v: PartitionId) -> &'a [DoorId] {
-        self.space.p2d_leaveable(v)
+    fn leaveable(&self, v: PartitionId, _base: Option<f64>) -> (&'a [DoorId], bool) {
+        (self.space.p2d_leaveable(v), false)
     }
 
     fn check(&mut self, d: DoorId, dist: f64, _stats: &mut SearchStats) -> bool {

@@ -63,8 +63,13 @@ use crate::{DoorHop, ExpandPolicy, ItGraph, ItspqConfig, Path, Query, SearchStat
 /// `'a` is the lifetime of the venue and views the checker reads, so a
 /// door list stays valid while `check` moves the checker to another view.
 pub(crate) trait TvChecker<'a> {
-    /// The doors through which partition `v` can currently be left.
-    fn leaveable(&self, v: PartitionId) -> &'a [DoorId];
+    /// The doors through which partition `v` can currently be left, for an
+    /// expansion from a door labelled `base` metres, and whether the list is
+    /// *vouched*: each door on it is open, and each leaveable door left off
+    /// it is closed, at every arrival this expansion can produce, so the
+    /// sweep relaxes it without `TV_Check`. `base` is `None` where every
+    /// relaxation must be checked; no list is vouched there.
+    fn leaveable(&self, v: PartitionId, base: Option<f64>) -> (&'a [DoorId], bool);
 
     /// `TV_Check(d, dist, t)`: whether door `d`, reached after walking `dist`
     /// metres from `ps`, is usable. ITG/A may refresh its reduced view here.
@@ -394,7 +399,8 @@ pub(crate) fn run_search<'a, C: TvChecker<'a>>(
     (sweep.paths.pop().flatten(), sweep.stats)
 }
 
-/// Lines 25–34: relax every (currently usable) leaveable door of `v`.
+/// Lines 25–34: relax every (currently usable) leaveable door of `v`. The
+/// doors of a vouched list (see [`TvChecker::leaveable`]) skip line 30.
 ///
 /// Inlined at each call site (source, seed, settled door): it runs once per
 /// expanded partition, where a call with this many arguments measurably
@@ -415,9 +421,18 @@ fn expand_partition<'a, C: TvChecker<'a>>(
     t0: Timestamp,
     observer: &mut SweepObserver,
 ) {
+    // No list is vouched for the source expansion, whose point legs are no
+    // distance-matrix entries, nor for an observer that records (replay
+    // needs the rejected relaxations) or tracks margins (retime needs every
+    // checked arrival).
+    let base = (from.is_some() && !observer.record && !observer.track_margin).then_some(base_dist);
     // The list outlives the checker's views, so ITG/A's check() may move
     // to another view mid-loop without changing the doors iterated here.
-    let doors = checker.leaveable(v);
+    let (doors, vouched) = checker.leaveable(v, base);
+    debug_assert!(
+        !vouched || vouch_holds(space, config, t0, v, from, base_dist, doors),
+        "a vouched door list of {v:?} disagrees with Syn_Check"
+    );
     st.note_scratch(doors.len());
     for &dj in doors {
         if Some(dj.index() as u32) == from {
@@ -457,20 +472,22 @@ fn expand_partition<'a, C: TvChecker<'a>>(
         let cand = base_dist + weight;
         stats.relaxations += 1;
 
-        // Line 30: TV_Check(dj, dist_j, t).
-        stats.tv_checks += 1;
-        let open = checker.check(dj, cand, stats);
-        if observer.track_margin {
-            let arrival = t0 + config.velocity.travel_time(cand);
-            let margin = space.checkpoints().margin_to_next(arrival);
-            if margin < observer.min_margin_secs {
-                observer.min_margin_secs = margin;
+        // Line 30: TV_Check(dj, dist_j, t), which a vouched list has passed.
+        if !vouched {
+            stats.tv_checks += 1;
+            let open = checker.check(dj, cand, stats);
+            if observer.track_margin {
+                let arrival = t0 + config.velocity.travel_time(cand);
+                let margin = space.checkpoints().margin_to_next(arrival);
+                if margin < observer.min_margin_secs {
+                    observer.min_margin_secs = margin;
+                }
             }
-        }
-        observer.push_relax(dj.index() as u32, from, v);
-        if !open {
-            stats.tv_rejections += 1;
-            continue;
+            observer.push_relax(dj.index() as u32, from, v);
+            if !open {
+                stats.tv_rejections += 1;
+                continue;
+            }
         }
 
         // Lines 31–34.
@@ -485,6 +502,34 @@ fn expand_partition<'a, C: TvChecker<'a>>(
             stats.improvements += 1;
         }
     }
+}
+
+/// The debug cross-check of a vouched expansion of `v` from door `from`
+/// labelled `base` metres: by `Syn_Check` (the door's ATIs at the leg's
+/// arrival), each leaveable door with a leg from `from` is on `doors`
+/// exactly when it is open, and `doors` keeps the order of `v`'s full list.
+/// The source expansion is never vouched for. It reads ATIs only, so it
+/// leaves the checker and every counter as they were.
+fn vouch_holds(
+    space: &IndoorSpace,
+    config: &ItspqConfig,
+    t0: Timestamp,
+    v: PartitionId,
+    from: Option<u32>,
+    base: f64,
+    doors: &[DoorId],
+) -> bool {
+    let Some(di) = from.map(DoorId) else {
+        return false;
+    };
+    let mut listed = doors.iter().peekable();
+    space.p2d_leaveable(v).iter().all(|&dj| {
+        let on_list = listed.next_if_eq(&&dj).is_some();
+        space.door_to_door(v, di, dj).is_none_or(|w| {
+            let arrival = t0 + config.velocity.travel_time(base + w);
+            space.door(dj).atis.is_open_at(arrival) == on_list
+        })
+    }) && listed.next().is_none()
 }
 
 /// Lines 11–17: walk the `prev` chain back from `pt` and emit hops in order.

@@ -20,11 +20,16 @@ pub struct SearchStats {
     pub doors_settled: usize,
     /// Partitions expanded.
     pub partitions_expanded: usize,
-    /// Attempted door relaxations (line 26–34 of Algorithm 1).
+    /// Attempted door relaxations (lines 26–34 of Algorithm 1): unsettled
+    /// doors of an expanded partition's door list with a leg to them. ITG/A-Exact walks only
+    /// the open doors of an expansion its guard vouches for, so it can count
+    /// fewer than ITG/S for the same answer.
     pub relaxations: usize,
     /// Relaxations that improved a door's tentative distance.
     pub improvements: usize,
-    /// `TV_Check` invocations.
+    /// `TV_Check` invocations: one per relaxation, except in the expansions
+    /// ITG/A-Exact's guard vouches for, whose doors are open by
+    /// construction of the interval's reduced graph.
     pub tv_checks: usize,
     /// `TV_Check` failures (doors rejected for being closed at arrival).
     pub tv_rejections: usize,

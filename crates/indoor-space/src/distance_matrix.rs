@@ -101,6 +101,13 @@ impl DistanceMatrix {
         Some(self.dist[i * self.doors.len() + j])
     }
 
+    /// The longest distance in the matrix, `0.0` when it has no pair: an
+    /// upper bound on every leg between two doors of the partition.
+    #[must_use]
+    pub fn max_distance(&self) -> f64 {
+        self.dist.iter().copied().fold(0.0, f64::max)
+    }
+
     /// Heap bytes used by this matrix (for the paper's memory-cost metric).
     ///
     /// Counts live elements (`len`), not allocation capacity: the metric must
@@ -191,6 +198,14 @@ mod tests {
         let dm = DistanceMatrix::build(vec![DoorId(7)], |_, _| unreachable!()).unwrap();
         assert_eq!(dm.distance(DoorId(7), DoorId(7)), Some(0.0));
         assert!(!dm.is_empty());
+        assert_eq!(dm.max_distance(), 0.0);
+    }
+
+    #[test]
+    fn max_distance_is_the_longest_entry() {
+        assert_eq!(sample().max_distance(), 5.0);
+        let empty = DistanceMatrix::build(Vec::new(), |_, _| unreachable!()).unwrap();
+        assert_eq!(empty.max_distance(), 0.0);
     }
 
     #[test]

@@ -506,20 +506,20 @@ fn mall_extensions_match_golden_digests() {
 
 const PAPER_GOLDEN: &[(&str, u64)] = &[
     ("paper/ITG/S/PaperPruned", 0x79c495a1a2f786cc),
-    ("paper/ITG/A-Exact/PaperPruned", 0xd83bcfd7b40e8410),
+    ("paper/ITG/A-Exact/PaperPruned", 0xcfe4c6f0f86a54c5),
     ("paper/ITG/A-Faithful/PaperPruned", 0x92b8989b6213c78a),
     ("paper/static/PaperPruned", 0xf0b36881cbd609bd),
     ("paper/snapshot/PaperPruned", 0xdb51be7cb8601d8f),
     ("paper/ITG/S/FullRelax", 0x6b7e1762de7269a6),
-    ("paper/ITG/A-Exact/FullRelax", 0x5f7b25c3ac5a509c),
+    ("paper/ITG/A-Exact/FullRelax", 0x707aacea3587db6a),
     ("paper/ITG/A-Faithful/FullRelax", 0x9e4addd9cd6dc9a6),
     ("paper/static/FullRelax", 0x47f2fa89b8ec7488),
     ("paper/snapshot/FullRelax", 0xd9c4dd82bb84ec0d),
     ("paper/reachability", 0xccb3a8e4f30b6d65),
     ("paper/batch/ITG/S", 0x8b8e98371cf14e8e),
     ("paper/batch/ITG/S/search_bytes", 0x907f64da1dd43bb9),
-    ("paper/batch/ITG/A-Exact", 0x54841f7f9b395738),
-    ("paper/batch/ITG/A-Exact/search_bytes", 0x907f64da1dd43bb9),
+    ("paper/batch/ITG/A-Exact", 0x376d57709b8cc7c7),
+    ("paper/batch/ITG/A-Exact/search_bytes", 0xae5db9cd71293b8e),
     ("paper/batch/ITG/A-Faithful", 0xf5c35845f914dd6d),
     (
         "paper/batch/ITG/A-Faithful/search_bytes",
@@ -529,20 +529,20 @@ const PAPER_GOLDEN: &[(&str, u64)] = &[
 
 const MALL_GOLDEN: &[(&str, u64)] = &[
     ("mall/ITG/S/PaperPruned", 0x55c5b6ef6b8e85dc),
-    ("mall/ITG/A-Exact/PaperPruned", 0xe1fd5dcdbd8df42d),
+    ("mall/ITG/A-Exact/PaperPruned", 0x7577ac55c4d0b863),
     ("mall/ITG/A-Faithful/PaperPruned", 0xb6eaea7a65e192f5),
     ("mall/static/PaperPruned", 0x82d82c156720235a),
     ("mall/snapshot/PaperPruned", 0x55fa52f1587ce075),
     ("mall/ITG/S/FullRelax", 0xe32d6abc9a8e8429),
-    ("mall/ITG/A-Exact/FullRelax", 0x2abfd08b4f735c93),
+    ("mall/ITG/A-Exact/FullRelax", 0x70c6491db3d60700),
     ("mall/ITG/A-Faithful/FullRelax", 0x4387b595d90eca69),
     ("mall/static/FullRelax", 0x4792c8d4d54248ae),
     ("mall/snapshot/FullRelax", 0x5ceba15c49e25d23),
     ("mall/reachability", 0xd40f68c496e96ad3),
     ("mall/batch/ITG/S", 0x85d6a3116f6dbb6a),
     ("mall/batch/ITG/S/search_bytes", 0xf7e7e229f0696cb2),
-    ("mall/batch/ITG/A-Exact", 0x9a5cbe838a41f31f),
-    ("mall/batch/ITG/A-Exact/search_bytes", 0xf7e7e229f0696cb2),
+    ("mall/batch/ITG/A-Exact", 0x5d02c46583876e66),
+    ("mall/batch/ITG/A-Exact/search_bytes", 0xb3cae293dca1a9f1),
     ("mall/batch/ITG/A-Faithful", 0xf3714af95f7d5274),
     ("mall/batch/ITG/A-Faithful/search_bytes", 0x09844aed444c725f),
 ];
