@@ -78,7 +78,9 @@ mod tests {
     use super::*;
 
     // The allocator is not registered globally in unit tests; exercise the
-    // counter API directly.
+    // counter API directly. The counters are global, so every check that
+    // moves them lives in this one test: a second test allocating on a
+    // parallel thread would shift the exact live-byte figures read here.
     #[test]
     fn counters_move_consistently() {
         let layout = Layout::from_size_align(4096, 8).unwrap();
@@ -89,10 +91,9 @@ mod tests {
         assert!(TrackingAllocator::peak_bytes() >= before + 4096);
         unsafe { TrackingAllocator.dealloc(p, layout) };
         assert_eq!(TrackingAllocator::live_bytes(), before);
-    }
 
-    #[test]
-    fn measure_reports_peak_delta() {
+        // `measure` reports how far the peak rose, even once the bytes are
+        // freed again.
         let layout = Layout::from_size_align(10_000, 8).unwrap();
         let (_, delta) = TrackingAllocator::measure(|| {
             let p = unsafe { TrackingAllocator.alloc(layout) };

@@ -65,7 +65,7 @@ fn main() {
             "4-worker speedup over single-thread: {:.2}x{}",
             p4.speedup,
             if host_cores < 4 {
-                " (host has fewer than 4 cores; expect ~1x here, >1.5x on multicore)"
+                " (host has fewer than 4 cores; the extra threads share them)"
             } else {
                 ""
             }

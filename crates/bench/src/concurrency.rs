@@ -2,7 +2,9 @@
 //! one `Arc`-shared venue.
 //!
 //! Each sweep point builds a fresh [`VenueServer`] over the same shared
-//! graph, warms its reduced-graph cache (so the sweep measures steady-state
+//! graph with exactly that many worker threads (pinned, so a count past the
+//! host's parallelism oversubscribes the cores instead of being clamped),
+//! warms its reduced-graph cache (so the sweep measures steady-state
 //! query throughput, not one-off `Graph_Update` construction), runs one
 //! untimed batch, then times `repeats` batches and reports queries/sec plus
 //! the speedup over the sweep's first point — put `1` first in
@@ -50,7 +52,7 @@ pub fn throughput_sweep(
     let mut points: Vec<ThroughputPoint> = Vec::with_capacity(worker_counts.len());
     let mut reference: Option<Vec<Option<f64>>> = None;
     for &workers in worker_counts {
-        let server = VenueServer::new(Arc::clone(graph)).with_workers(workers);
+        let server = VenueServer::new(Arc::clone(graph)).with_pinned_workers(workers);
         server.warm();
         let answers = server.query_batch(queries); // untimed warm-up
         let lengths: Vec<Option<f64>> = answers

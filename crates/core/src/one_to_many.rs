@@ -86,11 +86,11 @@ impl TargetPaths {
 /// `targets` with one shared search frontier (ITG/S semantics, full
 /// relaxation — `config.expand` is ignored, exactly as in [`reachability`]).
 ///
-/// This is the group primitive behind the server's shared batch execution:
-/// each returned path is byte-identical to the one a per-target
-/// [`crate::SynEngine::query`] under [`ItspqConfig::full_relax`] would
-/// produce, because door relaxations under full relaxation do not depend on
-/// the target set.
+/// It runs the same multi-target sweep (`framework::run_search_targets`)
+/// as the engines do for the server's shared groups. Each returned path is
+/// byte-identical to the one a per-target [`crate::SynEngine::query`] under
+/// [`ItspqConfig::full_relax`] would produce, because door relaxations under
+/// full relaxation do not depend on the target set.
 ///
 /// Targets in non-traversable partitions other than the source's own are
 /// answered per-target (Rule 2 exempts each query's own `pt`, which a shared

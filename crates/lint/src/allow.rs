@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn block_comment_directive_works() {
         let (a, e) = allows_of(
-            "/* itspq-lint: allow(scoped-threads-only, \"joined below\") */\nlet h = std::thread::spawn(work);\n",
+            "/* itspq-lint: allow(no-panic-in-lib, \"seeded above\") */\nlet v = x.unwrap();\n",
         );
         assert!(e.is_empty());
         assert_eq!(a[0].target_line, 2);

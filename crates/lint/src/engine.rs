@@ -1,28 +1,19 @@
 //! The driver: lint one source string, a set of in-memory files, or the
 //! whole workspace.
 //!
-//! Linting is two-phase:
-//!
-//! 1. **analyze** ([`analyze_source`]) — per file, pure: lex, parse the
-//!    item tree, run every token-layer rule, collect allow directives and
-//!    extract the function facts the graph layer needs. The result
-//!    ([`FileAnalysis`]) depends only on the file's bytes.
-//! 2. **finish** ([`lint_files`] / [`lint_workspace`]) — once: aggregate
-//!    all facts into a [`Workspace`], run the graph-layer rules, then
-//!    suppress both layers' findings against the allows and flag the stale
-//!    ones. Suppression must come *after* the workspace pass — an allow for
-//!    a graph rule is only "used" once the graph has been consulted.
+//! Linting is one pass per file: lex, classify, run every rule, collect the
+//! allow directives, then suppress the findings they cover and flag the
+//! stale ones. Every rule sees one file at a time, so a file's outcome
+//! depends only on its bytes and its path; [`lint_files`] and
+//! [`lint_workspace`] add the outcomes up.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::allow::{collect_allows, Allow, ALLOW_RULE};
 use crate::diag::{Diagnostic, Severity};
-use crate::graph::{extract_facts, FnFact, Workspace};
-use crate::parser::parse;
-use crate::rules::{all_rules, is_known_rule, workspace_rules};
+use crate::rules::{all_rules, is_known_rule};
 use crate::source::{classify, FileCtx, FileView};
 
 /// Directory names never descended into. `fixtures` holds the linter's own
@@ -36,22 +27,6 @@ const SKIP_DIRS: &[&str] = &[
     "results",
     "node_modules",
 ];
-
-/// Everything phase 1 learns about one file. Pure function of the file's
-/// bytes (plus its path classification).
-#[derive(Debug, Clone)]
-pub struct FileAnalysis {
-    /// Classification of the file.
-    pub ctx: FileCtx,
-    /// Raw token-layer findings, pre-suppression.
-    pub raw: Vec<Diagnostic>,
-    /// Well-formed allow directives.
-    pub allows: Vec<Allow>,
-    /// `allow-discipline` errors (malformed or unknown-rule directives).
-    pub allow_errors: Vec<Diagnostic>,
-    /// Function facts for the graph layer.
-    pub fns: Vec<FnFact>,
-}
 
 /// Outcome of linting one file.
 #[derive(Debug, Clone, Default)]
@@ -94,21 +69,21 @@ impl Report {
     }
 }
 
-/// Phase 1: analyzes one source string under an explicit classification.
-#[must_use]
-pub fn analyze_source(ctx: &FileCtx, src: &str) -> FileAnalysis {
+/// Lints one file under an explicit classification. Returns its outcome
+/// and each well-formed allow directive paired with whether it fired (for
+/// the staleness audit).
+fn lint_file(ctx: &FileCtx, src: &str) -> (FileOutcome, Vec<(Allow, bool)>) {
     let view = FileView::new(ctx, src);
-    let tree = parse(&view);
     let mut raw: Vec<Diagnostic> = Vec::new();
     for rule in all_rules() {
-        rule.check(&view, &tree, &mut raw);
+        rule.check(&view, &mut raw);
     }
-    let (allows, mut allow_errors) = collect_allows(&view);
+    let (allows, mut diagnostics) = collect_allows(&view);
 
     // Unknown rule names are errors, and such allows never match anything.
     for a in &allows {
         if !is_known_rule(&a.rule) {
-            allow_errors.push(Diagnostic {
+            diagnostics.push(Diagnostic {
                 rule: ALLOW_RULE,
                 severity: Severity::Error,
                 path: ctx.path.clone(),
@@ -119,116 +94,70 @@ pub fn analyze_source(ctx: &FileCtx, src: &str) -> FileAnalysis {
         }
     }
 
-    let fns = extract_facts(&view, &tree, &allows);
-    FileAnalysis {
-        ctx: ctx.clone(),
-        raw,
-        allows,
-        allow_errors,
-        fns,
+    let mut used = vec![false; allows.len()];
+    let mut suppressed = 0;
+    for d in raw {
+        match allows
+            .iter()
+            .position(|al| al.rule == d.rule && al.target_line == d.line)
+        {
+            Some(i) => {
+                used[i] = true;
+                suppressed += 1;
+            }
+            None => diagnostics.push(d),
+        }
     }
+    // A suppression that suppresses nothing is stale and must go.
+    for (al, &u) in allows.iter().zip(&used) {
+        if !u && is_known_rule(&al.rule) {
+            diagnostics.push(Diagnostic {
+                rule: ALLOW_RULE,
+                severity: Severity::Error,
+                path: ctx.path.clone(),
+                line: al.comment_line,
+                col: al.col,
+                message: format!(
+                    "unused allow for `{}`: nothing on line {} triggers it — remove the stale \
+                     suppression",
+                    al.rule, al.target_line
+                ),
+            });
+        }
+    }
+    diagnostics.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+    let outcome = FileOutcome {
+        diagnostics,
+        suppressed,
+        allows_used: used.iter().filter(|&&u| u).count(),
+    };
+    (outcome, allows.into_iter().zip(used).collect())
 }
 
-/// Phase 2: aggregates analyses into a workspace, runs the graph rules,
-/// suppresses and reports. Also returns, per analysis, which of its allows
-/// fired (for the staleness audit).
-fn finish(analyses: &[FileAnalysis]) -> (Report, Vec<Vec<bool>>) {
-    let all_fns: Vec<FnFact> = analyses.iter().flat_map(|a| a.fns.clone()).collect();
-    let ws = Workspace::build(all_fns);
-    let mut ws_by_path: BTreeMap<&str, Vec<Diagnostic>> = BTreeMap::new();
-    for rule in workspace_rules() {
-        let mut out = Vec::new();
-        rule.check(&ws, &mut out);
-        for d in out {
-            ws_by_path
-                .entry(match analyses.iter().find(|a| a.ctx.path == d.path) {
-                    Some(a) => a.ctx.path.as_str(),
-                    None => continue,
-                })
-                .or_default()
-                .push(d);
-        }
-    }
+/// Lints one source string through the whole pipeline. Fixtures and
+/// proptests call this directly.
+#[must_use]
+pub fn lint_source(ctx: &FileCtx, src: &str) -> FileOutcome {
+    lint_file(ctx, src).0
+}
 
+/// Lints a set of in-memory files and adds up their outcomes.
+#[must_use]
+pub fn lint_files(files: &[(FileCtx, String)]) -> Report {
     let mut report = Report {
-        files: analyses.len(),
+        files: files.len(),
         ..Report::default()
     };
-    let mut used_per_file: Vec<Vec<bool>> = Vec::with_capacity(analyses.len());
-    for a in analyses {
-        let mut used = vec![false; a.allows.len()];
-        let mut diagnostics = a.allow_errors.clone();
-        let findings = a.raw.iter().chain(
-            ws_by_path
-                .get(a.ctx.path.as_str())
-                .map(Vec::as_slice)
-                .unwrap_or_default(),
-        );
-        for d in findings {
-            let matched = a
-                .allows
-                .iter()
-                .enumerate()
-                .find(|(_, al)| al.rule == d.rule && al.target_line == d.line);
-            match matched {
-                Some((i, _)) => {
-                    used[i] = true;
-                    report.suppressed += 1;
-                }
-                None => diagnostics.push(d.clone()),
-            }
-        }
-        // A suppression that suppresses nothing is stale and must go.
-        for (al, &u) in a.allows.iter().zip(&used) {
-            if !u && is_known_rule(&al.rule) {
-                diagnostics.push(Diagnostic {
-                    rule: ALLOW_RULE,
-                    severity: Severity::Error,
-                    path: a.ctx.path.clone(),
-                    line: al.comment_line,
-                    col: al.col,
-                    message: format!(
-                        "unused allow for `{}`: nothing on line {} triggers it — remove the stale \
-                         suppression",
-                        al.rule, al.target_line
-                    ),
-                });
-            }
-        }
-        report.allows_used += used.iter().filter(|&&u| u).count();
-        report.diagnostics.append(&mut diagnostics);
-        used_per_file.push(used);
+    for (ctx, src) in files {
+        let (mut outcome, _) = lint_file(ctx, src);
+        report.suppressed += outcome.suppressed;
+        report.allows_used += outcome.allows_used;
+        report.diagnostics.append(&mut outcome.diagnostics);
     }
     report
         .diagnostics
         .sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-    (report, used_per_file)
-}
-
-/// Lints one source string through the whole pipeline — both layers, with
-/// the workspace consisting of just this file. Fixtures and proptests call
-/// this directly.
-#[must_use]
-pub fn lint_source(ctx: &FileCtx, src: &str) -> FileOutcome {
-    let analysis = analyze_source(ctx, src);
-    let (report, _) = finish(std::slice::from_ref(&analysis));
-    FileOutcome {
-        diagnostics: report.diagnostics,
-        suppressed: report.suppressed,
-        allows_used: report.allows_used,
-    }
-}
-
-/// Lints a set of in-memory files as one workspace — the multi-file fixture
-/// entry point: the cross-file rule (transitive panics) sees all of them at
-/// once.
-#[must_use]
-pub fn lint_files(files: &[(FileCtx, String)]) -> Report {
-    let analyses: Vec<FileAnalysis> = files
-        .iter()
-        .map(|(ctx, src)| analyze_source(ctx, src))
-        .collect();
-    finish(&analyses).0
+    report
 }
 
 /// Walks `root` and lints every `.rs` file outside the skipped directories
@@ -254,26 +183,23 @@ pub struct AllowAudit {
     pub used: bool,
 }
 
-/// Audits every allow in a set of in-memory files: runs the full two-layer
-/// pipeline and marks each directive used or stale.
+/// Audits every allow in a set of in-memory files: lints each file and
+/// marks each directive used or stale.
 #[must_use]
 pub fn audit_allows(files: &[(FileCtx, String)]) -> Vec<AllowAudit> {
-    let analyses: Vec<FileAnalysis> = files
+    files
         .iter()
-        .map(|(ctx, src)| analyze_source(ctx, src))
-        .collect();
-    let (_, used) = finish(&analyses);
-    let mut out = Vec::new();
-    for (a, flags) in analyses.iter().zip(&used) {
-        for (al, &u) in a.allows.iter().zip(flags) {
-            out.push(AllowAudit {
-                path: a.ctx.path.clone(),
-                allow: al.clone(),
-                used: u,
-            });
-        }
-    }
-    out
+        .flat_map(|(ctx, src)| {
+            lint_file(ctx, src)
+                .1
+                .into_iter()
+                .map(|(allow, used)| AllowAudit {
+                    path: ctx.path.clone(),
+                    allow,
+                    used,
+                })
+        })
+        .collect()
 }
 
 /// [`audit_allows`] over the workspace on disk.
@@ -390,30 +316,6 @@ mod tests {
         let mut sorted = lines.clone();
         sorted.sort_unstable();
         assert_eq!(lines, sorted);
-    }
-
-    #[test]
-    fn workspace_rule_allow_is_used_not_stale() {
-        // An allow on a panic-reachability call line must count as used —
-        // which requires suppression to run after the workspace pass. The
-        // call crosses from library to binary code inside one crate, since
-        // calls do not resolve across crates.
-        let lib = "\
-pub fn entry() {\n\
-    helper(); // itspq-lint: allow(panic-reachability, \"helper's input is validated\")\n\
-}\n";
-        let bin = "fn helper() { x.unwrap(); }\n";
-        let files = vec![
-            (classify("crates/core/src/lib.rs"), lib.to_string()),
-            (classify("crates/core/src/main.rs"), bin.to_string()),
-        ];
-        let report = lint_files(&files);
-        // The one finding is suppressed; no stale-allow error.
-        assert!(report.is_clean(), "{:?}", report.diagnostics);
-        assert_eq!(report.suppressed, 1);
-        let audits = audit_allows(&files);
-        assert_eq!(audits.len(), 1);
-        assert!(audits[0].used);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * `--emit json` — print one machine-readable JSON object to stdout
 //!   (diagnostics, counters, elapsed time); the human summary moves to
 //!   stderr. CI archives this as a build artifact.
-//! * `--list-rules` — print the rule catalogue (both layers) and exit.
+//! * `--list-rules` — print the rule catalogue and exit.
 //! * `--list-allows` — print the suppression inventory with a staleness
 //!   audit: every justified allow with its location, justification, and
 //!   whether it still fires on the current sources. Stale allows are
@@ -28,7 +28,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use itspq_lint::diag::json_escape;
-use itspq_lint::{all_rules, audit_workspace_allows, lint_workspace, workspace_rules, Report};
+use itspq_lint::{all_rules, audit_workspace_allows, lint_workspace, Report};
 
 #[derive(PartialEq)]
 enum Emit {
@@ -121,9 +121,6 @@ fn main() -> ExitCode {
 
     if args.list_rules {
         for rule in all_rules() {
-            println!("{:<22} {}", rule.name(), rule.description());
-        }
-        for rule in workspace_rules() {
             println!("{:<22} {}", rule.name(), rule.description());
         }
         return ExitCode::SUCCESS;

@@ -21,7 +21,6 @@
 //! [`crate::source::PARITY_CRITICAL_FILES`]), outside test regions.
 
 use crate::diag::Diagnostic;
-use crate::parser::ItemTree;
 use crate::rules::{diag, Rule};
 use crate::source::FileView;
 
@@ -40,7 +39,7 @@ impl Rule for FloatDeterminism {
         "no mul_add, partial_cmp comparators or unordered float sums in parity-critical modules"
     }
 
-    fn check(&self, view: &FileView<'_>, _tree: &ItemTree, out: &mut Vec<Diagnostic>) {
+    fn check(&self, view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
         if !view.ctx.parity_critical() {
             return;
         }
@@ -113,7 +112,7 @@ mod tests {
         let ctx = classify(path);
         let view = FileView::new(&ctx, src);
         let mut out = Vec::new();
-        FloatDeterminism.check(&view, &crate::parser::parse(&view), &mut out);
+        FloatDeterminism.check(&view, &mut out);
         out
     }
 

@@ -16,7 +16,6 @@
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
-use crate::parser::ItemTree;
 use crate::rules::{diag, Rule};
 use crate::source::FileView;
 
@@ -32,7 +31,7 @@ impl Rule for FloatTotalOrder {
         "no NaN-unsafe partial_cmp().unwrap() chains or ==/!= against float literals"
     }
 
-    fn check(&self, view: &FileView<'_>, _tree: &ItemTree, out: &mut Vec<Diagnostic>) {
+    fn check(&self, view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
         if !view.ctx.lib_discipline() {
             return;
         }
@@ -96,7 +95,7 @@ mod tests {
         let ctx = classify("crates/core/src/a.rs");
         let view = FileView::new(&ctx, src);
         let mut out = Vec::new();
-        FloatTotalOrder.check(&view, &crate::parser::parse(&view), &mut out);
+        FloatTotalOrder.check(&view, &mut out);
         out
     }
 

@@ -22,7 +22,6 @@
 //! [`VenueServer`]: ../../itspq_core/server/struct.VenueServer.html
 
 use crate::diag::Diagnostic;
-use crate::parser::ItemTree;
 use crate::rules::{diag, Rule};
 use crate::source::FileView;
 
@@ -41,7 +40,7 @@ impl Rule for NoPanicInLib {
         "no unwrap/expect/panic!/unreachable! in library code of the algorithm crates"
     }
 
-    fn check(&self, view: &FileView<'_>, _tree: &ItemTree, out: &mut Vec<Diagnostic>) {
+    fn check(&self, view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
         if !view.ctx.lib_discipline() {
             return;
         }
@@ -91,7 +90,7 @@ mod tests {
         let ctx = classify(path);
         let view = FileView::new(&ctx, src);
         let mut out = Vec::new();
-        NoPanicInLib.check(&view, &crate::parser::parse(&view), &mut out);
+        NoPanicInLib.check(&view, &mut out);
         out
     }
 

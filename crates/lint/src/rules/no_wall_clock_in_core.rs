@@ -10,7 +10,6 @@
 //! *model* types (`TimeOfDay`, `Timestamp`) are of course untouched.
 
 use crate::diag::Diagnostic;
-use crate::parser::ItemTree;
 use crate::rules::{diag, Rule};
 use crate::source::{FileKind, FileView};
 
@@ -26,7 +25,7 @@ impl Rule for NoWallClockInCore {
         "no Instant/SystemTime in crates/core library code; timing belongs in bench"
     }
 
-    fn check(&self, view: &FileView<'_>, _tree: &ItemTree, out: &mut Vec<Diagnostic>) {
+    fn check(&self, view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
         if view.ctx.crate_name != "core" || view.ctx.kind != FileKind::Lib {
             return;
         }
@@ -60,7 +59,7 @@ mod tests {
         let ctx = classify(path);
         let view = FileView::new(&ctx, src);
         let mut out = Vec::new();
-        NoWallClockInCore.check(&view, &crate::parser::parse(&view), &mut out);
+        NoWallClockInCore.check(&view, &mut out);
         out
     }
 

@@ -23,7 +23,6 @@
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
-use crate::parser::ItemTree;
 use crate::rules::{diag, Rule};
 use crate::source::FileView;
 
@@ -56,7 +55,7 @@ impl Rule for NondetIteration {
         "no HashMap/HashSet iteration in parity-critical modules; use BTreeMap or sort first"
     }
 
-    fn check(&self, view: &FileView<'_>, _tree: &ItemTree, out: &mut Vec<Diagnostic>) {
+    fn check(&self, view: &FileView<'_>, out: &mut Vec<Diagnostic>) {
         if !view.ctx.parity_critical() {
             return;
         }
@@ -264,7 +263,7 @@ mod tests {
         let ctx = classify(path);
         let view = FileView::new(&ctx, src);
         let mut out = Vec::new();
-        NondetIteration.check(&view, &crate::parser::parse(&view), &mut out);
+        NondetIteration.check(&view, &mut out);
         out
     }
 

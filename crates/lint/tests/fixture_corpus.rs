@@ -5,21 +5,11 @@
 //! these files never pollute a real `itspq-lint` run — each test feeds one to
 //! the engine with an explicit [`FileCtx`] instead.
 
-use itspq_lint::{classify, lint_files, lint_source, FileOutcome, Report, Severity, ALLOW_RULE};
+use itspq_lint::{classify, lint_source, FileOutcome, Severity, ALLOW_RULE};
 
 /// Lints fixture `src` as if it lived at `path` inside the workspace.
 fn lint_as(path: &str, src: &str) -> FileOutcome {
     lint_source(&classify(path), src)
-}
-
-/// Lints several fixtures as one workspace, so the cross-file rule
-/// (`panic-reachability`) sees all of them at once.
-fn lint_many(files: &[(&str, &str)]) -> Report {
-    let files: Vec<_> = files
-        .iter()
-        .map(|(path, src)| (classify(path), (*src).to_string()))
-        .collect();
-    lint_files(&files)
 }
 
 /// Rule names of the unsuppressed findings, in source order.
@@ -80,17 +70,6 @@ fn bad_float_flags_partial_cmp_chains_and_literal_equality() {
         .count();
     assert_eq!(float_findings, 4);
     assert!(rules(&out).contains(&"no-panic-in-lib"));
-}
-
-#[test]
-fn bad_thread_flags_detached_spawn_except_in_bench() {
-    let src = include_str!("fixtures/bad_thread.rs");
-    let out = lint_as("crates/indoor-space/src/bad_thread.rs", src);
-    assert_eq!(rules(&out), vec!["scoped-threads-only"]);
-    // The bench crate keeps its harness freedom.
-    assert!(lint_as("crates/bench/src/bad_thread.rs", src)
-        .diagnostics
-        .is_empty());
 }
 
 #[test]
@@ -181,48 +160,6 @@ fn ok_nondet_iter_btreemap_twin_is_clean() {
         include_str!("fixtures/ok_nondet_iter.rs"),
     );
     assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
-}
-
-#[test]
-fn bad_transitive_panic_three_deep_is_reported_at_the_lib_call_site() {
-    let out = lint_many(&[
-        (
-            "crates/core/src/lib.rs",
-            include_str!("fixtures/transitive_panic_entry.rs"),
-        ),
-        (
-            "crates/core/src/main.rs",
-            include_str!("fixtures/bad_transitive_panic.rs"),
-        ),
-    ]);
-    let rules: Vec<&str> = out.diagnostics.iter().map(|d| d.rule).collect();
-    assert_eq!(rules, vec!["panic-reachability"], "{:?}", out.diagnostics);
-    let d = &out.diagnostics[0];
-    // Reported where disciplined code crosses into the panicky chain —
-    // the library file — with the full three-deep witness.
-    assert_eq!(d.path, "crates/core/src/lib.rs");
-    assert!(
-        d.message
-            .contains("parse_batch_env -> parse_level_one -> parse_level_two"),
-        "{}",
-        d.message
-    );
-    assert!(d.message.contains("unwrap"), "{}", d.message);
-}
-
-#[test]
-fn ok_transitive_panic_total_chain_is_clean() {
-    let out = lint_many(&[
-        (
-            "crates/core/src/lib.rs",
-            include_str!("fixtures/transitive_panic_entry.rs"),
-        ),
-        (
-            "crates/core/src/main.rs",
-            include_str!("fixtures/ok_transitive_panic.rs"),
-        ),
-    ]);
-    assert!(out.is_clean(), "{:?}", out.diagnostics);
 }
 
 #[test]

@@ -23,8 +23,8 @@ mod tests {
     fn tests_may_unwrap() {
         let v = vec![1.0_f64];
         assert_eq!(v.first().unwrap().partial_cmp(&1.0).unwrap(), std::cmp::Ordering::Equal);
-        // Wall-clock reads are fine in tests (scoped-threads-only is the one
-        // rule that also covers tests — detached threads are bad everywhere).
+        // Wall-clock reads are fine in tests (detached threads are not, but
+        // clippy's `disallowed-methods` bans those, not this linter).
         let _ = std::time::Instant::now();
     }
 }

@@ -330,7 +330,7 @@ proptest! {
     }
 
     /// The execution report is arithmetically consistent with the plan, and
-    /// duplicated sources actually produce frontier reuse.
+    /// duplicated sources share exactly where the planner's key allows.
     #[test]
     fn batch_stats_are_consistent(
         seed in 0u64..200,
@@ -347,9 +347,18 @@ proptest! {
         if pts.len() < 2 {
             return Ok(()); // all-private draw: nothing to group
         }
-        // Pool of 1: every query shares one source point, so with more
-        // queries than distinct departure times, pigeonhole forces a group.
+        // Pool of 1: every query shares one source point (and partition),
+        // so a group forms in each checkpoint interval holding at least two
+        // of the batch's departures.
         let batch = skewed_batch(&pts, seed, size, 1);
+        let checkpoints = graph.space().checkpoints();
+        let mut per_interval = std::collections::BTreeMap::new();
+        for q in &batch {
+            *per_interval
+                .entry(checkpoints.interval_index(q.time))
+                .or_insert(0usize) += 1;
+        }
+        let expected_groups = per_interval.values().filter(|&&n| n >= 2).count();
         let server = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 2, BatchStrategy::Shared);
         let plan = server.plan(&batch, false);
         let (results, stats) = server.query_batch_with_stats(&batch);
@@ -362,13 +371,18 @@ proptest! {
             plan.shared_queries() - plan.shared_groups()
         );
         prop_assert!(stats.groups <= stats.queries);
-        // One source, ≤ 4 distinct departure times, ≥ 4 queries: pigeonhole
-        // guarantees at least one ≥ 2-member group.
-        prop_assert!(
-            stats.frontier_reuses > 0,
-            "a single-source batch of {} must share (seed {seed})", batch.len()
+        prop_assert_eq!(
+            plan.shared_groups(), expected_groups,
+            "single-source batch of {} (seed {}): {} groups, {} intervals \
+             hold two or more departures",
+            batch.len(), seed, plan.shared_groups(), expected_groups
         );
-        prop_assert!(stats.sharing_ratio() < 1.0);
+        prop_assert_eq!(
+            stats.frontier_reuses > 0, expected_groups > 0,
+            "single-source batch of {} (seed {}): {} frontier reuses, {} groups expected",
+            batch.len(), seed, stats.frontier_reuses, expected_groups
+        );
+        prop_assert_eq!(stats.sharing_ratio() < 1.0, expected_groups > 0);
     }
 
     /// The whole report — replays, retimes, fallbacks, views — keeps the
