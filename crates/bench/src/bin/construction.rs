@@ -46,7 +46,7 @@ struct SweepPoint {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = itspq_bench::quick_flag();
     let floor_counts: &[u16] = if quick { &[5, 10] } else { &[5, 10, 25, 50] };
     let hours = ShopHours::sample(&HoursConfig::default());
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);

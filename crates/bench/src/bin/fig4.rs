@@ -6,7 +6,7 @@ use itspq_bench::{figures, PaperParams, TrackingAllocator};
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = itspq_bench::quick_flag();
     let params = if quick {
         PaperParams::smoke()
     } else {

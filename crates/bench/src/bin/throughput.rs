@@ -30,7 +30,7 @@ use itspq_bench::Workload;
 const QUICK_BUDGET_SECS: f64 = 10.0;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = itspq_bench::quick_flag();
     let (workload, per_time) = if quick {
         (Workload::with_mall(MallConfig::single_floor(), 8), 16)
     } else {

@@ -25,3 +25,48 @@ pub mod runner;
 pub use alloc_track::TrackingAllocator;
 pub use params::PaperParams;
 pub use runner::{measure_query_set, Measurement, MethodKind, Workload};
+
+/// The command line of a sweep binary that takes only `--quick`: whether it
+/// was given. Any other argument prints a usage line and exits with status 2
+/// before any work starts, so `--help` or a typo cannot run the full sweep
+/// and overwrite a committed baseline.
+#[must_use]
+pub fn quick_flag() -> bool {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    parse_quick(args).unwrap_or_else(|arg| {
+        eprintln!("error: unknown argument `{arg}`\nusage: {bin} [--quick]");
+        std::process::exit(2)
+    })
+}
+
+/// Whether `args` (program name excluded) hold `--quick`; the first other
+/// argument is the error.
+fn parse_quick(args: impl IntoIterator<Item = String>) -> Result<bool, String> {
+    let mut quick = false;
+    for arg in args {
+        if arg != "--quick" {
+            return Err(arg);
+        }
+        quick = true;
+    }
+    Ok(quick)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_quick;
+
+    fn parse(args: &[&str]) -> Result<bool, String> {
+        parse_quick(args.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn only_quick_is_accepted() {
+        assert_eq!(parse(&[]), Ok(false));
+        assert_eq!(parse(&["--quick"]), Ok(true));
+        assert_eq!(parse(&["--help"]), Err("--help".to_owned()));
+        assert_eq!(parse(&["--quik"]), Err("--quik".to_owned()));
+        assert_eq!(parse(&["--quick", "fig5"]), Err("fig5".to_owned()));
+    }
+}

@@ -405,7 +405,10 @@ pub(crate) fn run_search<'a, C: TvChecker<'a>>(
 /// Inlined at each call site (source, seed, settled door): it runs once per
 /// expanded partition, where a call with this many arguments measurably
 /// slows long sweeps.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the sweep's loop state, borrowed field by field by a hot-path helper"
+)]
 #[inline(always)]
 fn expand_partition<'a, C: TvChecker<'a>>(
     space: &IndoorSpace,
@@ -540,7 +543,10 @@ fn vouch_holds(
 /// unwinding. Used by the sweep at each target's pop and by
 /// `crate::replay`, so a replayed member assembles its path through exactly
 /// the code its own search would.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "shared by the sweep and replay, which keep their labels in different structs"
+)]
 pub(crate) fn reconstruct(
     source: &IndoorPoint,
     target: &IndoorPoint,
@@ -644,7 +650,10 @@ pub(crate) fn direct_path(
 /// a sweep with any other number of targets requires `FullRelax` and
 /// traversable-or-source target partitions; callers (the server's planner,
 /// `one_to_many`) enforce both, and this function debug-asserts them.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the one sweep behind every entry point; each argument is a caller's choice"
+)]
 pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
     graph: &ItGraph,
     source: &IndoorPoint,

@@ -10,8 +10,9 @@
 //! poisoned distance loses every "is this shorter?" contest and the search
 //! degrades to "no route" rather than unwinding.
 //!
-//! The `float-total-order` rule of `itspq-lint` enforces that no
-//! `partial_cmp(..).unwrap()` chain reappears in library code.
+//! Clippy keeps it that way: `crates/core/clippy.toml` bans calls to
+//! `partial_cmp`, and the crate root denies `unwrap_used`, `expect_used` and
+//! `float_cmp` in library code.
 
 use std::cmp::Ordering;
 

@@ -315,11 +315,19 @@ pub(crate) fn replay_member(
             if !cand.is_finite() || cand > dist[d] {
                 continue; // a no-op in the member's run as well
             }
+            #[expect(
+                clippy::float_cmp,
+                reason = "an exact tie, resolved by writer key as the search resolves it"
+            )]
             if cand == dist[d] {
                 // Equal candidate: resolve the member's actual first
                 // writer by key. Only a strictly earlier writer with
                 // an accepting verdict displaces the standing entry.
-                let standing = prev[d].expect("finite label has a predecessor"); // itspq-lint: allow(no-panic-in-lib, "dist and prev are written together: every finite label was stored alongside its PrevEntry two branches below")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "dist and prev are written together: every finite label was stored alongside its PrevEntry two branches below"
+                )]
+                let standing = prev[d].expect("finite label has a predecessor");
                 if standing.from == ev.from {
                     continue; // same star, venue-fixed order: first kept
                 }
@@ -373,6 +381,10 @@ pub(crate) fn replay_member(
         let Some((base, w)) = member_edge(space, member, src_legs, dist, ev) else {
             continue;
         };
+        #[expect(
+            clippy::float_cmp,
+            reason = "only an edge that reproduces the label bit for bit supports it"
+        )]
         if base + w == dist[d] && verdict(ev.door, dist[d]) {
             support[d] = true;
         }
@@ -394,12 +406,24 @@ pub(crate) fn replay_member(
             if !cand.is_finite() {
                 return; // never an improvement, exactly as in the search
             }
+            #[expect(
+                clippy::float_cmp,
+                reason = "an exact tie between target candidates, kept by key as in the search"
+            )]
             if cand < *td {
                 *td = cand;
                 *tp = Some(door);
             } else if cand == *td {
-                let s = tp.expect("finite target label has a predecessor"); // itspq-lint: allow(no-panic-in-lib, "td and tp are written together: a finite target distance always carries its settling door")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "td and tp are written together: a finite td has its door in tp"
+                )]
+                let s = tp.expect("finite target label has a predecessor");
                 let (ds, dn) = (dist[s as usize], dist[door as usize]);
+                #[expect(
+                    clippy::float_cmp,
+                    reason = "equal labels fall to the door index, as in the search"
+                )]
                 if dn < ds || (dn == ds && door < s) {
                     *tp = Some(door);
                 }
@@ -487,14 +511,17 @@ pub(crate) fn replay_member(
                 if !cand.is_finite() || cand > dvl {
                     continue; // the member's relax of this edge is a no-op
                 }
+                #[expect(
+                    clippy::float_cmp,
+                    reason = "an exact tie with the derived label, which the search breaks by writer key"
+                )]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "reached only when cand == dvl with cand finite, and the fixpoint stores every finite label with its PrevEntry"
+                )]
                 if cand == dvl
                     && writer_key(dist, Some(u))
-                        >= writer_key(
-                            dist,
-                            prev[v]
-                                .expect("finite label has a predecessor") // itspq-lint: allow(no-panic-in-lib, "reached only when cand == dvl with cand finite, and the fixpoint stores every finite label with its PrevEntry")
-                                .from,
-                        )
+                        >= writer_key(dist, prev[v].expect("finite label has a predecessor").from)
                 {
                     continue; // ties to the derived writer, which wrote first
                 }

@@ -303,9 +303,13 @@ impl VenueServer {
     #[must_use]
     pub fn query_batch_with_stats(&self, queries: &[Query]) -> (Vec<QueryResult>, BatchStats) {
         let (results, stats) = self.execute_batch(queries, false);
+        #[expect(
+            clippy::expect_used,
+            reason = "execute_batch only emits Rejected items when reject_malformed is true; this call passes false"
+        )]
         let results = results
             .into_iter()
-            .map(|r| r.expect("raw batches never reject")) // itspq-lint: allow(no-panic-in-lib, "execute_batch only emits Rejected items when reject_malformed is true; this call passes false")
+            .map(|r| r.expect("raw batches never reject"))
             .collect();
         (results, stats)
     }
@@ -707,11 +711,19 @@ struct WorkerScratch {
 /// Monotonic phase-timer reads for [`BatchStats`] attribution — the only
 /// wall-clock touches in core's library code, confined here and feeding
 /// telemetry only, never answers.
-struct PhaseTimer(std::time::Instant); // itspq-lint: allow(no-wall-clock-in-core, "monotonic phase timing for BatchStats telemetry; never feeds answers")
+#[expect(
+    clippy::disallowed_types,
+    reason = "monotonic phase timing for BatchStats telemetry; never feeds answers"
+)]
+struct PhaseTimer(std::time::Instant);
 
 impl PhaseTimer {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "monotonic phase timing for BatchStats telemetry; never feeds answers"
+    )]
     fn start() -> Self {
-        Self(std::time::Instant::now()) // itspq-lint: allow(no-wall-clock-in-core, "monotonic phase timing for BatchStats telemetry; never feeds answers")
+        Self(std::time::Instant::now())
     }
 
     fn elapsed_nanos(&self) -> u64 {

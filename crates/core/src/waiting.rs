@@ -77,7 +77,6 @@ pub struct TimedPath {
 /// `policy`. Returns `None` if the target is unreachable within one day of
 /// waiting horizon.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn earliest_arrival(
     graph: &ItGraph,
     query: &Query,

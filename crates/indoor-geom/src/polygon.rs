@@ -122,6 +122,10 @@ impl Polygon {
             }
             match sign {
                 None => sign = Some(cross.signum()),
+                #[expect(
+                    clippy::float_cmp,
+                    reason = "signum is exactly 1.0 or -1.0 here (|cross| > EPS), so this compares signs"
+                )]
                 Some(s) if cross.signum() != s => return false,
                 Some(_) => {}
             }

@@ -30,9 +30,12 @@ impl Rect {
     /// Creates a rectangle from an origin corner plus width/height. Panics on
     /// invalid input; intended for generator literals.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking literal constructor for generator fixtures"
+    )]
     pub fn with_size(origin: Point, width: f64, height: f64) -> Self {
         Rect::new(origin, Point::new(origin.x + width, origin.y + height))
-            // itspq-lint: allow(no-panic-in-lib, "documented panicking literal constructor for generator fixtures")
             .expect("rect literal must be non-degenerate")
     }
 
@@ -130,6 +133,10 @@ impl Rect {
 
     /// This rectangle as a counter-clockwise polygon.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "a non-degenerate rect's four corners always form a simple CCW polygon"
+    )]
     pub fn to_polygon(self) -> Polygon {
         Polygon::new(vec![
             self.min,
@@ -137,7 +144,6 @@ impl Rect {
             self.max,
             Point::new(self.min.x, self.max.y),
         ])
-        // itspq-lint: allow(no-panic-in-lib, "a non-degenerate rect's four corners always form a simple CCW polygon")
         .expect("rectangle corners form a simple polygon")
     }
 }

@@ -340,7 +340,11 @@ impl VenueBuilder {
         // Validate explicit distances against door membership. `part_doors`
         // is sorted, so membership is a binary search rather than a linear
         // scan per override (door-rich partitions made that quadratic).
-        for &(partition, a, b) in self.explicit.keys() {
+        // Overrides are checked in key order, so a venue with several bad
+        // ones reports the same error on every run.
+        let mut overrides: Vec<_> = self.explicit.keys().copied().collect();
+        overrides.sort_unstable();
+        for (partition, a, b) in overrides {
             let doors = &part_doors[partition.index()];
             if doors.binary_search(&a).is_err() {
                 return Err(SpaceError::ForeignDoor { partition, door: a });
@@ -618,27 +622,39 @@ mod tests {
 
     #[test]
     fn foreign_door_in_explicit_distance_rejected() {
-        let mut b = VenueBuilder::new();
-        let p0 = b.add_partition("a", PartitionKind::Public);
-        let p1 = b.add_partition("b", PartitionKind::Public);
-        let p2 = b.add_partition("c", PartitionKind::Public);
-        let d0 = b.add_door(
-            "d0",
-            DoorKind::Public,
-            AtiList::always_open(),
-            Point::ORIGIN,
-        );
-        let d1 = b.add_door(
-            "d1",
-            DoorKind::Public,
-            AtiList::always_open(),
-            Point::ORIGIN,
-        );
-        b.connect(d0, Connection::TwoWay(p0, p1)).unwrap();
-        b.connect(d1, Connection::TwoWay(p1, p2)).unwrap();
-        // d0 is not a door of p2.
-        b.set_distance(p2, d0, d1, 3.0).unwrap();
-        assert!(matches!(b.build(), Err(SpaceError::ForeignDoor { .. })));
+        // Each builder hashes its overrides with fresh keys, so repeated
+        // builds would see them in varying order: the error must not vary.
+        for _ in 0..32 {
+            let mut b = VenueBuilder::new();
+            let p0 = b.add_partition("a", PartitionKind::Public);
+            let p1 = b.add_partition("b", PartitionKind::Public);
+            let p2 = b.add_partition("c", PartitionKind::Public);
+            let d0 = b.add_door(
+                "d0",
+                DoorKind::Public,
+                AtiList::always_open(),
+                Point::ORIGIN,
+            );
+            let d1 = b.add_door(
+                "d1",
+                DoorKind::Public,
+                AtiList::always_open(),
+                Point::ORIGIN,
+            );
+            b.connect(d0, Connection::TwoWay(p0, p1)).unwrap();
+            b.connect(d1, Connection::TwoWay(p1, p2)).unwrap();
+            // d0 is not a door of p2, and d1 is not a door of p0.
+            b.set_distance(p2, d0, d1, 3.0).unwrap();
+            b.set_distance(p0, d0, d1, 3.0).unwrap();
+            // The smallest key, (p0, d0, d1), reports its foreign door.
+            assert_eq!(
+                b.build().unwrap_err(),
+                SpaceError::ForeignDoor {
+                    partition: p0,
+                    door: d1
+                }
+            );
+        }
     }
 
     #[test]

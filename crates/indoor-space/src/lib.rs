@@ -27,6 +27,25 @@
 //! The [`IndoorSpace`] produced here is the input to `itspq-core`'s IT-Graph.
 
 #![forbid(unsafe_code)]
+// Library discipline, checked by `cargo clippy` (ARCHITECTURE.md § "Static
+// analysis & invariants"): no panics, no float equality, no hash-order
+// iteration, and every exception an `#[expect]` with its reason. Test builds
+// are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::iter_over_hash_type,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod audit;
 mod builder;

@@ -89,7 +89,6 @@ pub fn table1_atis() -> Vec<AtiList> {
 
 /// Builds the running example.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn build() -> PaperExample {
     let mut b = VenueBuilder::new();
 
@@ -182,11 +181,18 @@ pub fn build() -> PaperExample {
         (21, 9, 16),  // d21: v9 - v16
     ];
     for (door, a, bb) in two_way {
+        #[expect(
+            clippy::expect_used,
+            reason = "Figure 1 literals: every id is declared above and used once"
+        )]
         b.connect(d(door), Connection::TwoWay(v(a), v(bb)))
-            // itspq-lint: allow(no-panic-in-lib, "Figure 1 literals: every id is declared above and used once")
             .expect("example connections are valid");
     }
     // d3 is directional: usable only from v3 into v16 (Figure 1's arrow).
+    #[expect(
+        clippy::expect_used,
+        reason = "Figure 1 literal: d3, v3 and v16 are declared above"
+    )]
     b.connect(
         d(3),
         Connection::OneWay {
@@ -194,18 +200,29 @@ pub fn build() -> PaperExample {
             to: v(16),
         },
     )
-    // itspq-lint: allow(no-panic-in-lib, "Figure 1 literal: d3, v3 and v16 are declared above")
     .expect("example connections are valid");
 
     // The DM entries the paper states for v16 (Partition Table of Figure 2).
-    // itspq-lint: allow(no-panic-in-lib, "Figure 2 literals: doors and distances are the paper's own table")
+    #[expect(
+        clippy::expect_used,
+        reason = "Figure 2 literals: doors and distances are the paper's own table"
+    )]
     b.set_distance(v(16), d(3), d(17), 2.0).expect("v16 DM");
-    // itspq-lint: allow(no-panic-in-lib, "Figure 2 literals: doors and distances are the paper's own table")
+    #[expect(
+        clippy::expect_used,
+        reason = "Figure 2 literals: doors and distances are the paper's own table"
+    )]
     b.set_distance(v(16), d(3), d(21), 4.0).expect("v16 DM");
-    // itspq-lint: allow(no-panic-in-lib, "Figure 2 literals: doors and distances are the paper's own table")
+    #[expect(
+        clippy::expect_used,
+        reason = "Figure 2 literals: doors and distances are the paper's own table"
+    )]
     b.set_distance(v(16), d(17), d(21), 5.0).expect("v16 DM");
 
-    // itspq-lint: allow(no-panic-in-lib, "the checked-in Figure 1 venue builds; the umbrella test suite exercises it")
+    #[expect(
+        clippy::expect_used,
+        reason = "the checked-in Figure 1 venue builds; the umbrella test suite exercises it"
+    )]
     let space = b.build().expect("the paper example is a valid venue");
     PaperExample {
         p1: IndoorPoint::new(v(3), Point::new(8.0, 31.0)),

@@ -80,7 +80,6 @@ impl From<SpaceError> for PlanError {
 ///
 /// # Errors
 /// Returns the first syntax or validation error with its line number.
-#[allow(clippy::too_many_lines)]
 pub fn parse(text: &str) -> Result<IndoorSpace, PlanError> {
     let mut b = VenueBuilder::new();
     let mut partitions: HashMap<String, PartitionId> = HashMap::new();
@@ -339,7 +338,10 @@ pub fn to_plan_text(space: &IndoorSpace) -> String {
         for (i, &a) in doors.iter().enumerate() {
             for &bb in &doors[i + 1..] {
                 // `doors()` enumerates exactly this matrix's keys.
-                // itspq-lint: allow(no-panic-in-lib, "a and bb come from dm.doors(), so the entry exists")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a and bb come from dm.doors(), so the entry exists"
+                )]
                 let stored = dm.distance(a, bb).expect("doors of this matrix");
                 let geo = space.door(a).position.distance(space.door(bb).position);
                 if (stored - geo).abs() > 1e-9 {
@@ -378,20 +380,25 @@ fn strip_comment(line: &str) -> &str {
 
 fn parse_xy(w: &str) -> Option<Point> {
     let (x, y) = w.split_once(',')?;
-    Some(Point::new(x.parse().ok()?, y.parse().ok()?))
+    Some(Point::new(parse_coord(x)?, parse_coord(y)?))
 }
 
 /// `X,Y` or `X,Y,FLOOR`.
 fn parse_position(w: &str) -> Option<(Point, FloorId)> {
     let parts: Vec<&str> = w.split(',').collect();
     match parts.as_slice() {
-        [x, y] => Some((Point::new(x.parse().ok()?, y.parse().ok()?), FloorId(0))),
+        [x, y] => Some((Point::new(parse_coord(x)?, parse_coord(y)?), FloorId(0))),
         [x, y, f] => Some((
-            Point::new(x.parse().ok()?, y.parse().ok()?),
+            Point::new(parse_coord(x)?, parse_coord(y)?),
             FloorId(f.parse().ok()?),
         )),
         _ => None,
     }
+}
+
+/// A finite coordinate: `f64`'s parser also accepts `NaN` and `inf`.
+fn parse_coord(s: &str) -> Option<f64> {
+    s.parse().ok().filter(|v: &f64| v.is_finite())
 }
 
 fn parse_hm(s: &str) -> Result<TimeOfDay, String> {
@@ -551,6 +558,19 @@ distance hallway a c 12.5
         let bad = "partition a public\ndoor d public 25:00-26:00 @ 0,0 a |\n";
         let e = parse(bad).unwrap_err();
         assert!(e.message.contains("out of range"));
+
+        for v in ["NaN,0", "inf,0", "0,-inf"] {
+            let bad = format!("partition a public polygon 0,0 {v} 10,10 0,10\n");
+            let e = parse(&bad).unwrap_err();
+            assert_eq!(e.line, 1);
+            assert!(e.message.contains("bad vertex"), "{v}: {e}");
+        }
+        for p in ["NaN,0", "0,inf", "inf,0,1"] {
+            let bad = format!("partition a public\ndoor d public always @ {p} a |\n");
+            let e = parse(&bad).unwrap_err();
+            assert_eq!(e.line, 2);
+            assert!(e.message.contains("bad position"), "{p}: {e}");
+        }
     }
 
     #[test]

@@ -69,9 +69,12 @@ impl AtiList {
     /// invalid literals. Mirrors the paper's Table I notation, e.g.
     /// `AtiList::hm(&[((0, 0), (6, 0)), ((6, 30), (23, 0))])` for d9.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented literal constructor; from_intervals is infallible for valid Interval values"
+    )]
     pub fn hm(pairs: &[HmPair]) -> Self {
         let intervals = pairs.iter().map(|&(s, e)| Interval::hm(s, e)).collect();
-        // itspq-lint: allow(no-panic-in-lib, "documented literal constructor; from_intervals is infallible for valid Interval values")
         Self::from_intervals(intervals).expect("literal ATI list")
     }
 

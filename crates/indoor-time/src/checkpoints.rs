@@ -91,6 +91,10 @@ impl CheckpointSet {
     /// `ts`, looking past midnight into following days. Always defined because
     /// midnight recurs daily.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "day_base and checkpoint offsets are finite and non-negative by construction of TimeOfDay"
+    )]
     pub fn next_instant(&self, ts: Timestamp) -> Timestamp {
         let day_base = f64::from(ts.day_offset()) * crate::SECONDS_PER_DAY;
         match self.next(ts.time_of_day()) {
@@ -98,7 +102,6 @@ impl CheckpointSet {
             // Wrap to the first checkpoint (midnight) of the next day.
             None => Timestamp::from_seconds(day_base + crate::SECONDS_PER_DAY),
         }
-        // itspq-lint: allow(no-panic-in-lib, "day_base and checkpoint offsets are finite and non-negative by construction of TimeOfDay")
         .expect("checkpoint instants are finite and non-negative")
     }
 

@@ -41,9 +41,12 @@ impl Interval {
     /// Convenience constructor from `(hour, minute)` pairs; panics on invalid
     /// input. Intended for literals such as `Interval::hm((8, 0), (16, 0))`.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking literal constructor for Table I-style fixtures"
+    )]
     pub fn hm(start: (u32, u32), end: (u32, u32)) -> Self {
         Interval::new(TimeOfDay::hm(start.0, start.1), TimeOfDay::hm(end.0, end.1))
-            // itspq-lint: allow(no-panic-in-lib, "documented panicking literal constructor for Table I-style fixtures")
             .expect("interval literal must be non-empty")
     }
 

@@ -146,14 +146,7 @@ impl MallConfig {
 }
 
 /// Per-floor handles used while wiring the venue.
-#[allow(dead_code)]
 struct FloorParts {
-    /// `intersections[k][l]` — hallway cell at lines (k, l).
-    intersections: Vec<Vec<PartitionId>>,
-    /// `h_segments[k][l]` — hallway cell between intersections (k,l)-(k+1,l).
-    h_segments: Vec<Vec<PartitionId>>,
-    /// `v_segments[k][l]` — hallway cell between intersections (k,l)-(k,l+1).
-    v_segments: Vec<Vec<PartitionId>>,
     /// Stair lobbies (west, east, south, north).
     lobbies: Vec<PartitionId>,
     /// The hallway door of each lobby.
@@ -167,16 +160,19 @@ struct FloorParts {
 /// directly to choose a construction pipeline (the parity tests build the
 /// same wiring through both `build` and `build_sequential`).
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "generator wiring is valid by construction; build/build_sequential parity tests cover it"
+)]
 pub fn build_mall(cfg: &MallConfig, hours: &ShopHours) -> IndoorSpace {
     mall_builder(cfg, hours)
         .build()
-        .expect("generated mall is a valid venue") // itspq-lint: allow(no-panic-in-lib, "generator wiring is valid by construction; build/build_sequential parity tests cover it")
+        .expect("generated mall is a valid venue")
 }
 
 /// Wires the whole mall into a [`VenueBuilder`] without building it, so
 /// callers can pick the construction pipeline (or keep mutating the venue).
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn mall_builder(cfg: &MallConfig, hours: &ShopHours) -> VenueBuilder {
     assert!(cfg.grid >= 2, "need at least a 2×2 hallway grid");
     assert!(cfg.floors >= 1, "need at least one floor");
@@ -211,22 +207,42 @@ pub fn mall_builder(cfg: &MallConfig, hours: &ShopHours) -> VenueBuilder {
             let up = if f + 1 < cfg.floors as usize {
                 let d = b.add_door_on(&name, DoorKind::Public, AtiList::always_open(), pos, floor);
                 let above = floors[f + 1].lobbies[li];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "stair doors connect freshly created lobby partitions"
+                )]
                 b.connect(d, Connection::TwoWay(lobby, above))
-                    .expect("stair wiring is valid"); // itspq-lint: allow(no-panic-in-lib, "stair doors connect freshly created lobby partitions")
+                    .expect("stair wiring is valid");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "distances are set between doors just added to the lobby"
+                )]
                 b.set_distance(above, floors[f + 1].lobby_doors[li], d, half_flight)
-                    .expect("stair distances are valid"); // itspq-lint: allow(no-panic-in-lib, "distances are set between doors just added to the lobby")
+                    .expect("stair distances are valid");
                 d
             } else {
                 let d = b.add_door_on(&name, DoorKind::Private, AtiList::never_open(), pos, floor);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "boundary connection of a door just added to the top lobby"
+                )]
                 b.connect(d, Connection::Boundary(lobby))
-                    .expect("roof door"); // itspq-lint: allow(no-panic-in-lib, "boundary connection of a door just added to the top lobby")
+                    .expect("roof door");
                 d
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "distances are set between doors just added to the lobby"
+            )]
             b.set_distance(lobby, floors[f].lobby_doors[li], up, half_flight)
-                .expect("stair distances are valid"); // itspq-lint: allow(no-panic-in-lib, "distances are set between doors just added to the lobby")
+                .expect("stair distances are valid");
             if let Some(below) = up_below[li] {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "distances are set between doors just added to the lobby"
+                )]
                 b.set_distance(lobby, below, up, cfg.stairway_length)
-                    .expect("stair distances are valid"); // itspq-lint: allow(no-panic-in-lib, "distances are set between doors just added to the lobby")
+                    .expect("stair distances are valid");
             }
             up_below[li] = Some(up);
         }
@@ -242,6 +258,10 @@ pub fn mall_builder(cfg: &MallConfig, hours: &ShopHours) -> VenueBuilder {
 /// Doors on different stubs are not mutually visible, so geodesic distance
 /// matrices over these polygons exercise real visibility-graph shortest
 /// paths — the construction stress case.
+#[expect(
+    clippy::expect_used,
+    reason = "comb vertices are constructed rectilinear and non-degenerate for any valid MallConfig"
+)]
 fn comb_corridor_polygon(
     x0: f64,
     x1: f64,
@@ -277,7 +297,7 @@ fn comb_corridor_polygon(
         v.push(Point::new(cx - hw, yc1));
     }
     v.push(Point::new(x0, yc1));
-    Polygon::new(v).expect("comb corridor is a simple polygon") // itspq-lint: allow(no-panic-in-lib, "comb vertices are constructed rectilinear and non-degenerate for any valid MallConfig")
+    Polygon::new(v).expect("comb corridor is a simple polygon")
 }
 
 /// Door position placeholder for up doors (lobby centres per side index).
@@ -293,9 +313,10 @@ fn b_partition_center(cfg: &MallConfig, lobby_index: usize) -> Point {
     }
 }
 
-#[allow(clippy::too_many_lines)]
-// 2-D grid wiring reads naturally with (k, l) indices.
-#[allow(clippy::needless_range_loop)]
+#[expect(
+    clippy::needless_range_loop,
+    reason = "2-D grid wiring reads naturally with (k, l) indices"
+)]
 fn build_floor(
     b: &mut VenueBuilder,
     cfg: &MallConfig,
@@ -378,11 +399,15 @@ fn build_floor(
                 Point::new(cfg.line(k) + half_w, y),
                 floor,
             );
+            #[expect(
+                clippy::expect_used,
+                reason = "hallway doors connect freshly created grid partitions"
+            )]
             b.connect(
                 d_w,
                 Connection::TwoWay(intersections[k][l], h_segments[k][l]),
             )
-            .expect("hallway wiring"); // itspq-lint: allow(no-panic-in-lib, "hallway doors connect freshly created grid partitions")
+            .expect("hallway wiring");
             let d_e = b.add_door_on(
                 &format!("F{f}/vd/hseg({k},{l})e"),
                 DoorKind::Public,
@@ -390,11 +415,15 @@ fn build_floor(
                 Point::new(cfg.line(k + 1) - half_w, y),
                 floor,
             );
+            #[expect(
+                clippy::expect_used,
+                reason = "hallway doors connect freshly created grid partitions"
+            )]
             b.connect(
                 d_e,
                 Connection::TwoWay(h_segments[k][l], intersections[k + 1][l]),
             )
-            .expect("hallway wiring"); // itspq-lint: allow(no-panic-in-lib, "hallway doors connect freshly created grid partitions")
+            .expect("hallway wiring");
         }
     }
     for k in 0..g {
@@ -407,11 +436,15 @@ fn build_floor(
                 Point::new(x, cfg.line(l) + half_w),
                 floor,
             );
+            #[expect(
+                clippy::expect_used,
+                reason = "hallway doors connect freshly created grid partitions"
+            )]
             b.connect(
                 d_s,
                 Connection::TwoWay(intersections[k][l], v_segments[k][l]),
             )
-            .expect("hallway wiring"); // itspq-lint: allow(no-panic-in-lib, "hallway doors connect freshly created grid partitions")
+            .expect("hallway wiring");
             let d_n = b.add_door_on(
                 &format!("F{f}/vd/vseg({k},{l})n"),
                 DoorKind::Public,
@@ -419,11 +452,15 @@ fn build_floor(
                 Point::new(x, cfg.line(l + 1) - half_w),
                 floor,
             );
+            #[expect(
+                clippy::expect_used,
+                reason = "hallway doors connect freshly created grid partitions"
+            )]
             b.connect(
                 d_n,
                 Connection::TwoWay(v_segments[k][l], intersections[k][l + 1]),
             )
-            .expect("hallway wiring"); // itspq-lint: allow(no-panic-in-lib, "hallway doors connect freshly created grid partitions")
+            .expect("hallway wiring");
         }
     }
 
@@ -513,8 +550,12 @@ fn build_floor(
                         Point::new(cx, front_y),
                         floor,
                     );
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "shop doors connect freshly created shop and hall partitions"
+                    )]
                     b.connect(front, Connection::TwoWay(shop, front_hall))
-                        .expect("shop wiring"); // itspq-lint: allow(no-panic-in-lib, "shop doors connect freshly created shop and hall partitions")
+                        .expect("shop wiring");
                     let back = b.add_door_on(
                         &format!("F{f}/shop({i},{j})#{}/back", shop_no - 1),
                         DoorKind::Private,
@@ -522,8 +563,12 @@ fn build_floor(
                         Point::new(cx, back_y),
                         floor,
                     );
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "shop doors connect freshly created shop and hall partitions"
+                    )]
                     b.connect(back, Connection::TwoWay(shop, service))
-                        .expect("shop wiring"); // itspq-lint: allow(no-panic-in-lib, "shop doors connect freshly created shop and hall partitions")
+                        .expect("shop wiring");
                 }
             }
         }
@@ -597,8 +642,12 @@ fn build_floor(
                 door_pos,
                 floor,
             );
+            #[expect(
+                clippy::expect_used,
+                reason = "outer shop doors connect freshly created partitions"
+            )]
             b.connect(front, Connection::TwoWay(shop, hall))
-                .expect("outer shop wiring"); // itspq-lint: allow(no-panic-in-lib, "outer shop doors connect freshly created partitions")
+                .expect("outer shop wiring");
             outer += 1;
         }
     }
@@ -654,16 +703,17 @@ fn build_floor(
             door_pos,
             floor,
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "lobby doors connect freshly created partitions"
+        )]
         b.connect(d, Connection::TwoWay(lobby, hall))
-            .expect("lobby wiring"); // itspq-lint: allow(no-panic-in-lib, "lobby doors connect freshly created partitions")
+            .expect("lobby wiring");
         lobbies.push(lobby);
         lobby_doors.push(d);
     }
 
     FloorParts {
-        intersections,
-        h_segments,
-        v_segments,
         lobbies,
         lobby_doors,
     }

@@ -272,7 +272,11 @@ pub fn generate_queries(graph: &ItGraph, cfg: &QueryGenConfig) -> Vec<GeneratedQ
                 IndoorPoint::new(ps_part, ps_pos)
             }
             SourceDistribution::Zipf { .. } | SourceDistribution::ZipfNear { .. } => {
-                let total = *zipf_cum.last().expect("non-empty pool"); // itspq-lint: allow(no-panic-in-lib, "the Zipf/ZipfNear arm above asserts pool >= 1 and pushes exactly one cumulative weight per rank")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the Zipf/ZipfNear arm above asserts pool >= 1 and pushes exactly one cumulative weight per rank"
+                )]
+                let total = *zipf_cum.last().expect("non-empty pool");
                 let u = rng.random_range(0.0..total);
                 let rank = zipf_cum
                     .partition_point(|&c| c <= u)
@@ -357,7 +361,11 @@ pub fn generate_queries(graph: &ItGraph, cfg: &QueryGenConfig) -> Vec<GeneratedQ
         let time = match cfg.times {
             TimeDistribution::Fixed => cfg.time,
             TimeDistribution::HotSpots { spread_secs, .. } => {
-                let total = *time_cum.last().expect("non-empty pool"); // itspq-lint: allow(no-panic-in-lib, "the HotSpots arm above asserts pool >= 1 and pushes exactly one cumulative weight per rank")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the HotSpots arm above asserts pool >= 1 and pushes exactly one cumulative weight per rank"
+                )]
+                let total = *time_cum.last().expect("non-empty pool");
                 let u = rng.random_range(0.0..total);
                 let rank = time_cum
                     .partition_point(|&c| c <= u)

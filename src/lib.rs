@@ -38,6 +38,26 @@
 //! assert!(night.path.is_none());
 //! ```
 
+// Library discipline, checked by `cargo clippy` (ARCHITECTURE.md § "Static
+// analysis & invariants"): no panics, no float equality, no hash-order
+// iteration, and every exception an `#[expect]` with its reason. Test builds
+// are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::iter_over_hash_type,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub use indoor_geom as geom;
 pub use indoor_space as space;
 pub use indoor_synthetic as synthetic;
