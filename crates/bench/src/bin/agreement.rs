@@ -4,7 +4,9 @@
 //! the exhaustive oracle?
 //!
 //! Usage: `agreement [--cases N]` (default 400; venues are tiny malls so the
-//! exponential oracle stays cheap).
+//! exponential oracle stays cheap). An unknown argument or a `--cases` value
+//! that is not a positive integer prints the usage line and exits with
+//! status 2 before any case runs.
 
 use indoor_geom::Point;
 use indoor_space::IndoorPoint;
@@ -27,12 +29,30 @@ struct Tally {
     engine_longer_vs_oracle: usize,
 }
 
+/// The case count: `--cases N` with `N ≥ 1` (the last one given wins),
+/// else 400; any other argument, a missing value or a bad one is the error.
+fn parse(args: Vec<String>) -> Result<usize, String> {
+    let mut cases = 400;
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if arg != "--cases" {
+            return Err(format!("unknown argument `{arg}`"));
+        }
+        let value = args.next().ok_or("`--cases` needs a value")?;
+        cases = match value.parse() {
+            Ok(n) if n > 0 => n,
+            _ => {
+                return Err(format!(
+                    "bad `--cases` value `{value}`: expected a positive integer"
+                ))
+            }
+        };
+    }
+    Ok(cases)
+}
+
 fn main() {
-    let cases: usize = std::env::args()
-        .skip_while(|a| a != "--cases")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400);
+    let cases = itspq_bench::args_or_exit("[--cases N]", parse);
 
     let mut t = Tally {
         cases,
@@ -138,4 +158,36 @@ fn main() {
         "  engine longer than oracle (non-FIFO):       {:>5}",
         t.engine_longer_vs_oracle
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse;
+
+    fn parse_strs(args: &[&str]) -> Result<usize, String> {
+        parse(args.iter().map(|a| (*a).to_owned()).collect())
+    }
+
+    #[test]
+    fn cases_must_be_a_positive_integer() {
+        assert_eq!(parse_strs(&[]), Ok(400));
+        assert_eq!(parse_strs(&["--cases", "12"]), Ok(12));
+        for bad in ["abc", "0", "-3", "1.5", ""] {
+            assert_eq!(
+                parse_strs(&["--cases", bad]),
+                Err(format!(
+                    "bad `--cases` value `{bad}`: expected a positive integer"
+                )),
+            );
+        }
+        assert_eq!(
+            parse_strs(&["--cases"]),
+            Err("`--cases` needs a value".to_owned())
+        );
+        assert_eq!(
+            parse_strs(&["--case", "5"]),
+            Err("unknown argument `--case`".to_owned())
+        );
+        assert_eq!(parse_strs(&["12"]), Err("unknown argument `12`".to_owned()));
+    }
 }

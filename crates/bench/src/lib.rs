@@ -32,10 +32,20 @@ pub use runner::{measure_query_set, Measurement, MethodKind, Workload};
 /// and overwrite a committed baseline.
 #[must_use]
 pub fn quick_flag() -> bool {
+    args_or_exit("[--quick]", |args| {
+        parse_quick(args).map_err(|arg| format!("unknown argument `{arg}`"))
+    })
+}
+
+/// A binary's command line (program name excluded) parsed by `parse`. On
+/// an error it prints the error and `usage: <bin> <usage>`, then exits with
+/// status 2 before any work starts.
+#[must_use]
+pub fn args_or_exit<T>(usage: &str, parse: impl FnOnce(Vec<String>) -> Result<T, String>) -> T {
     let mut args = std::env::args();
     let bin = args.next().unwrap_or_default();
-    parse_quick(args).unwrap_or_else(|arg| {
-        eprintln!("error: unknown argument `{arg}`\nusage: {bin} [--quick]");
+    parse(args.collect()).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: {bin} {usage}");
         std::process::exit(2)
     })
 }

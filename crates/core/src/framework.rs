@@ -81,11 +81,11 @@ pub(crate) trait TvChecker<'a> {
 
 /// Predecessor of a relaxed door.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PrevEntry {
+struct PrevEntry {
     /// Partition crossed to reach the door.
-    pub(crate) via: PartitionId,
+    via: PartitionId,
     /// Previous door index, or `None` when coming directly from `ps`.
-    pub(crate) from: Option<u32>,
+    from: Option<u32>,
 }
 
 /// Where a sweep starts instead of `ps`: a door the caller's walk has already
@@ -99,93 +99,14 @@ pub(crate) struct Seed {
     pub(crate) via: PartitionId,
 }
 
-/// One recorded door relaxation of the lead's sweep (Algorithm 1 lines
-/// 29–34) that had a weight, in execution order.
-///
-/// The trace is the *lead* query's complete relaxation log. `crate::replay`
-/// computes a group member's own label fixpoint from it and then certifies
-/// that the member's own search would have attempted exactly the recorded
-/// relaxation set; any uncertifiable divergence aborts the replay and the
-/// member falls back to per-query execution. A record keeps only what a
-/// member cannot recompute — which door was relaxed, from where, through
-/// which partition. The weight is re-read from the venue
-/// (`door_to_door(via, from, door)`, the very matrix entry the sweep read)
-/// and the `TV_Check` verdict is taken from the door's ATIs at the member's
-/// own arrival. `from == None` is a source-leg relaxation (`|ps, dj|`), the
-/// only member-specific weight.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RelaxEvent {
-    pub(crate) door: u32,
-    pub(crate) from: Option<u32>,
-    pub(crate) via: PartitionId,
-}
-
-/// One settle of the lead's sweep: the door and the partition its final
-/// label entered through (the neighbor its expansion excludes). The event
-/// order is the lead's settle order, which drives the replay's frontier and
-/// omission certificates.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SettleEvent {
-    pub(crate) door: u32,
-    pub(crate) via: Option<PartitionId>,
-}
-
-/// One recorded target-leg relaxation (lines 20–24), in target `k`'s own
-/// stream: the sweep computed `point_to_door(targets[k], door)` when `door`
-/// settled. The geodesic weight is a pure function of the venue geometry and
-/// the target point, so member `k`'s replay reuses it bit-for-bit instead of
-/// recomputing the leg; a member's replay never touches another target's
-/// stream. Doors settled *after* the sweep finalised target `k` carry no
-/// event (the sweep skips finalised targets) — replay recomputes those few
-/// legs on demand.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TargetEvent {
-    pub(crate) door: u32,
-    pub(crate) weight: f64,
-}
-
-/// The lead's recorded decision log: the shared relaxation, missing-leg and
-/// settle lists plus one positioned target stream per group member. All
-/// buffers are reused across the groups of one batch via [`Trace::reset`].
-#[derive(Debug, Default)]
-pub(crate) struct Trace {
-    pub(crate) relaxes: Vec<RelaxEvent>,
-    /// Doors of the source partition the lead had no source→door geodesic
-    /// to, so it attempted no relaxation. A member that *does* have one
-    /// would relax an unrecorded edge — replay must verify the absence.
-    pub(crate) missing_legs: Vec<u32>,
-    pub(crate) settles: Vec<SettleEvent>,
-    pub(crate) targets: Vec<Vec<TargetEvent>>,
-}
-
-impl Trace {
-    /// Clears every stream (keeping capacity) and guarantees at least
-    /// `members` target streams exist.
-    pub(crate) fn reset(&mut self, members: usize) {
-        self.relaxes.clear();
-        self.missing_legs.clear();
-        self.settles.clear();
-        for t in &mut self.targets {
-            t.clear();
-        }
-        if self.targets.len() < members {
-            self.targets.resize_with(members, Vec::new);
-        }
-    }
-}
-
-/// Decision recorder for [`run_search_targets`]: an optional decision trace
-/// (replay) and/or a running minimum of the margin between each checked
-/// arrival and its next checkpoint (retime certificate). Both default to
-/// off, making the observer free on the per-query path.
+/// The retime certificate's recorder for [`run_search_targets`]: a running
+/// minimum of the margin between each checked arrival and its next
+/// checkpoint. Off by default, making the observer free on the per-query
+/// path.
 #[derive(Debug)]
 pub(crate) struct SweepObserver {
-    /// Record the decision trace.
-    record: bool,
     /// Track `min_margin_secs` across every `TV_Check` arrival.
     track_margin: bool,
-    /// The recorded decision log (empty unless `record`).
-    pub(crate) trace: Trace,
     /// Smallest margin (seconds) from any checked arrival to its next
     /// checkpoint; `f64::INFINITY` when no check happened. A member whose
     /// departure lags the lead's by strictly less than this margin (minus a
@@ -196,64 +117,15 @@ pub(crate) struct SweepObserver {
 }
 
 impl SweepObserver {
-    /// An inert observer: records nothing, tracks nothing.
+    /// An inert observer: tracks nothing.
     pub(crate) fn off() -> Self {
-        Self::new(false, false)
+        Self::new(false)
     }
 
-    pub(crate) fn new(record: bool, track_margin: bool) -> Self {
-        Self::with_trace(record, track_margin, Trace::default(), 0)
-    }
-
-    /// An observer writing into a caller-owned (typically reused) trace
-    /// buffer, reset for `members` target streams. Reclaim the buffer with
-    /// [`SweepObserver::take_trace`] after the sweep.
-    pub(crate) fn with_trace(
-        record: bool,
-        track_margin: bool,
-        mut trace: Trace,
-        members: usize,
-    ) -> Self {
-        trace.reset(if record { members } else { 0 });
+    pub(crate) fn new(track_margin: bool) -> Self {
         SweepObserver {
-            record,
             track_margin,
-            trace,
             min_margin_secs: f64::INFINITY,
-        }
-    }
-
-    /// Moves the recorded trace out (leaving an empty one) so a reused
-    /// buffer can return to its scratch slot after the group is scattered.
-    pub(crate) fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.trace)
-    }
-
-    #[inline]
-    fn push_relax(&mut self, door: u32, from: Option<u32>, via: PartitionId) {
-        if self.record {
-            self.trace.relaxes.push(RelaxEvent { door, from, via });
-        }
-    }
-
-    #[inline]
-    fn push_missing_leg(&mut self, door: u32) {
-        if self.record {
-            self.trace.missing_legs.push(door);
-        }
-    }
-
-    #[inline]
-    fn push_settle(&mut self, door: u32, via: Option<PartitionId>) {
-        if self.record {
-            self.trace.settles.push(SettleEvent { door, via });
-        }
-    }
-
-    #[inline]
-    fn push_target(&mut self, k: u32, door: u32, weight: f64) {
-        if self.record {
-            self.trace.targets[k as usize].push(TargetEvent { door, weight });
         }
     }
 }
@@ -425,10 +297,9 @@ fn expand_partition<'a, C: TvChecker<'a>>(
     observer: &mut SweepObserver,
 ) {
     // No list is vouched for the source expansion, whose point legs are no
-    // distance-matrix entries, nor for an observer that records (replay
-    // needs the rejected relaxations) or tracks margins (retime needs every
-    // checked arrival).
-    let base = (from.is_some() && !observer.record && !observer.track_margin).then_some(base_dist);
+    // distance-matrix entries, nor for an observer that tracks margins
+    // (retime needs every checked arrival).
+    let base = (from.is_some() && !observer.track_margin).then_some(base_dist);
     // The list outlives the checker's views, so ITG/A's check() may move
     // to another view mid-loop without changing the doors iterated here.
     let (doors, vouched) = checker.leaveable(v, base);
@@ -462,16 +333,7 @@ fn expand_partition<'a, C: TvChecker<'a>>(
             Some(di) => space.door_to_door(v, DoorId(di), dj),
             None => space.point_to_door(source, dj),
         };
-        let Some(weight) = weight else {
-            // A missing *source leg* is member-specific state a replay must
-            // check (a member with a leg here would relax a door the lead
-            // never saw); missing door-to-door weights are venue geometry,
-            // identical for every member.
-            if from.is_none() {
-                observer.push_missing_leg(dj.index() as u32);
-            }
-            continue;
-        };
+        let Some(weight) = weight else { continue };
         let cand = base_dist + weight;
         stats.relaxations += 1;
 
@@ -486,7 +348,6 @@ fn expand_partition<'a, C: TvChecker<'a>>(
                     observer.min_margin_secs = margin;
                 }
             }
-            observer.push_relax(dj.index() as u32, from, v);
             if !open {
                 stats.tv_rejections += 1;
                 continue;
@@ -540,28 +401,20 @@ fn vouch_holds(
 /// Every relaxed door records a predecessor before entering the heap, so the
 /// chain is complete whenever the target has been popped; `None` signals a
 /// broken invariant and the caller answers "no such routes" instead of
-/// unwinding. Used by the sweep at each target's pop and by
-/// `crate::replay`, so a replayed member assembles its path through exactly
-/// the code its own search would.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "shared by the sweep and replay, which keep their labels in different structs"
-)]
-pub(crate) fn reconstruct(
+/// unwinding.
+fn reconstruct(
     source: &IndoorPoint,
     target: &IndoorPoint,
     config: &ItspqConfig,
-    dist: &[f64],
-    prev: &[Option<PrevEntry>],
-    target_dist: f64,
-    target_prev: Option<u32>,
+    st: &SearchState,
+    label: &TargetLabel,
     t0: Timestamp,
 ) -> Option<Path> {
     let mut doors_rev: Vec<u32> = Vec::new();
-    let mut cur = target_prev?;
+    let mut cur = label.prev?;
     loop {
         doors_rev.push(cur);
-        match prev[cur as usize]?.from {
+        match st.prev[cur as usize]?.from {
             Some(p) => cur = p,
             None => break,
         }
@@ -570,8 +423,8 @@ pub(crate) fn reconstruct(
 
     let mut hops = Vec::with_capacity(doors_rev.len());
     for &di in &doors_rev {
-        let p = prev[di as usize]?;
-        let d = dist[di as usize];
+        let p = st.prev[di as usize]?;
+        let d = st.dist[di as usize];
         hops.push(DoorHop {
             door: DoorId(di),
             via_partition: p.via,
@@ -584,9 +437,9 @@ pub(crate) fn reconstruct(
         source: *source,
         target: *target,
         hops,
-        length: target_dist,
+        length: label.dist,
         departure: t0,
-        arrival: t0 + config.velocity.travel_time(target_dist),
+        arrival: t0 + config.velocity.travel_time(label.dist),
     })
 }
 
@@ -784,16 +637,8 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
                 label.done = true;
                 // `reconstruct` is `None` only on a broken predecessor
                 // invariant; degrade to "no such routes" rather than panic.
-                paths[k as usize] = reconstruct(
-                    source,
-                    &targets[k as usize],
-                    config,
-                    &st.dist,
-                    &st.prev,
-                    label.dist,
-                    label.prev,
-                    t0,
-                );
+                paths[k as usize] =
+                    reconstruct(source, &targets[k as usize], config, &st, label, t0);
                 pending -= 1;
                 if pending == 0 {
                     break;
@@ -810,7 +655,6 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
         let door = DoorId(di);
         let d_di = st.dist[di as usize];
         let came_from = st.prev[di as usize].map(|p| p.via);
-        observer.push_settle(di, came_from);
 
         // Lines 20–24: a door that can enter a pending target's partition
         // relaxes that target directly …
@@ -825,7 +669,6 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
                 }
                 if let Some(pd) = space.point_to_door(&targets[k as usize], door) {
                     let cand = d_di + pd;
-                    observer.push_target(k, di, pd);
                     if cand < label.dist {
                         label.dist = cand;
                         label.prev = Some(di);

@@ -107,7 +107,6 @@ pub mod ord;
 pub mod profile;
 mod query;
 mod reduced;
-mod replay;
 pub mod server;
 mod stats;
 mod validate;

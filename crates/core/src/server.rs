@@ -49,8 +49,7 @@ use std::sync::Arc;
 
 use indoor_space::{IndoorPoint, PartitionId};
 
-use crate::framework::{direct_path, SweepObserver, Trace};
-use crate::replay::{replay_member, LeadIndex, ReplayScratch};
+use crate::framework::{direct_path, SweepObserver};
 use crate::{
     AsynEngine, AsynMode, BatchStats, DoorHop, ExpandPolicy, ItGraph, ItspqConfig, Path, Query,
     QueryError, QueryResult, SearchStats, SynEngine,
@@ -75,24 +74,24 @@ pub enum ServeMethod {
 /// How [`VenueServer::query_batch`] executes a batch.
 ///
 /// Both strategies answer byte-identically: `Shared` derives a member's
-/// answer from its group's search (verbatim, recomputed, retimed or
-/// replayed) only when a per-member certificate proves the derivation
-/// exact, and uncertifiable members fall back to their own per-query search
-/// (see `ARCHITECTURE.md` §Shared execution).
+/// answer from its group's search (verbatim, recomputed or retimed) only
+/// where that is exact, and a member the retime certificate refuses falls
+/// back to its own per-query search (see `ARCHITECTURE.md` §Shared
+/// execution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchStrategy {
     /// One search per query, exactly as submitted.
     Independent,
-    /// Group queries that leave the same source partition inside one
-    /// [`indoor_time::CheckpointSet`] interval — the span in which every
-    /// door's open/closed label is constant — and answer each ≥ 2-member
-    /// group from one search by its earliest-departing member, the *lead*.
-    /// Exact duplicates of the lead take its answer verbatim, same-partition
-    /// targets are recomputed directly, same-point later departures are
-    /// retimed under a margin certificate and other members replay the
-    /// lead's recorded relaxations against their own source legs; a member
-    /// none of these certifies runs its own search. Singleton groups and
-    /// shared-ineligible queries fall back to per-query execution.
+    /// Group queries that leave the same source point (partition and
+    /// position bits) inside one [`indoor_time::CheckpointSet`] interval —
+    /// the span in which every door's open/closed label is constant — and
+    /// answer each ≥ 2-member group from one multi-target search by its
+    /// earliest-departing member, the *lead*. Members departing with the
+    /// lead take their answer verbatim; later ones get a same-partition
+    /// target recomputed directly or the lead's path retimed under a margin
+    /// certificate, and a member the certificate refuses runs its own
+    /// search. Queries from other points of the partition, singleton groups
+    /// and shared-ineligible queries run per query.
     Shared,
 }
 
@@ -337,11 +336,12 @@ impl VenueServer {
     /// A query joins a shared group only when every sharing precondition
     /// holds (strategy, `FullRelax` expansion, validity, traversable-or-same
     /// target partition — see [`BatchStrategy`]); groups are keyed by source
-    /// partition and the departure's checkpoint interval. Groups that end up
-    /// with a single member are demoted to per-query items, so a plan's
-    /// groups always amortise at least two queries. Each group's first
-    /// member — its *lead*, whose search the others derive from — is rotated
-    /// to the earliest departure so every member's time shift is ≥ 0.
+    /// partition, the departure's checkpoint interval and the source
+    /// position's bits. Groups that end up with a single member are demoted
+    /// to per-query items, so a plan's groups always amortise at least two
+    /// queries. Each group's first member — its *lead*, whose search the
+    /// others derive from — is rotated to the earliest departure so every
+    /// member's time shift is ≥ 0.
     #[must_use]
     pub fn plan(&self, queries: &[Query], reject_malformed: bool) -> BatchPlan {
         let space = self.graph.space();
@@ -351,7 +351,7 @@ impl VenueServer {
         let mut items: Vec<WorkItem> = Vec::with_capacity(queries.len());
         // An ordered map, so that if grouping ever iterates it, the order is
         // a pure function of the keys — never of hasher state.
-        let mut group_of: BTreeMap<(PartitionId, usize), usize> = BTreeMap::new();
+        let mut group_of: BTreeMap<(PartitionId, usize, (u64, u64)), usize> = BTreeMap::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for (i, q) in queries.iter().enumerate() {
             match q.validate(space) {
@@ -378,6 +378,7 @@ impl VenueServer {
             let key = (
                 q.source.partition,
                 space.checkpoints().interval_index(q.time),
+                pos_bits(q),
             );
             let gi = *group_of.entry(key).or_insert_with(|| {
                 groups.push(Vec::new());
@@ -415,7 +416,6 @@ impl VenueServer {
         queries: &[Query],
         plan: &BatchPlan,
         item: &WorkItem,
-        ws: &mut WorkerScratch,
         out: &mut Vec<(usize, Result<QueryResult, QueryError>)>,
     ) -> ItemReport {
         match item {
@@ -434,71 +434,48 @@ impl VenueServer {
                 report
             }
             WorkItem::Group(members) => {
-                self.run_group(queries, &plan.members[members.clone()], ws, out)
+                self.run_group(queries, &plan.members[members.clone()], out)
             }
         }
     }
 
-    /// One shared frontier for a whole group, then per-member scatter: exact
-    /// duplicates of the lead take the group answer as-is, shifted members
-    /// are derived (direct recompute / retime / replay) under per-member
-    /// certificates, and anything uncertifiable falls back to its own
-    /// per-query search. See `framework.rs` and `replay.rs` for the
-    /// byte-identity arguments.
+    /// One sweep from the group's source point toward every member's target,
+    /// then per-member scatter: members departing with the lead take its
+    /// answer verbatim, later ones get a same-partition target recomputed
+    /// directly or the lead's path retimed under the margin certificate, and
+    /// a member the certificate refuses runs its own per-query search. See
+    /// `framework.rs` for the byte-identity argument of the shared sweep.
     fn run_group(
         &self,
         queries: &[Query],
         members: &[usize],
-        ws: &mut WorkerScratch,
         out: &mut Vec<(usize, Result<QueryResult, QueryError>)>,
     ) -> ItemReport {
         let lead = &queries[members[0]];
-        let lead_pos = pos_bits(lead);
         let lead_time = time_bits(lead);
-        // Record the decision trace only if some member starts elsewhere;
-        // track checkpoint margins only if some same-point member departs at
-        // another time. Groups of exact duplicates need neither and pay no
-        // observer work at all. Replay additionally requires
-        // order-pure TV verdicts — true for ITG/S and ITG/A(Exact), false
-        // for the paper-faithful cursor, whose verdict depends on the
-        // sequence of preceding checks — so Faithful groups skip recording
-        // and serve non-identical members per-query. (Retiming stays on:
-        // same-point members relax the identical sequence in the identical
-        // windows, which preserves even the Faithful cursor states.)
-        let verdict_pure = self.config.method == ServeMethod::Syn
-            || self.config.itspq.asyn_mode == AsynMode::Exact;
-        let needs_trace =
-            verdict_pure && members.iter().any(|&i| pos_bits(&queries[i]) != lead_pos);
-        let needs_margin = members
-            .iter()
-            .any(|&i| pos_bits(&queries[i]) == lead_pos && time_bits(&queries[i]) != lead_time);
-        ws.targets.clear();
-        ws.targets
-            .extend(members.iter().map(|&i| queries[i].target));
-        // The trace buffer belongs to the worker: recording reuses the same
-        // streams across every group this worker runs in the batch.
-        let mut observer = SweepObserver::with_trace(
-            needs_trace,
-            needs_margin,
-            std::mem::take(&mut ws.trace),
-            members.len(),
-        );
+        // Track checkpoint margins only if some member departs at another
+        // time than the lead; a group of exact duplicates pays no observer
+        // work at all. Retiming holds for every engine, the paper-faithful
+        // ITG/A cursor included: a member at the lead's point relaxes the
+        // identical sequence in the identical windows, which preserves even
+        // the cursor's states.
+        let mut observer =
+            SweepObserver::new(members.iter().any(|&i| time_bits(&queries[i]) != lead_time));
+        let targets: Vec<IndoorPoint> = members.iter().map(|&i| queries[i].target).collect();
         let ((paths, stats), search_nanos) =
-            timed(|| self.query_targets(&lead.source, lead.time, &ws.targets, &mut observer));
+            timed(|| self.query_targets(&lead.source, lead.time, &targets, &mut observer));
         let mut report = ItemReport {
             views: stats.views_built,
             search_nanos,
             ..ItemReport::default()
         };
         let config = &self.config.itspq;
-        // Scatter (timed as a phase; certificate-failure fallback searches
-        // run inside it and are attributed here, not to the search phase).
+        // Scatter (timed as a phase; a refused member's own search runs
+        // inside it and is attributed here, not to the search phase).
         let scatter_start = PhaseTimer::start();
-        let mut lead_indexed = false;
-        for (k, (&i, path)) in members.iter().zip(paths).enumerate() {
+        for (&i, path) in members.iter().zip(paths) {
             let q = &queries[i];
-            let same_pos = pos_bits(q) == lead_pos;
-            if same_pos && time_bits(q) == lead_time {
+            if time_bits(q) == lead_time {
                 // Every member reports the group's (single) search: the
                 // work its answer actually cost. Summing member stats
                 // therefore overcounts a shared batch — sum per *search*
@@ -506,62 +483,33 @@ impl VenueServer {
                 out.push((i, Ok(QueryResult { path, stats })));
                 continue;
             }
-            let mut retimed = false;
-            let mut derived: Option<Option<Path>> = if q.target.partition == q.source.partition {
+            let derived: Option<Option<Path>> = if q.target.partition == q.source.partition {
                 // The member's own search would short-circuit before any
                 // TV check; recompute the straight segment from its own
                 // endpoints and departure — exact by construction.
-                retimed = same_pos;
                 Some(Some(direct_path(
                     &q.source,
                     &q.target,
                     config,
                     q.departure(),
                 )))
-            } else if same_pos && q.departure() >= lead.departure() {
-                // Same start, later departure: retime iff the shift clears
-                // the smallest margin every lead arrival had to its next
-                // checkpoint — then every TV verdict provably transfers.
-                // The lead departs first by construction; the ordering
-                // guard keeps that an explicit precondition, because
-                // `Timestamp` subtraction saturates at zero and an earlier
-                // departure would masquerade as a zero shift.
+            } else if q.departure() >= lead.departure() {
+                // Later departure: retime iff the shift clears the smallest
+                // margin every lead arrival had to its next checkpoint —
+                // then every TV verdict provably transfers. The lead
+                // departs first by construction; the ordering guard keeps
+                // that an explicit precondition, because `Timestamp`
+                // subtraction saturates at zero and an earlier departure
+                // would masquerade as a zero shift.
                 let delta = (q.departure() - lead.departure()).seconds();
-                let ok = (delta + RETIME_SLACK_SECS < observer.min_margin_secs)
-                    .then(|| retime(path.as_ref(), q, config));
-                retimed = ok.is_some();
-                ok
+                (delta + RETIME_SLACK_SECS < observer.min_margin_secs)
+                    .then(|| retime(path.as_ref(), q, config))
             } else {
                 None
             };
-            if derived.is_none() && needs_trace {
-                // Different start — or a same-point member whose retime
-                // certificate failed: replay the lead's decision trace
-                // against this member's own source legs and departure.
-                if !lead_indexed {
-                    // Built once per group, shared by every member's replay.
-                    ws.lead
-                        .build(&observer.trace, self.graph.space().num_doors());
-                    lead_indexed = true;
-                }
-                derived = replay_member(
-                    self.graph.space(),
-                    config,
-                    &observer.trace,
-                    &ws.lead,
-                    q,
-                    k as u32,
-                    &mut ws.replay,
-                )
-                .ok();
-            }
             match derived {
                 Some(p) => {
-                    if retimed {
-                        report.retimed += 1;
-                    } else {
-                        report.replayed += 1;
-                    }
+                    report.retimed += 1;
                     out.push((i, Ok(QueryResult { path: p, stats })));
                 }
                 None => {
@@ -572,11 +520,7 @@ impl VenueServer {
                 }
             }
         }
-        if lead_indexed {
-            ws.lead.clear(&observer.trace);
-        }
         report.scatter_nanos = scatter_start.elapsed_nanos();
-        ws.trace = observer.take_trace();
         report
     }
 
@@ -612,9 +556,8 @@ impl VenueServer {
         let mut indexed: Vec<(usize, Result<QueryResult, QueryError>)>;
         if workers == 1 {
             indexed = Vec::with_capacity(queries.len());
-            let mut ws = WorkerScratch::default();
             for item in items {
-                report.absorb(self.run_item(queries, &plan, item, &mut ws, &mut indexed));
+                report.absorb(self.run_item(queries, &plan, item, &mut indexed));
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -624,13 +567,10 @@ impl VenueServer {
                         scope.spawn(|| {
                             let mut local = Vec::new();
                             let mut report = ItemReport::default();
-                            let mut ws = WorkerScratch::default();
                             loop {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
                                 let Some(item) = items.get(i) else { break };
-                                report.absorb(
-                                    self.run_item(queries, &plan, item, &mut ws, &mut local),
-                                );
+                                report.absorb(self.run_item(queries, &plan, item, &mut local));
                             }
                             (local, report)
                         })
@@ -658,7 +598,6 @@ impl VenueServer {
         // items were spread across workers (the phase timings sum each
         // worker's busy time and are the only scheduling-dependent fields).
         stats.views_built += report.views;
-        stats.replayed += report.replayed;
         stats.retimed += report.retimed;
         stats.fallbacks += report.fallbacks;
         stats.search_nanos += report.search_nanos;
@@ -680,8 +619,7 @@ enum WorkItem {
     Rejected(usize, QueryError),
     /// Answer all member queries (a range of [`BatchPlan::members`]) with
     /// one shared frontier. Invariants: ≥ 2 members, all shared-eligible,
-    /// one source partition and checkpoint interval, earliest departure
-    /// leading.
+    /// one source point and checkpoint interval, earliest departure leading.
     Group(Range<usize>),
 }
 
@@ -694,18 +632,6 @@ fn rotate_earliest_lead(queries: &[Query], roster: &mut [usize]) {
         .min_by_key(|&(pos, &i)| (queries[i].time, pos))
         .map_or(0, |(pos, _)| pos);
     roster.swap(0, lead);
-}
-
-/// One worker's reusable buffers for the length of a batch: the recorded
-/// trace, the lead index, the replay label state and the gathered target
-/// list. Every group the worker runs reuses them; they are dropped with the
-/// worker when the batch ends, so an idle server holds no replay state.
-#[derive(Debug, Default)]
-struct WorkerScratch {
-    trace: Trace,
-    lead: LeadIndex,
-    replay: ReplayScratch,
-    targets: Vec<IndoorPoint>,
 }
 
 /// Monotonic phase-timer reads for [`BatchStats`] attribution — the only
@@ -744,7 +670,6 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
 #[derive(Debug, Clone, Copy, Default)]
 struct ItemReport {
     views: usize,
-    replayed: usize,
     retimed: usize,
     fallbacks: usize,
     search_nanos: u64,
@@ -754,7 +679,6 @@ struct ItemReport {
 impl ItemReport {
     fn absorb(&mut self, other: ItemReport) {
         self.views += other.views;
-        self.replayed += other.replayed;
         self.retimed += other.retimed;
         self.fallbacks += other.fallbacks;
         self.search_nanos += other.search_nanos;
@@ -762,14 +686,15 @@ impl ItemReport {
     }
 }
 
-/// The source-point identity used by group scatter: bitwise, so `-0.0 ≠ 0.0`
-/// and only bit-identical sources take the lead's answer verbatim.
+/// The source-point identity of the planner's group key: bitwise, so
+/// `-0.0 ≠ 0.0` and only bit-identical sources share a search.
 fn pos_bits(q: &Query) -> (u64, u64) {
     (q.source.position.x.to_bits(), q.source.position.y.to_bits())
 }
 
-/// The departure-time identity used by group scatter, bitwise like
-/// [`pos_bits`].
+/// The departure-time identity used by group scatter: bitwise like
+/// [`pos_bits`], so only bit-identical departures take the lead's answer
+/// verbatim.
 fn time_bits(q: &Query) -> u64 {
     q.time.seconds().to_bits()
 }
@@ -1126,19 +1051,22 @@ mod tests {
     }
 
     #[test]
-    fn plan_groups_spread_points_and_times_of_one_interval() {
+    fn plan_groups_one_point_across_its_interval() {
         let ex = paper_example::build();
         let server = sharing_server(&ex);
-        // Distinct points of p3 at one instant all merge …
+        // Distinct points of p3 at one instant plan apart: only the two
+        // queries from `ex.p3` share a search …
         let plan = server.plan(&door_batch(&ex), false);
         assert_eq!(plan.shared_groups(), 1);
-        assert_eq!(plan.shared_queries(), 5);
-        assert_eq!(plan.searches(), 1);
-        // … and so do departures spread across one checkpoint interval.
+        assert_eq!(plan.shared_queries(), 2);
+        assert_eq!(plan.searches(), 4);
+        // … while departures from one point spread across one checkpoint
+        // interval merge.
         let batch = interval_batch(&ex);
         let plan = server.plan(&batch, false);
-        assert!(plan.shared_queries() >= 4);
-        assert!(plan.searches() < batch.len());
+        assert_eq!(plan.shared_groups(), 1);
+        assert_eq!(plan.shared_queries(), 4);
+        assert_eq!(plan.searches(), 2);
         // Independent execution plans one search per query.
         let independent = sharing_server(&ex).with_strategy(BatchStrategy::Independent);
         assert_eq!(independent.plan(&batch, false).searches(), batch.len());
@@ -1194,31 +1122,32 @@ mod tests {
     }
 
     #[test]
-    fn derived_members_report_replays_and_retimes() {
+    fn derived_members_report_retimes() {
         let ex = paper_example::build();
         let server = sharing_server(&ex);
         let mut batch = door_batch(&ex);
         batch.extend(interval_batch(&ex));
         let (_, stats) = server.query_batch_with_stats(&batch);
-        assert!(
-            stats.replayed > 0,
-            "door-spread sources must be answered by replay: {stats}"
-        );
-        assert!(
-            stats.retimed > 0,
-            "same-point later departures must be answered by retime: {stats}"
+        // A group from `ex.p3` (9:00 lead, two verbatim members and three
+        // later departures, all retimed), a verbatim pair from (1, 1) at
+        // 9:00, and two singles from the other points.
+        assert_eq!(
+            (stats.groups, stats.replayed, stats.retimed, stats.fallbacks),
+            (4, 0, 3, 0),
+            "{stats}"
         );
     }
 
     #[test]
-    fn one_search_answers_spread_points_and_instants() {
+    fn spread_points_and_instants_group_per_point() {
         let ex = paper_example::build();
         let server = sharing_server(&ex);
         let p3 = ex.p3.partition;
         let at = |x: f64, y: f64| indoor_space::IndoorPoint::new(p3, indoor_geom::Point::new(x, y));
         // Three instants (9:00, 9:20 and a lone 9:40) from distinct p3
-        // points, all inside one checkpoint interval: a single group whose
-        // 9:00 lead answers everyone it can certify.
+        // points, all inside one checkpoint interval: the two points that
+        // recur at 9:00 and 9:20 each form a group whose 9:00 lead retimes
+        // its 9:20 member, and the lone points run their own searches.
         let batch = vec![
             Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
             Query::new(at(1.0, 1.0), ex.p4, TimeOfDay::hm(9, 0)),
@@ -1228,14 +1157,12 @@ mod tests {
             Query::new(at(0.5, 2.0), ex.p1, TimeOfDay::hm(9, 40)),
         ];
         let plan = server.plan(&batch, false);
-        assert_eq!(plan.searches(), 1);
-        assert_eq!(plan.shared_queries(), 6);
+        assert_eq!(plan.shared_groups(), 2);
+        assert_eq!(plan.shared_queries(), 4);
+        assert_eq!(plan.searches(), 4);
         let (_, stats) = server.query_batch_with_stats(&batch);
         assert!(stats.is_consistent(), "{stats}");
-        assert!(
-            stats.replayed + stats.retimed > 0,
-            "the lead's search must answer some member: {stats}"
-        );
+        assert_eq!((stats.retimed, stats.fallbacks), (2, 0), "{stats}");
         assert_parity(&server, &batch);
     }
 

@@ -121,19 +121,19 @@ pub struct BatchStats {
     pub rejected: usize,
     /// ITG/A reduced views actually built over the whole batch.
     pub views_built: usize,
-    /// Members from another source point of the lead's partition answered
-    /// without a search of their own: certified replay of the lead's
-    /// recorded relaxations, or a direct recompute of a same-partition
-    /// target.
+    /// Always 0. Shared groups are keyed by source point, so no member is
+    /// derived from a search that started elsewhere; the field stays
+    /// because the serving benchmark (`servebench`) reads it.
     pub replayed: usize,
     /// Members at the lead's source point departing later in the same
     /// checkpoint interval, answered without a search of their own: the
     /// lead's path retimed under the margin certificate, or a direct
     /// recompute of a same-partition target.
     pub retimed: usize,
-    /// Group members whose replay/retime could not be certified and were
-    /// answered by their own per-query search instead (also counted in
-    /// `groups`, subtracted from `shared_queries`/`frontier_reuses`).
+    /// Group members departing later than the lead whose retime the margin
+    /// certificate refused, answered by their own per-query search instead
+    /// (also counted in `groups`, subtracted from
+    /// `shared_queries`/`frontier_reuses`).
     pub fallbacks: usize,
     /// Monotonic nanoseconds spent planning the batch (grouping + keying).
     #[serde(default)]
@@ -143,8 +143,8 @@ pub struct BatchStats {
     #[serde(default)]
     pub search_nanos: u64,
     /// Monotonic nanoseconds spent scattering group answers to members
-    /// (derivations, replays and certificate-failure fallback searches;
-    /// summed across workers).
+    /// (verbatim copies, derivations and certificate-failure fallback
+    /// searches; summed across workers).
     #[serde(default)]
     pub scatter_nanos: u64,
 }

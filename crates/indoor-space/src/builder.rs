@@ -56,7 +56,8 @@ pub enum Connection {
 }
 
 impl Connection {
-    fn partitions(self) -> (PartitionId, Option<PartitionId>) {
+    /// The partitions the door bounds: one, or two for a door between two.
+    pub(crate) fn partitions(self) -> (PartitionId, Option<PartitionId>) {
         match self {
             Connection::TwoWay(a, b) => (a, Some(b)),
             Connection::OneWay { from, to } => (from, Some(to)),

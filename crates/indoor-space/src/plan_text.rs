@@ -83,7 +83,7 @@ impl From<SpaceError> for PlanError {
 pub fn parse(text: &str) -> Result<IndoorSpace, PlanError> {
     let mut b = VenueBuilder::new();
     let mut partitions: HashMap<String, PartitionId> = HashMap::new();
-    let mut doors: HashMap<String, crate::DoorId> = HashMap::new();
+    let mut doors: HashMap<String, (crate::DoorId, Connection)> = HashMap::new();
     let mut outdoor: Option<PartitionId> = None;
 
     // Two passes so doors may reference partitions declared later.
@@ -237,7 +237,7 @@ pub fn parse(text: &str) -> Result<IndoorSpace, PlanError> {
                 let id = b.add_door_on(&name, kind, atis, pos, floor);
                 b.connect(id, conn)
                     .map_err(|e| err(line_no, e.to_string()))?;
-                doors.insert(name, id);
+                doors.insert(name, (id, conn));
             }
             "distance" => {
                 let p = words
@@ -257,12 +257,22 @@ pub fn parse(text: &str) -> Result<IndoorSpace, PlanError> {
                 let pid = *partitions
                     .get(p)
                     .ok_or_else(|| err(line_no, format!("unknown partition `{p}`")))?;
-                let a = *doors
-                    .get(d1)
-                    .ok_or_else(|| err(line_no, format!("unknown door `{d1}`")))?;
-                let bb = *doors
-                    .get(d2)
-                    .ok_or_else(|| err(line_no, format!("unknown door `{d2}`")))?;
+                // A door of the override must bound its partition; checked
+                // here, the error keeps this line and the plan's names.
+                let door = |name: &str| {
+                    let &(id, conn) = doors
+                        .get(name)
+                        .ok_or_else(|| err(line_no, format!("unknown door `{name}`")))?;
+                    match conn.partitions() {
+                        (a, b) if a == pid || b == Some(pid) => Ok(id),
+                        _ => Err(err(
+                            line_no,
+                            format!("door `{name}` does not belong to partition `{p}`"),
+                        )),
+                    }
+                };
+                let a = door(d1)?;
+                let bb = door(d2)?;
                 b.set_distance(pid, a, bb, m)
                     .map_err(|e| err(line_no, e.to_string()))?;
             }
@@ -565,6 +575,15 @@ distance hallway a c 12.5
             assert_eq!(e.line, 1);
             assert!(e.message.contains("bad vertex"), "{v}: {e}");
         }
+        let bad = "partition a public\npartition b public\n\
+                   door d1 public always @ 0,0 b |\ndoor d2 public always @ 1,0 a |\n\
+                   \n# a comment line\ndistance a d1 d2 3\n";
+        let e = parse(bad).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "line 7: door `d1` does not belong to partition `a`"
+        );
+
         for p in ["NaN,0", "0,inf", "inf,0,1"] {
             let bad = format!("partition a public\ndoor d public always @ {p} a |\n");
             let e = parse(&bad).unwrap_err();

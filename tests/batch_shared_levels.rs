@@ -1,24 +1,28 @@
 //! Named regression pins for shared execution.
 //!
-//! Each test constructs one specific source-leg edge case the replay/retime
-//! machinery must handle — a source exactly on a door, a zero-length source
-//! leg on the *lead*, a sealed source door at departure — and pins the
-//! batch answer against per-query `try_query`, byte for byte. The `warm_`
-//! pins cover members that depart at another instant than the lead and are
-//! answered from its already-run ("warm") frontier: a frontier sealed at
-//! the member's departure, a lone pair, a member source on a door the lead
-//! settled, and a member submitted ahead of an earlier-departing lead.
+//! A `Shared` group is one multi-target sweep from one source point: its
+//! members are answered verbatim, by a direct recompute or by a retime of
+//! the lead's path under the margin certificate, else by their own search.
+//! Each test constructs one specific edge case — a source exactly on a
+//! door, a zero-length source leg on the *lead*, a sealed source door at
+//! departure — and pins the batch answer against per-query `try_query`,
+//! byte for byte. The `warm_` pins mix members that depart at another
+//! instant than their lead with queries from other points of the
+//! partition, which plan as searches of their own: a frontier sealed at
+//! the member's departure, a lone pair from two points, a source on a door
+//! other sweeps settle, and a member submitted ahead of an
+//! earlier-departing lead.
 //!
-//! Two pins build their own venue so that one certificate alone decides the
-//! answer: `omitted_settled_skip_edge_forces_fallback` (the member's
-//! shortest route uses an edge the lead's sweep skipped) and
-//! `member_arriving_after_a_closing_takes_its_own_verdict` (a door closes
-//! between the lead's and the members' arrivals, which decides both the
-//! replayed verdict and the retime margin).
+//! `member_arriving_after_a_closing_takes_its_own_verdict` builds its own
+//! venue so that the retime certificate alone decides the answer: a door
+//! closes between the lead's and a member's arrivals, so the margin must
+//! refuse the retime.
 //!
-//! A second group of tests pins the `BatchStats` bookkeeping invariants:
-//! the accounting identity, view-count monotonicity versus independent
-//! execution, and worker-count independence of the whole report.
+//! A second group of tests pins the planner's key (one source point and
+//! checkpoint interval per group) and the `BatchStats` bookkeeping
+//! invariants: the accounting identity, view-count monotonicity versus
+//! independent execution, and worker-count independence of the whole
+//! report.
 
 use itspq_repro::core::server::BatchStrategy;
 use itspq_repro::core::{AsynMode, QueryResult};
@@ -56,8 +60,8 @@ fn result_found(r: &Result<QueryResult, QueryError>) -> bool {
 
 #[test]
 fn source_exactly_on_a_door_matches_per_query() {
-    // A member whose source sits bitwise on d18's position: its source leg
-    // to d18 is exactly 0.0, the degenerate case of the replayed relax.
+    // Two queries whose source sits bitwise on d18's position: their group's
+    // source leg to d18 is exactly 0.0 long.
     let ex = paper_example::build();
     let srv = server(&ex, BatchStrategy::Shared);
     let on_door = IndoorPoint::new(ex.p3.partition, ex.space.door(ex.d(18)).position);
@@ -70,9 +74,9 @@ fn source_exactly_on_a_door_matches_per_query() {
     ];
     let plan = srv.plan(&batch, false);
     assert_eq!(
-        plan.shared_queries(),
-        4,
-        "all four must plan into one group"
+        (plan.shared_groups(), plan.shared_queries()),
+        (2, 4),
+        "each source point must plan into a group of its own"
     );
     assert_pinned(&srv, &batch, "source on door");
     // The on-door queries do find routes (0-length first leg, not rejected).
@@ -82,9 +86,9 @@ fn source_exactly_on_a_door_matches_per_query() {
 
 #[test]
 fn lead_with_zero_length_source_leg_matches_per_query() {
-    // The *lead* (earliest departure) starts exactly on a door, so every
-    // recorded source-leg relax carries a 0.0 base distance and members with
-    // ordinary source legs must replay against it.
+    // The on-door group's *lead* (its earliest departure) starts exactly on
+    // d18, so its sweep's source leg to d18 is 0.0 long, and its 9:45 member
+    // is retimed from that sweep.
     let ex = paper_example::build();
     let srv = server(&ex, BatchStrategy::Shared);
     let on_door = IndoorPoint::new(ex.p3.partition, ex.space.door(ex.d(18)).position);
@@ -92,17 +96,20 @@ fn lead_with_zero_length_source_leg_matches_per_query() {
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 30)),
         Query::new(on_door, ex.p2, TimeOfDay::hm(9, 0)), // earliest: the lead
         Query::new(ex.p3, ex.p1, TimeOfDay::hm(10, 15)),
+        Query::new(on_door, ex.p4, TimeOfDay::hm(9, 45)),
     ];
     let plan = srv.plan(&batch, false);
-    assert_eq!(plan.shared_groups(), 1);
+    assert_eq!(plan.shared_groups(), 2);
     assert_pinned(&srv, &batch, "zero-length lead source leg");
+    let (_, stats) = srv.query_batch_with_stats(&batch);
+    assert_eq!((stats.retimed, stats.fallbacks), (2, 0), "{stats}");
 }
 
 #[test]
 fn source_door_sealed_at_departure_matches_per_query() {
     // 23:30: d18 is sealed (Example 1's night case), so the group search
-    // records rejected relaxes and genuine no-routes; members from other p3
-    // points must reach the identical verdicts.
+    // rejects relaxations and finds genuine no-routes; the members from the
+    // other p3 point must reach the identical verdicts.
     let ex = paper_example::build();
     let srv = server(&ex, BatchStrategy::Shared);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
@@ -122,16 +129,17 @@ fn indoor_geom_point(x: f64, y: f64) -> itspq_repro::geom::Point {
     itspq_repro::geom::Point::new(x, y)
 }
 
-/// A mixed batch exercising every derivation: exact duplicates, door-spread
-/// sources, interval-spread departures, a private-partition fallback.
+/// A mixed batch exercising every plan outcome: exact duplicates, a source
+/// elsewhere in p3 (its own search), an interval-spread departure (retimed),
+/// a private-partition fallback and a singleton.
 fn mixed_batch(ex: &paper_example::PaperExample) -> Vec<Query> {
     let other = IndoorPoint::new(ex.p3.partition, indoor_geom_point(2.0, 1.5));
     let private = IndoorPoint::new(ex.v(15), indoor_geom_point(5.0, 0.0));
     vec![
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)), // exact duplicate
-        Query::new(other, ex.p2, TimeOfDay::hm(9, 0)), // door-spread
-        Query::new(ex.p3, ex.p1, TimeOfDay::hm(9, 40)), // interval-spread
+        Query::new(other, ex.p2, TimeOfDay::hm(9, 0)), // another point: own search
+        Query::new(ex.p3, ex.p1, TimeOfDay::hm(9, 40)), // interval-spread: retimed
         Query::new(ex.p3, private, TimeOfDay::hm(9, 0)), // private: fallback
         Query::new(ex.p1, ex.p2, TimeOfDay::hm(12, 0)), // singleton
     ]
@@ -192,8 +200,8 @@ fn assert_worker_independent(ex: &paper_example::PaperExample, batch: &[Query]) 
 #[test]
 fn stats_are_identical_across_worker_counts() {
     // The planner groups through an ordered map keyed by (partition,
-    // interval); this pin holds the whole non-timing report equal between a
-    // serial and a 4-worker run of the mixed batch.
+    // interval, source point); this pin holds the whole non-timing report
+    // equal between a serial and a 4-worker run of the mixed batch.
     let ex = paper_example::build();
     let stats = assert_worker_independent(&ex, &mixed_batch(&ex));
     assert!(stats.frontier_reuses > 0, "batch must share: {stats}");
@@ -201,10 +209,9 @@ fn stats_are_identical_across_worker_counts() {
 
 #[test]
 fn warm_start_stats_are_identical_across_worker_counts() {
-    // The same pin on a batch whose p3 members depart at spread instants of
-    // one interval and from other points than the lead, so each is answered
-    // from the lead's already-run frontier: the replay and fallback counts
-    // must not depend on which worker derives which member.
+    // The same pin on a batch whose p3 queries leave three points at spread
+    // instants of one interval: only the pair from (1, 1) shares a search,
+    // and the retime count must not depend on which worker runs which item.
     let ex = paper_example::build();
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let far = IndoorPoint::new(ex.p3.partition, indoor_geom_point(2.5, 0.5));
@@ -217,18 +224,18 @@ fn warm_start_stats_are_identical_across_worker_counts() {
     ];
     let stats = assert_worker_independent(&ex, &batch);
     assert_eq!(
-        stats.replayed + stats.fallbacks,
-        3,
-        "each spread p3 member is replayed or falls back: {stats}"
+        (stats.groups, stats.retimed, stats.fallbacks),
+        (4, 1, 0),
+        "the 9:20 member from (1, 1) is retimed, the rest search: {stats}"
     );
 }
 
 #[test]
 fn warm_donor_fully_sealed_at_member_departure_matches_per_query() {
-    // 23:30: d18 is sealed, so the lead's frontier dies immediately (every
-    // p3 exit rejected). The 23:40 members derive from that dead frontier
-    // and must reach the identical "no such routes" verdicts — or fall back
-    // — never a phantom route.
+    // 23:30: d18 is sealed, so a frontier from p3 dies immediately (every
+    // p3 exit rejected). The 23:40 member from (1, 1) is derived from its
+    // 23:30 lead's dead frontier and must reach the identical "no such
+    // routes" verdict — or fall back — never a phantom route.
     let ex = paper_example::build();
     let srv = server(&ex, BatchStrategy::Shared);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
@@ -241,9 +248,9 @@ fn warm_donor_fully_sealed_at_member_departure_matches_per_query() {
     ];
     let plan = srv.plan(&batch, false);
     assert_eq!(
-        plan.searches(),
-        1,
-        "both night instants must plan behind one lead"
+        (plan.shared_groups(), plan.searches()),
+        (1, 3),
+        "only the pair from (1, 1) must plan behind one lead"
     );
     assert_pinned(&srv, &batch, "sealed lead frontier");
     let got = srv.try_query_batch(&batch);
@@ -253,14 +260,14 @@ fn warm_donor_fully_sealed_at_member_departure_matches_per_query() {
     );
     let (_, stats) = srv.query_batch_with_stats(&batch);
     assert!(stats.is_consistent(), "{stats}");
+    assert_eq!((stats.retimed, stats.fallbacks), (1, 0), "{stats}");
 }
 
 #[test]
 fn warm_merged_singletons_donate_an_empty_frontier_delta() {
     // Two lone queries from distinct p3 points at distinct instants of one
-    // interval: the interval key is the only reason they share at all. The
-    // lead's frontier answers the other — including when the lead's own
-    // target is unreachable (empty result, non-empty frontier).
+    // interval: they share a partition and an interval but no point, so no
+    // frontier is donated and each runs its own search.
     let ex = paper_example::build();
     let srv = server(&ex, BatchStrategy::Shared);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
@@ -269,23 +276,24 @@ fn warm_merged_singletons_donate_an_empty_frontier_delta() {
         Query::new(elsewhere, ex.p2, TimeOfDay::hm(9, 20)),
     ];
     let plan = srv.plan(&batch, false);
-    assert_eq!(plan.searches(), 1, "the two lone queries must group");
-    assert_eq!(plan.shared_queries(), 2);
+    assert_eq!(plan.searches(), 2, "the two lone queries must plan apart");
+    assert_eq!(plan.shared_queries(), 0);
     assert_pinned(&srv, &batch, "lone pair");
     let (_, stats) = srv.query_batch_with_stats(&batch);
     assert!(stats.is_consistent(), "{stats}");
     assert_eq!(
-        stats.replayed + stats.fallbacks,
-        1,
-        "the member is replayed or falls back: {stats}"
+        (stats.frontier_reuses, stats.retimed, stats.fallbacks),
+        (0, 0, 0),
+        "{stats}"
     );
 }
 
 #[test]
 fn warm_member_source_on_a_donated_settled_door_matches_per_query() {
-    // The 9:20 members start bitwise on d18's position — a door the lead's
-    // sweep settles. Their replay sees a 0.0-length source leg onto a
-    // settled label; the answers must still be byte-for-byte per-query.
+    // The 9:20 pair starts bitwise on d18's position — a door the 9:00
+    // sweeps from p3 settle. Their own group's sweep takes a 0.0-length
+    // source leg onto it; the answers must still be byte-for-byte
+    // per-query.
     let ex = paper_example::build();
     let srv = server(&ex, BatchStrategy::Shared);
     let on_door = IndoorPoint::new(ex.p3.partition, ex.space.door(ex.d(18)).position);
@@ -297,7 +305,7 @@ fn warm_member_source_on_a_donated_settled_door_matches_per_query() {
         Query::new(on_door, ex.p1, TimeOfDay::hm(9, 20)),
     ];
     let plan = srv.plan(&batch, false);
-    assert_eq!(plan.searches(), 1);
+    assert_eq!((plan.shared_groups(), plan.searches()), (1, 3));
     assert_pinned(&srv, &batch, "member source on a settled door");
     let got = srv.try_query_batch(&batch);
     assert!(result_found(&got[2]) && result_found(&got[3]));
@@ -307,11 +315,11 @@ fn warm_member_source_on_a_donated_settled_door_matches_per_query() {
 
 #[test]
 fn warm_earlier_departing_seeded_member_matches_per_query() {
-    // The 9:05 pair is submitted after the 9:20 trio, and one of them
-    // leaves from the trio's first source point: the planner must rotate
-    // the earliest departure to the lead so no member is retimed through
-    // the saturating-to-zero timestamp delta of an earlier departure.
-    // Retime, replay or fallback answer the rest, byte-for-byte.
+    // The 9:05 pair is submitted after the 9:20 trio, and each of them
+    // leaves from a source point of the trio: the planner must rotate the
+    // earliest departure to each group's lead so no member is retimed
+    // through the saturating-to-zero timestamp delta of an earlier
+    // departure. Retime or fallback answer the 9:20 members, byte-for-byte.
     let ex = paper_example::build();
     let srv = server(&ex, BatchStrategy::Shared);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
@@ -324,88 +332,26 @@ fn warm_earlier_departing_seeded_member_matches_per_query() {
         Query::new(elsewhere, ex.p4, TimeOfDay::hm(9, 5)),
     ];
     let plan = srv.plan(&batch, false);
-    assert_eq!(plan.searches(), 1, "all five share one interval");
+    assert_eq!(
+        (plan.shared_groups(), plan.searches()),
+        (2, 3),
+        "two points recur in the interval, the third is alone"
+    );
     assert_pinned(&srv, &batch, "earlier-departing member");
     let (_, stats) = srv.query_batch_with_stats(&batch);
     assert!(stats.is_consistent(), "{stats}");
-}
-
-#[test]
-fn omitted_settled_skip_edge_forces_fallback() {
-    // The lead's sweep records no relaxation into a door it has already
-    // settled (Algorithm 1 line 26). Here the lead settles `x` before `u`,
-    // so its expansion of `u` into the corridor skips `u → x`; the member
-    // starts next to `u` and reaches `x` fastest over exactly that edge.
-    // The record alone would route the member the long way, through `s1`,
-    // so the omission certificate must send it to its own search.
-    let mut b = VenueBuilder::new();
-    let hall = b.add_partition("hall", PartitionKind::Public);
-    let west = b.add_partition("west", PartitionKind::Public);
-    let east = b.add_partition("east", PartitionKind::Public);
-    let corridor = b.add_partition("corridor", PartitionKind::Public);
-    let far = b.add_partition("far", PartitionKind::Public);
-    let mut door = |name: &str, x: f64, y: f64, a: PartitionId, c: PartitionId| {
-        let d = b.add_door(
-            name,
-            DoorKind::Public,
-            AtiList::always_open(),
-            indoor_geom_point(x, y),
-        );
-        b.connect(d, Connection::TwoWay(a, c))
-            .expect("fresh door between known partitions");
-        d
-    };
-    door("s1", 0.0, 0.0, hall, west);
-    let s2 = door("s2", 100.0, 0.0, hall, east);
-    let x = door("x", 0.0, 50.0, west, corridor);
-    let u = door("u", 100.0, 10.0, east, corridor);
-    door("y", 200.0, 10.0, corridor, far);
-    let space = b.build().expect("valid venue");
-
-    let at = |p: PartitionId, x: f64, y: f64| IndoorPoint::new(p, indoor_geom_point(x, y));
-    let nine = TimeOfDay::hm(9, 0);
-    let batch = vec![
-        // Lead: beside s1, bound for the far room, so its sweep settles
-        // s1, x, s2, u, y in that order before it finishes.
-        Query::new(at(hall, 2.0, 0.0), at(far, 210.0, 10.0), nine),
-        // Member: beside s2, bound for the west room just inside x.
-        Query::new(at(hall, 98.0, 0.0), at(west, 0.0, 49.0), nine),
-    ];
-    for method in [ServeMethod::Asyn, ServeMethod::Syn] {
-        let config = ServerConfig {
-            method,
-            itspq: ItspqConfig::full_relax().with_asyn_mode(AsynMode::Exact),
-            ..ServerConfig::default()
-        };
-        let srv = VenueServer::with_config(ItGraph::shared(space.clone()), config);
-        assert_eq!(srv.plan(&batch, false).searches(), 1, "one group");
-        assert_pinned(&srv, &batch, "omitted settled-skip edge");
-        let (answers, stats) = srv.query_batch_with_stats(&batch);
-        let route: Vec<_> = answers[1]
-            .path
-            .as_ref()
-            .expect("the member has a route")
-            .doors()
-            .collect();
-        assert_eq!(route, vec![s2, u, x], "{method:?}");
-        assert_eq!(
-            (stats.replayed, stats.fallbacks),
-            (0, 1),
-            "{method:?}: the member must fall back, not replay: {stats}"
-        );
-    }
+    assert_eq!((stats.retimed, stats.fallbacks), (2, 0), "{stats}");
 }
 
 #[test]
 fn member_arriving_after_a_closing_takes_its_own_verdict() {
     // Door `d` closes at 10:00, the only checkpoint after midnight, so a
-    // 9:00 lead and two 9:59:30 members share one interval. The lead
-    // crosses `d` at 9:01; both members would reach it at 10:00:41 and must
-    // detour through `e`. Replay records no verdicts: it has to take the
-    // member's own from the door's ATIs. The member at the lead's own point
-    // is a retime candidate whose 59.5 min shift exceeds the lead's
-    // smallest checkpoint margin (under 55 min), so it must be replayed
-    // too, never retimed.
+    // 9:00 lead and a 9:59:30 member at its point share one interval. The
+    // lead crosses `d` at 9:01; the member would reach it at 10:00:41 and
+    // must detour through `e`. Its 59.5 min shift exceeds the smallest
+    // margin any of the lead's checked arrivals has to 10:00, so the retime
+    // certificate must refuse it and send it to its own search. The
+    // 9:59:30 query from another point plans as a search of its own.
     let mut b = VenueBuilder::new();
     let hall = b.add_partition("hall", PartitionKind::Public);
     let room = b.add_partition("room", PartitionKind::Public);
@@ -440,7 +386,8 @@ fn member_arriving_after_a_closing_takes_its_own_verdict() {
             ..ServerConfig::default()
         };
         let srv = VenueServer::with_config(ItGraph::shared(space.clone()), config);
-        assert_eq!(srv.plan(&batch, false).searches(), 1, "one group");
+        let plan = srv.plan(&batch, false);
+        assert_eq!((plan.shared_groups(), plan.searches()), (1, 2));
         assert_pinned(&srv, &batch, "member verdict after a closing");
         let (answers, stats) = srv.query_batch_with_stats(&batch);
         let doors = |i: usize| -> Vec<DoorId> {
@@ -457,11 +404,42 @@ fn member_arriving_after_a_closing_takes_its_own_verdict() {
             "{method:?}"
         );
         assert_eq!(
-            (stats.replayed, stats.retimed),
-            (2, 0),
-            "{method:?}: {stats}"
+            (stats.retimed, stats.fallbacks),
+            (0, 1),
+            "{method:?}: the retime must be refused: {stats}"
         );
     }
+}
+
+#[test]
+fn groups_are_keyed_by_source_point() {
+    let ex = paper_example::build();
+    let srv = server(&ex, BatchStrategy::Shared);
+    let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
+    let nine = TimeOfDay::hm(9, 0);
+    // Two points of one partition at one instant: two singles.
+    let apart = vec![
+        Query::new(ex.p3, ex.p4, nine),
+        Query::new(elsewhere, ex.p4, nine),
+    ];
+    let plan = srv.plan(&apart, false);
+    assert_eq!((plan.shared_groups(), plan.searches()), (0, 2));
+    assert_pinned(&srv, &apart, "two points at one instant");
+    // One point at two instants of one interval: one group, whose later
+    // member is answered by one retime.
+    let later = vec![
+        Query::new(ex.p3, ex.p4, nine),
+        Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 20)),
+    ];
+    let plan = srv.plan(&later, false);
+    assert_eq!((plan.shared_groups(), plan.searches()), (1, 1));
+    assert_pinned(&srv, &later, "one point at two instants");
+    let (_, stats) = srv.query_batch_with_stats(&later);
+    assert_eq!(
+        (stats.replayed, stats.retimed, stats.fallbacks),
+        (0, 1, 0),
+        "{stats}"
+    );
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Property-based parity pin for the shared-execution batch engine.
 //!
 //! The claim of [`BatchStrategy::Shared`] is that sharing is *invisible* in
-//! the answers: grouping queries by source partition and checkpoint
-//! interval and answering each group from one multi-target frontier
-//! (verbatim, recomputed directly, replayed against the member's own source
-//! legs, or retimed under the margin certificate) returns exactly what
-//! per-query execution returns — the same `Path` values bit for bit, the
-//! same "no such routes", the same typed errors for malformed queries — for
-//! every engine (ITG/S, ITG/A Exact *and* the stateful paper-faithful
-//! ITG/A), any worker count, and adversarially skewed batches.
+//! the answers: grouping queries by source point and checkpoint interval
+//! and answering each group from one multi-target frontier (verbatim,
+//! recomputed directly, or retimed under the margin certificate) returns
+//! exactly what per-query execution returns — the same `Path` values bit
+//! for bit, the same "no such routes", the same typed errors for malformed
+//! queries — for every engine (ITG/S, ITG/A Exact *and* the stateful
+//! paper-faithful ITG/A), any worker count, and adversarially skewed
+//! batches.
 //!
 //! These properties drive randomized venues (seeded ATIs on the tiny mall),
 //! zipf-like source skew (a tiny source pool with many duplicates),
@@ -102,8 +102,8 @@ fn inject_malformed(batch: &mut [Query], seed: u64) {
 }
 
 /// `per` random points in each of the first `parts` traversable polygon
-/// partitions: many *distinct* source points concentrated in few partitions —
-/// the batch shape replay exists for.
+/// partitions: many *distinct* source points concentrated in few partitions,
+/// so batches mix groups at recurring points with searches from lone ones.
 fn partition_clustered_points(
     graph: &ItGraph,
     seed: u64,
@@ -169,8 +169,8 @@ fn clustered_batch(
 /// Sources from the partition-clustered pool, departures spread by minutes
 /// after a few base instants (9:00, 12:00, and 23:00 where night sealing
 /// yields genuine no-routes): most members of a group depart at another
-/// instant, and from another point, than its lead, so they are answered
-/// from the lead's already-run ("warm") frontier or fall back.
+/// instant than its lead, so they are retimed from the lead's already-run
+/// ("warm") frontier or fall back.
 fn spread_batch(
     cluster: &[IndoorPoint],
     targets: &[IndoorPoint],
@@ -385,9 +385,9 @@ proptest! {
         prop_assert_eq!(stats.sharing_ratio() < 1.0, expected_groups > 0);
     }
 
-    /// The whole report — replays, retimes, fallbacks, views — keeps the
-    /// batch books balanced and is independent of the worker count (phase
-    /// timings, the one wall-clock part, compared zeroed).
+    /// The whole report — retimes, fallbacks, views — keeps the batch books
+    /// balanced and is independent of the worker count (phase timings, the
+    /// one wall-clock part, compared zeroed).
     #[test]
     fn leveled_stats_are_consistent_and_worker_independent(
         seed in 0u64..150,
@@ -453,8 +453,8 @@ proptest! {
 }
 
 proptest! {
-    // The clustered property guards the replay certificates, so it gets the
-    // largest case budget.
+    // The clustered property mixes every plan outcome (verbatim, retimed,
+    // refused and lone points), so it gets the largest case budget.
     #![proptest_config(ProptestConfig::with_cases(72))]
 
     /// Sharing across door-spread sources and interval-spread departures is
