@@ -1,8 +1,8 @@
 //! A byte-counting global allocator for the paper's memory-cost metric.
 //!
 //! Wraps the system allocator with relaxed atomic counters for live and peak
-//! bytes. The figure binaries register it via `#[global_allocator]` and
-//! measure per-query peak deltas; the overhead (two relaxed atomic ops per
+//! bytes. `exp_all` registers it via `#[global_allocator]` and measures
+//! per-query peak deltas; the overhead (two relaxed atomic ops per
 //! allocation) is negligible next to allocation cost itself.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -13,8 +13,10 @@
 //!   `VenueBuilder::build_sequential`, the pre-overhaul reference path that
 //!   rebuilds the visibility graph for every door pair.
 //!
-//! The fast and sequential builds are asserted equal at every sweep point
-//! before timings are reported. Output: an aligned table,
+//! Each fast build runs 5 times and each sequential build 3 times; a point
+//! reports the median with min and max. The fast and sequential builds are
+//! asserted equal at every sweep point before timings are reported. Output:
+//! an aligned table,
 //! `results/construction.csv`, and the committed `BENCH_construction.json`
 //! baseline. `--quick` (wired into CI) sweeps `{5, 10}` only and exits
 //! non-zero if the 10-floor comb fast build exceeds a generous wall-clock
@@ -25,12 +27,18 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
+use indoor_space::IndoorSpace;
 use indoor_synthetic::{mall_builder, HoursConfig, MallConfig, ShopHours};
+use itspq_bench::Distribution;
 
 /// Generous CI budget for the 10-floor comb fast build, in seconds. The
 /// measured value on a pinned single-core container is ~0.05 s; tripping this
 /// means construction got at least two orders of magnitude slower.
 const QUICK_BUDGET_SECS: f64 = 15.0;
+
+/// Timed builds per fast and per sequential point.
+const FAST_REPEATS: usize = 5;
+const SEQUENTIAL_REPEATS: usize = 3;
 
 struct SweepPoint {
     venue: &'static str,
@@ -38,7 +46,7 @@ struct SweepPoint {
     floors: u16,
     partitions: usize,
     doors: usize,
-    seconds: f64,
+    seconds: Distribution,
     /// Sequential seconds / this pipeline's seconds for the same venue
     /// (1.0 for the sequential series itself; None where sequential was not
     /// measured).
@@ -58,29 +66,26 @@ fn main() {
         let band = MallConfig::paper_default().with_floors(floors);
         let comb = band.with_comb_corridors();
 
-        let t = Instant::now();
-        let band_space = mall_builder(&band, &hours).build().unwrap();
-        let band_fast = t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        let comb_space = mall_builder(&comb, &hours).build().unwrap();
-        let comb_fast = t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        let comb_seq_space = mall_builder(&comb, &hours).build_sequential().unwrap();
-        let comb_seq = t.elapsed().as_secs_f64();
+        let (band_space, band_fast) = time_builds(FAST_REPEATS, || {
+            mall_builder(&band, &hours).build().unwrap()
+        });
+        let (comb_space, comb_fast) = time_builds(FAST_REPEATS, || {
+            mall_builder(&comb, &hours).build().unwrap()
+        });
+        let (comb_seq_space, comb_seq) = time_builds(SEQUENTIAL_REPEATS, || {
+            mall_builder(&comb, &hours).build_sequential().unwrap()
+        });
         assert_eq!(
             comb_space, comb_seq_space,
             "fast and sequential pipelines diverged at {floors} floors"
         );
 
         let stats = comb_space.stats();
+        let speedup = comb_seq.p50 / comb_fast.p50;
         println!(
-            "floors={floors:>3}  partitions={:>5}  doors={:>5}  band/fast={band_fast:>8.3}s  \
-             comb/fast={comb_fast:>8.3}s  comb/sequential={comb_seq:>8.3}s  speedup={:>5.1}x",
-            stats.partitions,
-            stats.doors,
-            comb_seq / comb_fast,
+            "floors={floors:>3}  partitions={:>5}  doors={:>5}  band/fast={:>8.4}s  \
+             comb/fast={:>8.4}s  comb/sequential={:>8.4}s  speedup={speedup:>5.1}x  (medians)",
+            stats.partitions, stats.doors, band_fast.p50, comb_fast.p50, comb_seq.p50,
         );
         points.push(SweepPoint {
             venue: "mall-band",
@@ -98,7 +103,7 @@ fn main() {
             partitions: stats.partitions,
             doors: stats.doors,
             seconds: comb_fast,
-            speedup: Some(comb_seq / comb_fast),
+            speedup: Some(speedup),
         });
         points.push(SweepPoint {
             venue: "mall-comb",
@@ -110,7 +115,7 @@ fn main() {
             speedup: Some(1.0),
         });
         if floors == 10 {
-            budget_witness = Some(comb_fast);
+            budget_witness = Some(comb_fast.p50);
         }
     }
 
@@ -137,14 +142,40 @@ fn main() {
     }
 }
 
+/// Runs `build` `repeats` times: the last venue built and the seconds
+/// each build took.
+fn time_builds(repeats: usize, build: impl Fn() -> IndoorSpace) -> (IndoorSpace, Distribution) {
+    let mut seconds = Vec::with_capacity(repeats);
+    let mut space = None;
+    for _ in 0..repeats {
+        let t = Instant::now();
+        space = Some(build());
+        seconds.push(t.elapsed().as_secs_f64());
+    }
+    (
+        space.expect("at least one build"),
+        Distribution::of(seconds),
+    )
+}
+
 fn csv(points: &[SweepPoint]) -> String {
-    let mut out = String::from("venue,pipeline,floors,partitions,doors,seconds,speedup\n");
+    let mut out = String::from(
+        "venue,pipeline,floors,partitions,doors,seconds,seconds_min,seconds_max,speedup\n",
+    );
     for p in points {
         let speedup = p.speedup.map_or(String::new(), |s| format!("{s:.2}"));
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{:.6},{}",
-            p.venue, p.pipeline, p.floors, p.partitions, p.doors, p.seconds, speedup
+            "{},{},{},{},{},{:.6},{:.6},{:.6},{}",
+            p.venue,
+            p.pipeline,
+            p.floors,
+            p.partitions,
+            p.doors,
+            p.seconds.p50,
+            p.seconds.min,
+            p.seconds.max,
+            speedup
         );
     }
     out
@@ -156,7 +187,9 @@ fn json_baseline(points: &[SweepPoint], host_cores: usize) -> String {
     let _ = writeln!(
         out,
         "  \"description\": \"build_mall + VenueBuilder pipeline seconds vs floors; \
-         comb = geodesic service corridors, sequential = per-pair reference path\","
+         comb = geodesic service corridors, sequential = per-pair reference path; seconds = \
+         median of {FAST_REPEATS} fast or {SEQUENTIAL_REPEATS} sequential builds, with min and \
+         max; speedup at the medians\","
     );
     let _ = writeln!(out, "  \"host_cores\": {host_cores},");
     let _ = writeln!(out, "  \"points\": [");
@@ -169,8 +202,18 @@ fn json_baseline(points: &[SweepPoint], host_cores: usize) -> String {
             out,
             "    {{\"venue\": \"{}\", \"pipeline\": \"{}\", \"floors\": {}, \
              \"partitions\": {}, \"doors\": {}, \"seconds\": {:.6}, \
+             \"seconds_min\": {:.6}, \"seconds_max\": {:.6}, \
              \"speedup_vs_sequential\": {}}}{}",
-            p.venue, p.pipeline, p.floors, p.partitions, p.doors, p.seconds, speedup, comma
+            p.venue,
+            p.pipeline,
+            p.floors,
+            p.partitions,
+            p.doors,
+            p.seconds.p50,
+            p.seconds.min,
+            p.seconds.max,
+            speedup,
+            comma
         );
     }
     let _ = writeln!(out, "  ]");

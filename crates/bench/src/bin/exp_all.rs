@@ -54,11 +54,14 @@ fn main() {
     if wants("table2") {
         println!("{}\n", params.table2());
     }
+    // Figures 6 and 7 plot the same sweep, so it runs once for both.
+    let time_sweep = (wants("fig6") || wants("fig7")).then(|| figures::time_sweep(&params));
+    let from_sweep = |key| time_sweep.as_ref().filter(|_| wants(key)).cloned();
     for (key, fig) in [
         ("fig4", wants("fig4").then(|| figures::fig4(&params))),
         ("fig5", wants("fig5").then(|| figures::fig5(&params))),
-        ("fig6", wants("fig6").then(|| figures::fig6(&params))),
-        ("fig7", wants("fig7").then(|| figures::fig7(&params))),
+        ("fig6", from_sweep("fig6").map(figures::fig6)),
+        ("fig7", from_sweep("fig7").map(figures::fig7)),
     ] {
         if let Some(fig) = fig {
             println!("{}", fig.table());

@@ -24,7 +24,7 @@ use std::path::Path;
 use indoor_synthetic::MallConfig;
 use indoor_time::TimeOfDay;
 use itspq_bench::concurrency::{self, SharingPoint, ThroughputPoint, TrafficShape};
-use itspq_bench::Workload;
+use itspq_bench::{Distribution, Workload};
 
 /// Generous CI budget for one shared pass over the largest quick batch, in
 /// seconds. The measured value on a pinned single-core container is well
@@ -151,17 +151,20 @@ fn main() {
         );
         // Tripwire 3: absolute wall-clock budget, as in `construction --quick`.
         assert!(
-            hottest.batch_secs <= QUICK_BUDGET_SECS,
+            hottest.batch_secs.p50 <= QUICK_BUDGET_SECS,
             "throughput regression: the hot {}-query shared batch took {:.2}s \
              (budget {QUICK_BUDGET_SECS}s)",
             hottest.batch_size,
-            hottest.batch_secs
+            hottest.batch_secs.p50
         );
         println!(
             "quick tripwires ok: shared groups zipf-exact and plans the \
              clustered shapes as independent, hot {}-query shared batch \
-             {:.3}s <= {QUICK_BUDGET_SECS}s at {:.2}x over independent",
-            hottest.batch_size, hottest.batch_secs, hottest.speedup
+             {:.3} ms (median) <= {:.0} ms at {:.2}x over independent",
+            hottest.batch_size,
+            hottest.batch_secs.p50 * 1e3,
+            QUICK_BUDGET_SECS * 1e3,
+            hottest.speedup
         );
     }
 }
@@ -181,8 +184,10 @@ fn json_baseline(
          then Shared (grouped by source point and checkpoint interval) vs \
          Independent on identical batches across traffic shapes — uniform, zipf-exact \
          duplicates, door-clustered sources, clustered sources with jittered departures \
-         (sharing_ratio = physical searches per query; mean of {repeats} timed batches \
-         per worker point and {sharing_repeats} per sharing point)\","
+         (sharing_ratio = physical searches per query; batch_secs = median of {repeats} \
+         batches per worker point and {sharing_repeats} per sharing point, each timed on its \
+         own, with min and max; a sharing point alternates the two strategies batch by batch; \
+         qps and speedups at the median)\","
     );
     let _ = writeln!(out, "  \"host_cores\": {host_cores},");
     let _ = writeln!(out, "  \"worker_sweep\": [");
@@ -190,9 +195,14 @@ fn json_baseline(
         let comma = if i + 1 < workers.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    {{\"workers\": {}, \"batch_size\": {}, \"batch_secs\": {:.6}, \
+            "    {{\"workers\": {}, \"batch_size\": {}, {}, \
              \"qps\": {:.1}, \"speedup_vs_single\": {:.3}}}{}",
-            p.workers, p.batch_size, p.batch_secs, p.qps, p.speedup, comma
+            p.workers,
+            p.batch_size,
+            batch_secs_json(&p.batch_secs),
+            p.qps,
+            p.speedup,
+            comma
         );
     }
     let _ = writeln!(out, "  ],");
@@ -202,13 +212,13 @@ fn json_baseline(
         let _ = writeln!(
             out,
             "    {{\"strategy\": \"{}\", \"batch_size\": {}, \"skew\": \"{}\", \
-             \"sharing_ratio\": {:.4}, \"batch_secs\": {:.6}, \"qps\": {:.1}, \
+             \"sharing_ratio\": {:.4}, {}, \"qps\": {:.1}, \
              \"speedup_vs_independent\": {:.3}}}{}",
             p.strategy,
             p.batch_size,
             p.skew,
             p.sharing_ratio,
-            p.batch_secs,
+            batch_secs_json(&p.batch_secs),
             p.qps,
             p.speedup,
             comma
@@ -217,4 +227,12 @@ fn json_baseline(
     let _ = writeln!(out, "  ]");
     out.push_str("}\n");
     out
+}
+
+/// A point's batch seconds as baseline JSON fields: median, min and max.
+fn batch_secs_json(secs: &Distribution) -> String {
+    format!(
+        "\"batch_secs\": {:.6}, \"batch_secs_min\": {:.6}, \"batch_secs_max\": {:.6}",
+        secs.p50, secs.min, secs.max
+    )
 }

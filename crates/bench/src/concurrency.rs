@@ -6,9 +6,10 @@
 //! host's parallelism oversubscribes the cores instead of being clamped),
 //! warms its reduced-graph cache (so the sweep measures steady-state
 //! query throughput, not one-off `Graph_Update` construction), runs one
-//! untimed batch, then times `repeats` batches and reports queries/sec plus
-//! the speedup over the sweep's first point — put `1` first in
-//! `worker_counts` to make that column "vs single-thread".
+//! untimed batch, then times `repeats` batches, each on its own, and reports
+//! their median, min and max, the median batch's queries/sec and its
+//! speedup over the sweep's first point — put `1` first in `worker_counts`
+//! to make that column "vs single-thread".
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -21,6 +22,8 @@ use itspq_core::{
     AsynMode, BatchStrategy, ItGraph, ItspqConfig, Query, ServeMethod, ServerConfig, VenueServer,
 };
 
+use crate::Distribution;
+
 /// One measured (worker count → throughput) point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputPoint {
@@ -28,9 +31,9 @@ pub struct ThroughputPoint {
     pub workers: usize,
     /// Queries per batch.
     pub batch_size: usize,
-    /// Mean wall-clock seconds per batch.
-    pub batch_secs: f64,
-    /// Queries per second.
+    /// Wall-clock seconds per batch, each batch timed on its own.
+    pub batch_secs: Distribution,
+    /// Queries per second at the median batch.
     pub qps: f64,
     /// Throughput relative to the sweep's first point.
     pub speedup: f64,
@@ -67,16 +70,9 @@ pub fn throughput_sweep(
             ),
         }
 
-        let start = Instant::now();
-        for _ in 0..repeats {
-            std::hint::black_box(server.query_batch(std::hint::black_box(queries)));
-        }
-        let batch_secs = start.elapsed().as_secs_f64() / repeats as f64;
-        let qps = if batch_secs > 0.0 {
-            queries.len() as f64 / batch_secs
-        } else {
-            f64::INFINITY
-        };
+        let batch_secs =
+            Distribution::of((0..repeats).map(|_| time_batch(&server, queries)).collect());
+        let qps = qps(queries.len(), batch_secs.p50);
         let speedup = points.first().map_or(1.0, |base| qps / base.qps);
         points.push(ThroughputPoint {
             workers,
@@ -105,13 +101,29 @@ pub struct SharingPoint {
     /// planner (1.0 means nothing groups; 0.25 means four queries per
     /// search).
     pub sharing_ratio: f64,
-    /// Mean wall-clock seconds per batch.
-    pub batch_secs: f64,
-    /// Queries per second.
+    /// Wall-clock seconds per batch, each batch timed on its own.
+    pub batch_secs: Distribution,
+    /// Queries per second at the median batch.
     pub qps: f64,
     /// This strategy's qps / independent qps on the *same* batch (1.0 for
     /// the independent row itself).
     pub speedup: f64,
+}
+
+/// Wall-clock seconds `server` takes to answer `batch` once.
+fn time_batch(server: &VenueServer, batch: &[Query]) -> f64 {
+    let start = Instant::now();
+    std::hint::black_box(server.query_batch(std::hint::black_box(batch)));
+    start.elapsed().as_secs_f64()
+}
+
+/// Queries per second of a batch of `n` queries taking `secs`.
+fn qps(n: usize, secs: f64) -> f64 {
+    if secs > 0.0 {
+        n as f64 / secs
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// The stable label of a batch strategy in tables, CSVs and baselines.
@@ -224,7 +236,9 @@ pub fn skewed_batch(
 /// Both servers run ITG/A with [`ItspqConfig::full_relax`] (the policy
 /// under which sharing is answer-preserving) in [`AsynMode::Exact`] with
 /// `workers` threads; answers are asserted equal on the warm-up pass of
-/// every point, so the timed deltas are pure execution-plan effects.
+/// every point, so the timed deltas are pure execution-plan effects. The
+/// two servers alternate batch by batch, and which runs first flips each
+/// round, so drift while a point runs lands on both rows alike.
 #[must_use]
 pub fn sharing_sweep(
     graph: &Arc<ItGraph>,
@@ -250,50 +264,41 @@ pub fn sharing_sweep(
         server
     });
 
-    let time_batch = |server: &VenueServer, batch: &[Query]| {
-        let start = Instant::now();
-        for _ in 0..repeats {
-            std::hint::black_box(server.query_batch(std::hint::black_box(batch)));
-        }
-        let secs = start.elapsed().as_secs_f64() / repeats as f64;
-        let qps = if secs > 0.0 {
-            batch.len() as f64 / secs
-        } else {
-            f64::INFINITY
-        };
-        (secs, qps)
-    };
-
     let mut points = Vec::with_capacity(servers.len() * batch_sizes.len() * shapes.len());
     for &shape in shapes {
         for (i, &size) in batch_sizes.iter().enumerate() {
             let batch = skewed_batch(graph, size, shape, delta, 0xB47C4 + i as u64);
             let reference = servers[0].query_batch(&batch);
-            let mut independent_qps = f64::NAN;
             for server in &servers {
-                let strategy = server.config().strategy;
-                let label = strategy_label(strategy);
-                let plan = server.plan(&batch, false);
                 // Untimed warm-up doubling as the answer-parity check.
                 let answers = server.query_batch(&batch);
                 for (x, y) in answers.iter().zip(&reference) {
                     assert_eq!(
                         x.path.as_ref().map(|p| p.length),
                         y.path.as_ref().map(|p| p.length),
-                        "{label} diverged from independent execution",
+                        "{} diverged from independent execution",
+                        strategy_label(server.config().strategy),
                     );
                 }
-                let (secs, qps) = time_batch(server, &batch);
-                if strategy == BatchStrategy::Independent {
-                    independent_qps = qps;
+            }
+            let mut secs = [Vec::with_capacity(repeats), Vec::with_capacity(repeats)];
+            for round in 0..repeats {
+                for k in [round % 2, 1 - round % 2] {
+                    secs[k].push(time_batch(&servers[k], &batch));
                 }
+            }
+            let secs = secs.map(Distribution::of);
+            let independent_qps = qps(batch.len(), secs[0].p50);
+            for (server, batch_secs) in servers.iter().zip(secs) {
+                let plan = server.plan(&batch, false);
+                let qps = qps(batch.len(), batch_secs.p50);
                 points.push(SharingPoint {
-                    strategy: label,
+                    strategy: strategy_label(server.config().strategy),
                     batch_size: batch.len(),
                     skew: shape.label.to_string(),
                     searches: plan.searches(),
                     sharing_ratio: plan.searches() as f64 / batch.len().max(1) as f64,
-                    batch_secs: secs,
+                    batch_secs,
                     qps,
                     speedup: qps / independent_qps,
                 });
@@ -309,23 +314,29 @@ pub fn sharing_table(points: &[SharingPoint]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:>13} {:>7} {:>12} {:>9} {:>12} {:>12} {:>9}",
-        "strategy", "batch", "skew", "searches", "batch_ms", "queries/s", "speedup"
+        "{:>13} {:>7} {:>12} {:>9} {:>12} {:>19} {:>12} {:>9}",
+        "strategy", "batch", "skew", "searches", "batch_ms", "min-max", "queries/s", "speedup"
     );
     for p in points {
         let _ = writeln!(
             out,
-            "{:>13} {:>7} {:>12} {:>9.2} {:>12.2} {:>12.0} {:>8.2}x",
+            "{:>13} {:>7} {:>12} {:>9.2} {:>12.3} {:>19} {:>12.0} {:>8.2}x",
             p.strategy,
             p.batch_size,
             p.skew,
             p.sharing_ratio,
-            p.batch_secs * 1e3,
+            p.batch_secs.p50 * 1e3,
+            min_max_ms(&p.batch_secs),
             p.qps,
             p.speedup
         );
     }
     out
+}
+
+/// A point's fastest and slowest batch in ms, for the tables.
+fn min_max_ms(secs: &Distribution) -> String {
+    format!("{:.3}-{:.3}", secs.min * 1e3, secs.max * 1e3)
 }
 
 /// Writes a sharing sweep as `throughput_sharing.csv` in `dir`.
@@ -335,12 +346,22 @@ pub fn sharing_table(points: &[SharingPoint]) -> String {
 pub fn write_sharing_csv(points: &[SharingPoint], dir: &Path) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join("throughput_sharing.csv");
-    let mut out = String::from("strategy,batch_size,skew,sharing_ratio,batch_secs,qps,speedup\n");
+    let mut out = String::from(
+        "strategy,batch_size,skew,sharing_ratio,batch_secs,batch_secs_min,batch_secs_max,qps,speedup\n",
+    );
     for p in points {
         let _ = writeln!(
             out,
-            "{},{},{},{:.4},{:.6},{:.1},{:.3}",
-            p.strategy, p.batch_size, p.skew, p.sharing_ratio, p.batch_secs, p.qps, p.speedup
+            "{},{},{},{:.4},{:.6},{:.6},{:.6},{:.1},{:.3}",
+            p.strategy,
+            p.batch_size,
+            p.skew,
+            p.sharing_ratio,
+            p.batch_secs.p50,
+            p.batch_secs.min,
+            p.batch_secs.max,
+            p.qps,
+            p.speedup
         );
     }
     std::fs::write(&path, out)?;
@@ -353,16 +374,17 @@ pub fn table(points: &[ThroughputPoint]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:>8} {:>10} {:>12} {:>12} {:>9}",
-        "workers", "batch", "batch_ms", "queries/s", "speedup"
+        "{:>8} {:>10} {:>12} {:>19} {:>12} {:>9}",
+        "workers", "batch", "batch_ms", "min-max", "queries/s", "speedup"
     );
     for p in points {
         let _ = writeln!(
             out,
-            "{:>8} {:>10} {:>12.2} {:>12.0} {:>8.2}x",
+            "{:>8} {:>10} {:>12.3} {:>19} {:>12.0} {:>8.2}x",
             p.workers,
             p.batch_size,
-            p.batch_secs * 1e3,
+            p.batch_secs.p50 * 1e3,
+            min_max_ms(&p.batch_secs),
             p.qps,
             p.speedup
         );
@@ -377,12 +399,19 @@ pub fn table(points: &[ThroughputPoint]) -> String {
 pub fn write_csv(points: &[ThroughputPoint], dir: &Path) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join("throughput.csv");
-    let mut out = String::from("workers,batch_size,batch_secs,qps,speedup\n");
+    let mut out =
+        String::from("workers,batch_size,batch_secs,batch_secs_min,batch_secs_max,qps,speedup\n");
     for p in points {
         let _ = writeln!(
             out,
-            "{},{},{:.6},{:.1},{:.3}",
-            p.workers, p.batch_size, p.batch_secs, p.qps, p.speedup
+            "{},{},{:.6},{:.6},{:.6},{:.1},{:.3}",
+            p.workers,
+            p.batch_size,
+            p.batch_secs.p50,
+            p.batch_secs.min,
+            p.batch_secs.max,
+            p.qps,
+            p.speedup
         );
     }
     std::fs::write(&path, out)?;

@@ -5,17 +5,18 @@ use std::fs;
 use std::path::Path;
 
 use indoor_time::TimeOfDay;
-use itspq_core::ItspqConfig;
+use itspq_core::{AsynEngine, ItspqConfig, Query, SearchStats, SynEngine};
 
-use crate::{measure_query_set, Measurement, MethodKind, PaperParams, Workload};
+use crate::{measure_query_set, Measurement, Method, PaperParams, Workload};
 
-/// One row of a figure: an x value plus one measurement per series.
+/// One row of a figure: an x value plus one measurement per series, each
+/// labelled with its series name.
 #[derive(Debug, Clone)]
 pub struct FigRow {
     /// The x-axis label (`|T|`, `δs2t` or `t`).
     pub x: String,
-    /// `(series name, measurement)` pairs.
-    pub series: Vec<(String, Measurement)>,
+    /// One measurement per series.
+    pub series: Vec<Measurement>,
 }
 
 /// A regenerated figure: rows plus metadata.
@@ -42,19 +43,18 @@ impl Figure {
         if self.rows.is_empty() {
             return out;
         }
-        let names: Vec<&String> = self.rows[0].series.iter().map(|(n, _)| n).collect();
         let _ = write!(out, "{:>10}", self.x_name);
-        for n in &names {
-            let _ = write!(out, " {n:>14}");
+        for m in &self.rows[0].series {
+            let _ = write!(out, " {:>14}", m.label);
         }
         out.push('\n');
         for row in &self.rows {
             let _ = write!(out, "{:>10}", row.x);
-            for (_, m) in &row.series {
+            for m in &row.series {
                 let v = if self.unit == "KB" {
-                    m.mean_mem_kb
+                    mem_kb(m)
                 } else {
-                    m.mean_time_us
+                    m.all.mean
                 };
                 let _ = write!(out, " {v:>14.1}");
             }
@@ -64,8 +64,8 @@ impl Figure {
     }
 
     /// Writes the figure as CSV: per series the mean time, memory and
-    /// allocation columns, found/total, then the per-query time
-    /// distribution (p50, p99, max).
+    /// allocation columns, found/total, then the per-query median and
+    /// slowest time (a setting has too few queries for a tail).
     ///
     /// # Errors
     /// Propagates I/O errors.
@@ -75,28 +75,28 @@ impl Figure {
         let mut out = String::new();
         let _ = write!(out, "{}", self.x_name);
         if let Some(first) = self.rows.first() {
-            for (n, _) in &first.series {
+            for m in &first.series {
+                let n = &m.label;
                 let _ = write!(
                     out,
-                    ",{n} time_us,{n} mem_kb,{n} alloc_kb,{n} found,{n} p50_us,{n} p99_us,{n} max_us"
+                    ",{n} time_us,{n} mem_kb,{n} alloc_kb,{n} found,{n} p50_us,{n} max_us"
                 );
             }
         }
         out.push('\n');
         for row in &self.rows {
             let _ = write!(out, "{}", row.x);
-            for (_, m) in &row.series {
+            for m in &row.series {
                 let _ = write!(
                     out,
-                    ",{:.2},{:.2},{:.2},{}/{},{:.2},{:.2},{:.2}",
-                    m.mean_time_us,
-                    m.mean_mem_kb,
+                    ",{:.2},{:.2},{:.2},{}/{},{:.2},{:.2}",
+                    m.all.mean,
+                    mem_kb(m),
                     m.alloc_peak_kb,
-                    m.found,
-                    m.total,
-                    m.p50_us,
-                    m.p99_us,
-                    m.max_us
+                    m.found.samples,
+                    m.all.samples,
+                    m.all.p50,
+                    m.all.max
                 );
             }
             out.push('\n');
@@ -106,20 +106,20 @@ impl Figure {
     }
 }
 
-fn both_methods(
-    w: &Workload,
-    queries: &[itspq_core::Query],
-    runs: usize,
-) -> Vec<(MethodKind, Measurement)> {
-    [MethodKind::ItgS, MethodKind::ItgA]
-        .into_iter()
-        .map(|m| {
-            (
-                m,
-                measure_query_set(&w.graph, m, ItspqConfig::default(), queries, runs),
-            )
-        })
-        .collect()
+/// Mean estimated working set per query in KB, the paper's memory cost.
+fn mem_kb(m: &Measurement) -> f64 {
+    m.mean(SearchStats::estimated_bytes).unwrap_or(0.0) / 1024.0
+}
+
+/// ITG/S and ITG/A under the paper's configuration, timed interleaved.
+fn both_methods(w: &Workload, queries: &[Query], runs: usize) -> Vec<Measurement> {
+    let syn = SynEngine::new(w.graph.clone(), ItspqConfig::default());
+    let asyn = AsynEngine::new(w.graph.clone(), ItspqConfig::default());
+    let methods = [
+        Method::new("ITG/S", |q| syn.query(q).into()),
+        Method::new("ITG/A", |q| asyn.query(q).into()),
+    ];
+    measure_query_set(queries, &methods, runs)
 }
 
 /// Figure 4: search time vs `|T|`, at `t = 12:00` and `t = 8:00`.
@@ -147,8 +147,9 @@ pub fn fig4(params: &PaperParams) -> Figure {
         let mut series = Vec::new();
         for probe in [TimeOfDay::hm(12, 0), TimeOfDay::hm(8, 0)] {
             let queries = w.queries(params.default_delta, probe, params.pairs_per_setting);
-            for (m, meas) in both_methods(w, &queries, params.runs_per_query) {
-                series.push((format!("{}(t={})", m.label(), probe.hour()), meas));
+            for mut m in both_methods(w, &queries, params.runs_per_query) {
+                m.label = format!("{}(t={})", m.label, probe.hour());
+                series.push(m);
             }
         }
         rows.push(FigRow {
@@ -172,13 +173,9 @@ pub fn fig5(params: &PaperParams) -> Figure {
     let mut rows = Vec::new();
     for &delta in &params.deltas {
         let queries = w.queries(delta, params.default_time, params.pairs_per_setting);
-        let series = both_methods(&w, &queries, params.runs_per_query)
-            .into_iter()
-            .map(|(m, meas)| (m.label().to_owned(), meas))
-            .collect();
         rows.push(FigRow {
             x: format!("{delta:.0}"),
-            series,
+            series: both_methods(&w, &queries, params.runs_per_query),
         });
     }
     Figure {
@@ -190,46 +187,44 @@ pub fn fig5(params: &PaperParams) -> Figure {
     }
 }
 
-fn time_sweep(params: &PaperParams) -> Vec<FigRow> {
+/// The query-time sweep behind Figures 6 and 7: one row per `t`.
+#[must_use]
+pub fn time_sweep(params: &PaperParams) -> Vec<FigRow> {
     let w = Workload::paper(params.default_t);
     params
         .times
         .iter()
         .map(|&t| {
             let queries = w.queries(params.default_delta, t, params.pairs_per_setting);
-            let series = both_methods(&w, &queries, params.runs_per_query)
-                .into_iter()
-                .map(|(m, meas)| (m.label().to_owned(), meas))
-                .collect();
             FigRow {
                 x: t.to_string(),
-                series,
+                series: both_methods(&w, &queries, params.runs_per_query),
             }
         })
         .collect()
 }
 
-/// Figure 6: search time vs query time `t`.
+/// Figure 6: search time vs query time `t`, from [`time_sweep`]'s rows.
 #[must_use]
-pub fn fig6(params: &PaperParams) -> Figure {
+pub fn fig6(rows: Vec<FigRow>) -> Figure {
     Figure {
         id: "fig6",
         title: "Search Time vs t",
         x_name: "t",
         unit: "us",
-        rows: time_sweep(params),
+        rows,
     }
 }
 
-/// Figure 7: memory cost vs query time `t`.
+/// Figure 7: memory cost vs query time `t`, from [`time_sweep`]'s rows.
 #[must_use]
-pub fn fig7(params: &PaperParams) -> Figure {
+pub fn fig7(rows: Vec<FigRow>) -> Figure {
     Figure {
         id: "fig7",
         title: "Memory Cost vs t",
         x_name: "t",
         unit: "KB",
-        rows: time_sweep(params),
+        rows,
     }
 }
 
@@ -254,10 +249,7 @@ mod tests {
     fn figure_pipeline_works_end_to_end() {
         let w = Workload::with_mall(MallConfig::single_floor(), 8);
         let queries = w.queries(600.0, TimeOfDay::hm(12, 0), 2);
-        let series = both_methods(&w, &queries, 1)
-            .into_iter()
-            .map(|(m, meas)| (m.label().to_owned(), meas))
-            .collect();
+        let series = both_methods(&w, &queries, 1);
         let fig = Figure {
             id: "figtest",
             title: "test",

@@ -1,20 +1,23 @@
 //! Benchmark harness regenerating the ITSPQ paper's evaluation.
 //!
-//! Each figure of §III has a binary that reproduces its data series:
+//! Every per-query timing goes through one loop,
+//! [`runner::measure_query_set`], which times the methods it compares
+//! interleaved per query and reports found and no-route queries apart.
 //!
 //! | Paper artifact | Binary | What it sweeps |
 //! |---|---|---|
-//! | Figure 4 | `fig4` | search time vs `\|T\| ∈ {4,8,12,16}` at `t` = 12:00 and 8:00 |
-//! | Figure 5 | `fig5` | search time vs `δs2t ∈ {1100…1900}` m |
-//! | Figure 6 | `fig6` | search time vs `t ∈ {0:00, 2:00, …, 22:00}` |
-//! | Figure 7 | `fig7` | memory cost (KB) vs `t` |
-//! | Tables I–II | `exp_all` | prints the setup tables and runs every figure |
-//! | (beyond the paper) | `throughput` | queries/sec vs worker threads on one shared venue |
+//! | Figure 4 | `exp_all fig4` | search time vs `\|T\| ∈ {4,8,12,16}` at `t` = 12:00 and 8:00 |
+//! | Figure 5 | `exp_all fig5` | search time vs `δs2t ∈ {1100…1900}` m |
+//! | Figure 6 | `exp_all fig6` | search time vs `t ∈ {0:00, 2:00, …, 22:00}` |
+//! | Figure 7 | `exp_all fig7` | memory cost (KB) vs `t` (the same sweep as Figure 6) |
+//! | Tables I–II | `exp_all table1 table2` | the setup tables |
+//! | (beyond the paper) | `latency` | per-query latency over floors × δ × method × expand policy × departure, plus the baselines and extensions |
+//! | (beyond the paper) | `construction` | venue build seconds vs floors |
+//! | (beyond the paper) | `throughput` | queries/sec vs worker threads, and shared vs independent batches |
 //!
-//! Binaries print aligned tables and write `results/figN.csv`. The Criterion
-//! suite (`cargo bench`) covers the same sweeps plus ablations
-//! (PaperPruned vs FullRelax, Asyn Faithful vs Exact, warm vs cold reduced
-//! graphs, construction costs).
+//! `exp_all` prints aligned tables and writes `results/figN.csv`; `latency`,
+//! `construction` and `throughput` refresh the committed `BENCH_*.json`
+//! baselines.
 
 pub mod alloc_track;
 pub mod concurrency;
@@ -24,7 +27,7 @@ pub mod runner;
 
 pub use alloc_track::TrackingAllocator;
 pub use params::PaperParams;
-pub use runner::{measure_query_set, Measurement, MethodKind, Workload};
+pub use runner::{measure_query_set, Answer, Distribution, Measurement, Method, Workload};
 
 /// The command line of a sweep binary that takes only `--quick`: whether it
 /// was given. Any other argument prints a usage line and exits with status 2

@@ -5,8 +5,8 @@
 use indoor_space::paper_example;
 use indoor_time::TimeOfDay;
 use itspq_bench::figures::{FigRow, Figure};
-use itspq_bench::{measure_query_set, MethodKind, PaperParams};
-use itspq_core::{ItGraph, ItspqConfig, Query};
+use itspq_bench::{measure_query_set, Method, PaperParams};
+use itspq_core::{AsynEngine, ItGraph, ItspqConfig, Query, SearchStats, SynEngine};
 
 #[test]
 fn runner_measures_paper_example_queries() {
@@ -17,25 +17,25 @@ fn runner_measures_paper_example_queries() {
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
         Query::new(ex.p1, ex.p2, TimeOfDay::hm(12, 0)),
     ];
-    for method in [MethodKind::ItgS, MethodKind::ItgA] {
-        let m = measure_query_set(&graph, method, ItspqConfig::default(), &queries, 2);
-        assert_eq!(m.total, 2, "{}: wrong query count", method.label());
-        assert!(m.found >= 1, "{}: found no paths at all", method.label());
-        assert!(m.mean_time_us > 0.0, "{}: no time measured", method.label());
+    let syn = SynEngine::new(graph.clone(), ItspqConfig::default());
+    let asyn = AsynEngine::new(graph.clone(), ItspqConfig::default());
+    let methods = [
+        Method::new("ITG/S", |q| syn.query(q).into()),
+        Method::new("ITG/A", |q| asyn.query(q).into()),
+    ];
+    for m in measure_query_set(&queries, &methods, 2) {
+        let label = &m.label;
+        assert_eq!(m.all.samples, 2, "{label}: wrong query count");
+        assert!(m.found.samples >= 1, "{label}: found no paths at all");
+        assert!(m.all.mean > 0.0, "{label}: no time measured");
         assert!(
-            m.p50_us <= m.p99_us && m.p99_us <= m.max_us,
-            "{}: percentiles out of order: {m:?}",
-            method.label()
+            m.all.min <= m.all.p50 && m.all.p50 <= m.all.max,
+            "{label}: percentiles out of order: {m:?}"
         );
+        assert!(m.all.mean <= m.all.max, "{label}: mean above max: {m:?}");
         assert!(
-            m.mean_time_us <= m.max_us,
-            "{}: mean above max: {m:?}",
-            method.label()
-        );
-        assert!(
-            m.mean_mem_kb > 0.0,
-            "{}: no memory estimated",
-            method.label()
+            m.mean(SearchStats::estimated_bytes).unwrap_or(0.0) > 0.0,
+            "{label}: no memory estimated"
         );
     }
 }
@@ -45,13 +45,13 @@ fn figure_table_is_non_empty_on_paper_example() {
     let ex = paper_example::build();
     let graph = ItGraph::new(ex.space.clone());
     let queries = vec![Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0))];
-    let series = [MethodKind::ItgS, MethodKind::ItgA]
-        .into_iter()
-        .map(|m| {
-            let meas = measure_query_set(&graph, m, ItspqConfig::default(), &queries, 1);
-            (m.label().to_owned(), meas)
-        })
-        .collect();
+    let syn = SynEngine::new(graph.clone(), ItspqConfig::default());
+    let asyn = AsynEngine::new(graph.clone(), ItspqConfig::default());
+    let methods = [
+        Method::new("ITG/S", |q| syn.query(q).into()),
+        Method::new("ITG/A", |q| asyn.query(q).into()),
+    ];
+    let series = measure_query_set(&queries, &methods, 1);
     let fig = Figure {
         id: "smoke",
         title: "paper example smoke",
