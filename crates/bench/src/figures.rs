@@ -35,7 +35,10 @@ pub struct Figure {
 }
 
 impl Figure {
-    /// Renders an aligned text table of the figure.
+    /// Renders an aligned text table of the figure. A time figure shows per
+    /// series the median over the queries that found a route, then how many
+    /// did (`-` for the median when none did); a memory figure shows the
+    /// mean working set per query.
     #[must_use]
     pub fn table(&self) -> String {
         let mut out = String::new();
@@ -45,27 +48,29 @@ impl Figure {
         }
         let _ = write!(out, "{:>10}", self.x_name);
         for m in &self.rows[0].series {
-            let _ = write!(out, " {:>14}", m.label);
+            let _ = write!(out, " {:>20}", m.label);
         }
         out.push('\n');
         for row in &self.rows {
             let _ = write!(out, "{:>10}", row.x);
             for m in &row.series {
-                let v = if self.unit == "KB" {
-                    mem_kb(m)
+                let cell = if self.unit == "KB" {
+                    format!("{:.1}", mem_kb(m))
                 } else {
-                    m.all.mean
+                    let p50 = found_p50(m).map_or_else(|| "-".to_owned(), |v| format!("{v:.1}"));
+                    format!("{p50} {:>7}", found_of_total(m))
                 };
-                let _ = write!(out, " {v:>14.1}");
+                let _ = write!(out, " {cell:>20}");
             }
             out.push('\n');
         }
         out
     }
 
-    /// Writes the figure as CSV: per series the mean time, memory and
-    /// allocation columns, found/total, then the per-query median and
-    /// slowest time (a setting has too few queries for a tail).
+    /// Writes the figure as CSV: per series found/total, the median and
+    /// slowest time over the queries that found a route (empty when none
+    /// did; a setting has too few queries for a tail), then the memory and
+    /// allocation columns over every query.
     ///
     /// # Errors
     /// Propagates I/O errors.
@@ -79,7 +84,7 @@ impl Figure {
                 let n = &m.label;
                 let _ = write!(
                     out,
-                    ",{n} time_us,{n} mem_kb,{n} alloc_kb,{n} found,{n} p50_us,{n} max_us"
+                    ",{n} found,{n} p50_us,{n} max_us,{n} mem_kb,{n} alloc_kb"
                 );
             }
         }
@@ -87,16 +92,16 @@ impl Figure {
         for row in &self.rows {
             let _ = write!(out, "{}", row.x);
             for m in &row.series {
+                let (p50, max) = match found_p50(m) {
+                    Some(p50) => (format!("{p50:.2}"), format!("{:.2}", m.found.max)),
+                    None => (String::new(), String::new()),
+                };
                 let _ = write!(
                     out,
-                    ",{:.2},{:.2},{:.2},{}/{},{:.2},{:.2}",
-                    m.all.mean,
+                    ",{},{p50},{max},{:.2},{:.2}",
+                    found_of_total(m),
                     mem_kb(m),
                     m.alloc_peak_kb,
-                    m.found.samples,
-                    m.all.samples,
-                    m.all.p50,
-                    m.all.max
                 );
             }
             out.push('\n');
@@ -104,6 +109,17 @@ impl Figure {
         fs::write(&path, out)?;
         Ok(path)
     }
+}
+
+/// The median time over the queries that found a route, `None` when none
+/// did: a no-route answer can return at once, so it would time something
+/// else.
+fn found_p50(m: &Measurement) -> Option<f64> {
+    (m.found.samples > 0).then_some(m.found.p50)
+}
+
+fn found_of_total(m: &Measurement) -> String {
+    format!("{}/{}", m.found.samples, m.all.samples)
 }
 
 /// Mean estimated working set per query in KB, the paper's memory cost.
@@ -260,14 +276,61 @@ mod tests {
                 series,
             }],
         };
+        let found = fig.rows[0].series[0].found;
+        assert!(found.samples > 0, "the noon queries find routes");
         let table = fig.table();
         assert!(table.contains("ITG/S"));
         assert!(table.contains("600"));
+        assert!(table.contains(&format!(
+            "{:.1} {:>7}",
+            found.p50,
+            format!("{}/2", found.samples)
+        )));
         let dir = std::env::temp_dir().join("itspq-fig-test");
         let path = fig.write_csv(&dir).unwrap();
         let csv = std::fs::read_to_string(path).unwrap();
-        assert!(csv.starts_with("x,ITG/S time_us"));
+        assert!(csv.starts_with("x,ITG/S found,ITG/S p50_us,ITG/S max_us,ITG/S mem_kb"));
+        let row = csv.lines().nth(1).unwrap();
+        assert!(
+            row.starts_with(&format!("600,{}/2,{:.2},", found.samples, found.p50)),
+            "{row}"
+        );
         assert_eq!(csv.lines().count(), 2);
+    }
+
+    /// A setting where no query finds a route shows no time at all.
+    #[test]
+    fn a_setting_without_a_found_query_shows_no_time() {
+        let w = Workload::with_mall(MallConfig::single_floor(), 8);
+        // The mall has closed by 23:59.
+        let queries = w.queries(600.0, TimeOfDay::hm(12, 0), 2);
+        let late: Vec<Query> = queries
+            .iter()
+            .map(|q| Query::new(q.source, q.target, TimeOfDay::hm(23, 59)))
+            .collect();
+        let series = both_methods(&w, &late, 1);
+        assert_eq!(series[0].found.samples, 0, "no route at 23:59");
+        let fig = Figure {
+            id: "figtest-none",
+            title: "test",
+            x_name: "x",
+            unit: "us",
+            rows: vec![FigRow {
+                x: "late".into(),
+                series,
+            }],
+        };
+        let table = fig.table();
+        assert!(
+            table.lines().nth(2).unwrap().contains("-     0/2"),
+            "{table}"
+        );
+        let dir = std::env::temp_dir().join("itspq-fig-test");
+        let csv = std::fs::read_to_string(fig.write_csv(&dir).unwrap()).unwrap();
+        assert!(
+            csv.lines().nth(1).unwrap().starts_with("late,0/2,,,"),
+            "{csv}"
+        );
     }
 
     #[test]

@@ -283,7 +283,7 @@ pub(crate) fn run_search<'a, C: TvChecker<'a>>(
 )]
 #[inline(always)]
 fn expand_partition<'a, C: TvChecker<'a>>(
-    space: &IndoorSpace,
+    graph: &ItGraph,
     config: &ItspqConfig,
     source: &IndoorPoint,
     checker: &mut C,
@@ -296,6 +296,7 @@ fn expand_partition<'a, C: TvChecker<'a>>(
     t0: Timestamp,
     observer: &mut SweepObserver,
 ) {
+    let space = graph.space();
     // No list is vouched for the source expansion, whose point legs are no
     // distance-matrix entries, nor for an observer that tracks margins
     // (retime needs every checked arrival).
@@ -308,6 +309,8 @@ fn expand_partition<'a, C: TvChecker<'a>>(
         "a vouched door list of {v:?} disagrees with Syn_Check"
     );
     st.note_scratch(doors.len());
+    // Line 29's matrix lookups read the expanding door's row.
+    let mut walk = from.and_then(|di| RowWalk::new(graph, v, DoorId(di)));
     for &dj in doors {
         if Some(dj.index() as u32) == from {
             continue;
@@ -330,7 +333,7 @@ fn expand_partition<'a, C: TvChecker<'a>>(
 
         // Line 29: dist_j = dist[di] + DM(v, di, dj)  (or |ps, dj| from ps).
         let weight = match from {
-            Some(di) => space.door_to_door(v, DoorId(di), dj),
+            Some(_) => walk.as_mut().and_then(|walk| walk.leg(dj)),
             None => space.point_to_door(source, dj),
         };
         let Some(weight) = weight else { continue };
@@ -365,6 +368,57 @@ fn expand_partition<'a, C: TvChecker<'a>>(
             stats.heap_pushes += 1;
             stats.improvements += 1;
         }
+    }
+}
+
+/// The row of door `di` in partition `v`'s distance matrix, read column by
+/// column along an expansion's door list.
+///
+/// Both lists ascend, so each door's column is found by walking a cursor
+/// forward over the matrix's door list. An expansion then costs one binary
+/// search for the row and one pass over the door list, where
+/// `DistanceMatrix::distance` costs two binary searches per door. Where the
+/// walk misses (a door list out of order, a door the matrix lacks) the
+/// binary search answers.
+struct RowWalk<'s> {
+    /// The matrix's door list, which the row's columns follow.
+    doors: &'s [DoorId],
+    row: &'s [f64],
+    /// The walk's cursor into `doors`.
+    col: usize,
+}
+
+impl<'s> RowWalk<'s> {
+    /// The walk along `di`'s row of `v`'s matrix, or `None` if the matrix
+    /// has no row for `di`.
+    fn new(graph: &'s ItGraph, v: PartitionId, di: DoorId) -> Option<Self> {
+        let dm = graph.space().distance_matrix(v);
+        // A venue with a matrix out of strictly ascending order starts its
+        // walks past the last column, leaving every lookup to the binary
+        // search that defines such a matrix's answers.
+        let col = if graph.ascending_matrices() {
+            0
+        } else {
+            dm.len()
+        };
+        Some(RowWalk {
+            doors: dm.doors(),
+            row: dm.row(di)?,
+            col,
+        })
+    }
+
+    /// `DM(v, di, dj)`: exactly `DistanceMatrix::distance(di, dj)`, bit for
+    /// bit, `None` included.
+    fn leg(&mut self, dj: DoorId) -> Option<f64> {
+        while self.doors.get(self.col).is_some_and(|&d| d < dj) {
+            self.col += 1;
+        }
+        let j = match self.doors.get(self.col) {
+            Some(&d) if d == dj => self.col,
+            _ => self.doors.binary_search(&dj).ok()?,
+        };
+        self.row.get(j).copied()
     }
 }
 
@@ -590,7 +644,7 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
             st.visit(src_p);
             stats.partitions_expanded += 1;
             expand_partition(
-                space, config, source, checker, &mut st, &mut stats, src_p, None, 0.0, &allowed,
+                graph, config, source, checker, &mut st, &mut stats, src_p, None, 0.0, &allowed,
                 t0, observer,
             );
         }
@@ -608,7 +662,7 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
                 if v != seed.via && allowed(v) {
                     stats.partitions_expanded += 1;
                     expand_partition(
-                        space,
+                        graph,
                         config,
                         source,
                         checker,
@@ -714,7 +768,7 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
             }
             stats.partitions_expanded += 1;
             expand_partition(
-                space,
+                graph,
                 config,
                 source,
                 checker,
@@ -743,5 +797,88 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
         paths,
         stats,
         door_dist,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use indoor_space::paper_example;
+    use indoor_synthetic::{build_mall, HoursConfig, MallConfig, ShopHours};
+
+    /// Reads every row of every matrix of the venue with one walk per door
+    /// list, as an expansion does: along each partition's leaveable list
+    /// sorted, reversed and shuffled, and sorted with a door no matrix of
+    /// the venue lists. Every leg must be `DistanceMatrix::distance`'s.
+    fn every_row_walk_matches_distance(graph: &ItGraph) {
+        let space = graph.space();
+        let foreign = DoorId::from_index(space.num_doors());
+        let mut state = 7_u64;
+        for v in 0..space.num_partitions() {
+            let v = PartitionId::from_index(v);
+            let dm = space.distance_matrix(v);
+            let mut sorted = space.p2d_leaveable(v).to_vec();
+            sorted.sort_unstable();
+            let reversed: Vec<DoorId> = sorted.iter().rev().copied().collect();
+            let mut shuffled = sorted.clone();
+            for i in (1..shuffled.len()).rev() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                shuffled.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let mut lacking = sorted.clone();
+            lacking.insert(sorted.len() / 2, foreign);
+            lacking.push(foreign);
+            for &from in dm.doors() {
+                for list in [&sorted, &reversed, &shuffled, &lacking] {
+                    let mut walk = RowWalk::new(graph, v, from);
+                    for &dj in list.iter() {
+                        assert_eq!(
+                            walk.as_mut().and_then(|w| w.leg(dj)).map(f64::to_bits),
+                            dm.distance(from, dj).map(f64::to_bits),
+                            "{v}: {from} -> {dj} along {list:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_walk_reads_the_paper_example_matrices() {
+        let graph = ItGraph::new(paper_example::build().space);
+        assert!(graph.ascending_matrices());
+        every_row_walk_matches_distance(&graph);
+    }
+
+    #[test]
+    fn row_walk_reads_a_generated_mall_matrices() {
+        let hours = ShopHours::sample(&HoursConfig::default());
+        let mall = build_mall(&MallConfig::paper_default().with_floors(2), &hours);
+        let graph = ItGraph::new(mall);
+        assert!(graph.ascending_matrices());
+        every_row_walk_matches_distance(&graph);
+    }
+
+    /// A deserialised venue's matrix need not list its doors in order, and
+    /// then its binary search need not find every door it lists. The walk
+    /// must answer as that search does.
+    #[test]
+    fn row_walk_reads_a_matrix_out_of_order_as_its_binary_search_does() {
+        let json = serde_json::to_string(&paper_example::build().space).unwrap();
+        // Reverse the door list of the first matrix with more than one door.
+        let (mut open, mut close) = (json.find("\"dms\":").unwrap(), 0);
+        let mut ids: Vec<&str> = Vec::new();
+        while ids.len() < 2 {
+            open += json[open..].find("\"doors\":[").unwrap() + "\"doors\":[".len();
+            close = open + json[open..].find(']').unwrap();
+            ids = json[open..close].split(',').collect();
+        }
+        ids.reverse();
+        let json = format!("{}{}{}", &json[..open], ids.join(","), &json[close..]);
+        let graph = ItGraph::new(serde_json::from_str::<IndoorSpace>(&json).unwrap());
+        assert!(!graph.ascending_matrices());
+        every_row_walk_matches_distance(&graph);
     }
 }

@@ -65,6 +65,11 @@ use indoor_time::AtiList;
 #[derive(Debug, Clone)]
 pub struct ItGraph {
     space: Arc<IndoorSpace>,
+    /// Whether every distance matrix lists its doors in strictly ascending
+    /// order, as `DistanceMatrix::build` leaves them. The search's row walk
+    /// relies on it; a deserialised venue need not keep it, and the walk
+    /// then gives way to the matrix's own lookup.
+    ascending_matrices: bool,
 }
 
 /// One directed edge `(from, to, door)` of the IT-Graph.
@@ -82,9 +87,7 @@ impl ItGraph {
     /// Builds the IT-Graph over a venue.
     #[must_use]
     pub fn new(space: IndoorSpace) -> Self {
-        ItGraph {
-            space: Arc::new(space),
-        }
+        Self::from_arc(Arc::new(space))
     }
 
     /// Builds the IT-Graph over a venue and wraps it for sharing: the handle
@@ -98,13 +101,26 @@ impl ItGraph {
     /// Builds the IT-Graph over an already shared venue.
     #[must_use]
     pub fn from_arc(space: Arc<IndoorSpace>) -> Self {
-        ItGraph { space }
+        let ascending_matrices = (0..space.num_partitions()).all(|v| {
+            let doors = space.distance_matrix(PartitionId::from_index(v)).doors();
+            doors.windows(2).all(|w| w[0] < w[1])
+        });
+        ItGraph {
+            space,
+            ascending_matrices,
+        }
     }
 
     /// The underlying venue.
     #[must_use]
     pub fn space(&self) -> &IndoorSpace {
         &self.space
+    }
+
+    /// Whether every distance matrix lists its doors in strictly ascending
+    /// order (see the field).
+    pub(crate) fn ascending_matrices(&self) -> bool {
+        self.ascending_matrices
     }
 
     /// A shareable handle to the venue.

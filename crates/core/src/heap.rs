@@ -1,9 +1,21 @@
 //! Min-heap plumbing for Dijkstra over `f64` distances.
+//!
+//! The queue orders its entries by distance under
+//! [`cmp_dist`](crate::ord::cmp_dist) and breaks ties on the node: doors by
+//! index, then targets by index. It keeps each entry as one packed `u128`
+//! key whose integer order is exactly that order, so the heap compares
+//! plain integers:
+//!
+//! * the high 64 bits hold the distance's `total_cmp` image: the bit
+//!   pattern with every bit flipped for a negative sign, and only the sign
+//!   bit flipped otherwise;
+//! * the low 64 bits hold the node's rank (door index; targets after every
+//!   door).
+//!
+//! A pop decodes its key back into the distance's exact bits and the node.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-use crate::ord::cmp_dist;
 
 /// A node of the search: a door (by dense index) or a query target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,45 +27,58 @@ pub(crate) enum Node {
     Target(u32),
 }
 
-/// A heap entry ordered so that `BinaryHeap` (a max-heap) pops the smallest
-/// distance first. Ties break on the node for determinism.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A popped entry: a node and the distance it was pushed with.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Entry {
     pub dist: f64,
     pub node: Node,
 }
 
-impl Eq for Entry {}
+// The memory-cost metric counts a queue entry as an `Entry`
+// (`SearchState::search_bytes`); the packed key takes exactly as much.
+const _: () = assert!(std::mem::size_of::<Entry>() == std::mem::size_of::<u128>());
 
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: smaller distance = greater priority. Total order: a NaN
-        // distance (corrupt DM entry, degenerate geometry) sorts as the
-        // *worst* priority instead of panicking the search.
-        cmp_dist(other.dist, self.dist)
-            .then_with(|| node_rank(other.node).cmp(&node_rank(self.node)))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// The rank of targets' first index: every door ranks below it.
+const TARGET_RANK: u64 = 1 << 32;
+const SIGN: u64 = 1 << 63;
 
 fn node_rank(n: Node) -> u64 {
     match n {
         Node::Door(i) => u64::from(i),
         // Targets rank after every door (doors settle first on distance
         // ties); multiple targets tie-break among themselves by index.
-        Node::Target(k) => (1 << 32) + u64::from(k),
+        Node::Target(k) => TARGET_RANK + u64::from(k),
+    }
+}
+
+/// The entry's key: ascending keys are ascending `(cmp_dist, node rank)`.
+fn pack(dist: f64, node: Node) -> u128 {
+    let bits = dist.to_bits();
+    // All ones for a negative sign, the sign bit alone otherwise.
+    let flip = ((bits as i64 >> 63) as u64) | SIGN;
+    (u128::from(bits ^ flip) << 64) | u128::from(node_rank(node))
+}
+
+/// Inverts [`pack`], bit for bit.
+fn unpack(key: u128) -> Entry {
+    let image = (key >> 64) as u64;
+    // The image's top bit is set exactly for a distance with a clear sign.
+    let flip = !((image as i64 >> 63) as u64) | SIGN;
+    let rank = key as u64;
+    let node = match rank.checked_sub(TARGET_RANK) {
+        None => Node::Door(rank as u32),
+        Some(k) => Node::Target(k as u32),
+    };
+    Entry {
+        dist: f64::from_bits(image ^ flip),
+        node,
     }
 }
 
 /// A min-heap that tracks its peak size (for the memory-cost metric).
 #[derive(Debug, Default)]
 pub(crate) struct MinHeap {
-    heap: BinaryHeap<Entry>,
+    heap: BinaryHeap<Reverse<u128>>,
     peak: usize,
 }
 
@@ -63,12 +88,12 @@ impl MinHeap {
     }
 
     pub fn push(&mut self, dist: f64, node: Node) {
-        self.heap.push(Entry { dist, node });
+        self.heap.push(Reverse(pack(dist, node)));
         self.peak = self.peak.max(self.heap.len());
     }
 
     pub fn pop(&mut self) -> Option<Entry> {
-        self.heap.pop()
+        self.heap.pop().map(|Reverse(key)| unpack(key))
     }
 
     pub fn peak(&self) -> usize {
@@ -142,5 +167,94 @@ mod tests {
         assert!(h.pop().is_none());
         h.push(3.0, Node::Door(2));
         assert_eq!(h.peak(), 1);
+    }
+
+    /// The reference order: `(cmp_dist, node rank)`, smallest first.
+    fn reference_min(entries: &[Entry]) -> Option<usize> {
+        (0..entries.len()).min_by(|&a, &b| {
+            let (a, b) = (entries[a], entries[b]);
+            crate::ord::cmp_dist(a.dist, b.dist).then(node_rank(a.node).cmp(&node_rank(b.node)))
+        })
+    }
+
+    #[test]
+    fn packed_keys_pop_in_reference_order() {
+        // SplitMix64, so the sequence is the same on every run.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff8_0000_0000_0002),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -2.5,
+        ];
+        let mut heap = MinHeap::new();
+        let mut reference: Vec<Entry> = Vec::new();
+        let mut seen: Vec<f64> = Vec::new();
+        let (mut pushes, mut pops, mut peak) = (0, 0, 0);
+        for step in 0..24_000 {
+            // Push more often than pop for the first half, then drain.
+            let push_share = if step < 12_000 { 60 } else { 40 };
+            if next() % 100 < push_share {
+                let r = next();
+                let dist = match r % 8 {
+                    0 => specials[(r >> 8) as usize % specials.len()],
+                    1 | 2 if !seen.is_empty() => seen[(r >> 8) as usize % seen.len()],
+                    3 => -(((r >> 8) % 5_000) as f64) / 8.0,
+                    _ => ((r >> 8) % 200_000) as f64 / 16.0 + (r >> 40) as f64 * 1e-9,
+                };
+                seen.push(dist);
+                let n = next();
+                let node = match n % 6 {
+                    0 => Node::Target((n >> 8) as u32 % 4),
+                    1 => Node::Target(u32::MAX - (n >> 8) as u32 % 2),
+                    2 => Node::Door(u32::MAX - (n >> 8) as u32 % 2),
+                    _ => Node::Door((n >> 8) as u32 % 64),
+                };
+                heap.push(dist, node);
+                reference.push(Entry { dist, node });
+                peak = peak.max(reference.len());
+                pushes += 1;
+            } else {
+                let want = reference_min(&reference).map(|i| reference.swap_remove(i));
+                let got = heap.pop();
+                match (got, want) {
+                    (Some(got), Some(want)) => {
+                        assert_eq!(got.dist.to_bits(), want.dist.to_bits(), "step {step}");
+                        assert_eq!(got.node, want.node, "step {step}");
+                        pops += 1;
+                    }
+                    (None, None) => {}
+                    (got, want) => panic!("step {step}: popped {got:?}, expected {want:?}"),
+                }
+                assert_eq!(heap.peak(), peak, "step {step}");
+            }
+        }
+        while let Some(want) = reference_min(&reference).map(|i| reference.swap_remove(i)) {
+            let got = heap.pop().unwrap();
+            assert_eq!(got.dist.to_bits(), want.dist.to_bits());
+            assert_eq!(got.node, want.node);
+            assert_eq!(heap.peak(), peak);
+            pops += 1;
+        }
+        assert!(heap.pop().is_none());
+        assert!(
+            pushes + pops >= 10_000 && peak > 100,
+            "{pushes} pushes, {pops} pops, peak {peak}"
+        );
     }
 }

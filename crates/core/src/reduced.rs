@@ -21,14 +21,13 @@ pub struct ReducedGraph {
     interval_index: usize,
     /// Whether each door (by dense index) is open during the interval.
     open: Vec<bool>,
-    /// `P2D⊳` restricted to open doors.
-    part_leaveable: Vec<Vec<DoorId>>,
+    /// `P2D⊳` restricted to open doors: every partition's list, in the
+    /// venue's order, laid end to end in partition order.
+    leaveable: Vec<DoorId>,
+    /// Partition `v`'s list is `leaveable[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<u32>,
     /// Number of open doors.
     open_count: usize,
-    /// [`ReducedGraph::heap_bytes`], summed once at build: a query reads
-    /// it per view it consults, and summing per read would cost
-    /// O(|partitions|) per query.
-    heap_bytes: usize,
 }
 
 impl ReducedGraph {
@@ -51,30 +50,27 @@ impl ReducedGraph {
             open_count += usize::from(is_open);
         }
 
-        let part_leaveable: Vec<Vec<DoorId>> = (0..space.num_partitions())
-            .map(|pi| {
-                space
-                    .p2d_leaveable(PartitionId::from_index(pi))
-                    .iter()
-                    .copied()
-                    .filter(|d| open[d.index()])
-                    .collect()
-            })
-            .collect();
-        let heap_bytes = open.capacity()
-            + part_leaveable
-                .iter()
-                .map(|v| v.capacity() * std::mem::size_of::<DoorId>() + 24)
-                .sum::<usize>();
+        let mut leaveable = Vec::new();
+        let mut offsets = Vec::with_capacity(space.num_partitions() + 1);
+        offsets.push(0);
+        for pi in 0..space.num_partitions() {
+            let doors = space.p2d_leaveable(PartitionId::from_index(pi));
+            leaveable.extend(doors.iter().copied().filter(|d| open[d.index()]));
+            // Past `u32::MAX` listed doors (over 2^31 doors, each leaving
+            // two partitions) later lists would read short or empty rather
+            // than panic.
+            offsets.push(u32::try_from(leaveable.len()).unwrap_or(u32::MAX));
+        }
+        leaveable.shrink_to_fit();
 
         ReducedGraph {
             cp,
             next_cp,
             interval_index,
             open,
-            part_leaveable,
+            leaveable,
+            offsets,
             open_count,
-            heap_bytes,
         }
     }
 
@@ -112,13 +108,19 @@ impl ReducedGraph {
     /// `P2Dcp⊳(v)`: the leaveable doors of `v` that are open in this interval.
     #[must_use]
     pub fn leaveable(&self, v: PartitionId) -> &[DoorId] {
-        &self.part_leaveable[v.index()]
+        let (start, end) = (self.offsets[v.index()], self.offsets[v.index() + 1]);
+        self.leaveable
+            .get(start as usize..end as usize)
+            .unwrap_or(&[])
     }
 
-    /// Approximate heap bytes of this view (for the memory-cost metric).
+    /// Heap bytes of this view (for the memory-cost metric): its open
+    /// flags, door lists and offsets.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.heap_bytes
+        self.open.capacity()
+            + self.leaveable.capacity() * std::mem::size_of::<DoorId>()
+            + self.offsets.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -178,6 +180,35 @@ mod tests {
         let noon = ReducedGraph::build(&ex.space, TimeOfDay::hm(12, 0));
         assert_eq!(early.interval_index(), 0);
         assert!(noon.interval_index() > early.interval_index());
+    }
+
+    #[test]
+    fn flat_lists_keep_the_venue_order_of_open_doors() {
+        let ex = paper_example::build();
+        for t in [
+            TimeOfDay::hm(5, 30),
+            TimeOfDay::hm(12, 0),
+            TimeOfDay::hm(23, 30),
+        ] {
+            let view = ReducedGraph::build(&ex.space, t);
+            let mut listed = 0;
+            for pi in 0..ex.space.num_partitions() {
+                let v = PartitionId::from_index(pi);
+                let open: Vec<DoorId> = ex
+                    .space
+                    .p2d_leaveable(v)
+                    .iter()
+                    .copied()
+                    .filter(|&d| view.is_open(d))
+                    .collect();
+                assert_eq!(view.leaveable(v), open.as_slice(), "{v} at {t}");
+                listed += open.len();
+            }
+            // One byte per door, one id per listed door, one offset per
+            // partition plus one.
+            let offsets = ex.space.num_partitions() + 1;
+            assert_eq!(view.heap_bytes(), 21 + 4 * listed + 4 * offsets);
+        }
     }
 
     #[test]

@@ -101,6 +101,16 @@ impl DistanceMatrix {
         Some(self.dist[i * self.doors.len() + j])
     }
 
+    /// The distances from door `from` to every door of the partition, in
+    /// the order of [`DistanceMatrix::doors`], or `None` if `from` does not
+    /// belong to it: `row(a)?[j]` is `distance(a, doors()[j])`.
+    #[must_use]
+    pub fn row(&self, from: DoorId) -> Option<&[f64]> {
+        let n = self.doors.len();
+        let i = self.position(from)?;
+        self.dist.get(i * n..(i + 1) * n)
+    }
+
     /// The longest distance in the matrix, `0.0` when it has no pair: an
     /// upper bound on every leg between two doors of the partition.
     #[must_use]
@@ -176,6 +186,19 @@ mod tests {
         assert_eq!(dm.distance(DoorId(17), DoorId(21)), Some(5.0));
         assert_eq!(dm.distance(DoorId(3), DoorId(3)), Some(0.0));
         assert_eq!(dm.distance(DoorId(3), DoorId(99)), None);
+    }
+
+    #[test]
+    fn rows_follow_the_door_order() {
+        let dm = sample();
+        for &a in dm.doors() {
+            let row = dm.row(a).unwrap();
+            assert_eq!(row.len(), dm.len());
+            for (&b, &d) in dm.doors().iter().zip(row) {
+                assert_eq!(Some(d), dm.distance(a, b));
+            }
+        }
+        assert_eq!(dm.row(DoorId(4)), None);
     }
 
     #[test]

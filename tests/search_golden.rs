@@ -507,21 +507,21 @@ fn mall_extensions_match_golden_digests() {
 
 const PAPER_GOLDEN: &[(&str, u64)] = &[
     ("paper/ITG/S/PaperPruned", 0x79c495a1a2f786cc),
-    ("paper/ITG/A-Exact/PaperPruned", 0xcfe4c6f0f86a54c5),
-    ("paper/ITG/A-Faithful/PaperPruned", 0x92b8989b6213c78a),
+    ("paper/ITG/A-Exact/PaperPruned", 0xcacb1bee2c4830cd),
+    ("paper/ITG/A-Faithful/PaperPruned", 0xdaad0e5663a6e456),
     ("paper/static/PaperPruned", 0xf0b36881cbd609bd),
     ("paper/snapshot/PaperPruned", 0xdb51be7cb8601d8f),
     ("paper/ITG/S/FullRelax", 0x6b7e1762de7269a6),
-    ("paper/ITG/A-Exact/FullRelax", 0x707aacea3587db6a),
-    ("paper/ITG/A-Faithful/FullRelax", 0x9e4addd9cd6dc9a6),
+    ("paper/ITG/A-Exact/FullRelax", 0xcc78d6820fe7e4e8),
+    ("paper/ITG/A-Faithful/FullRelax", 0x75f5fe513607520a),
     ("paper/static/FullRelax", 0x47f2fa89b8ec7488),
     ("paper/snapshot/FullRelax", 0xd9c4dd82bb84ec0d),
     ("paper/reachability", 0xccb3a8e4f30b6d65),
     ("paper/batch/ITG/S", 0x8b8e98371cf14e8e),
     ("paper/batch/ITG/S/search_bytes", 0x907f64da1dd43bb9),
-    ("paper/batch/ITG/A-Exact", 0x376d57709b8cc7c7),
+    ("paper/batch/ITG/A-Exact", 0x84f408fda8c4e9d7),
     ("paper/batch/ITG/A-Exact/search_bytes", 0xae5db9cd71293b8e),
-    ("paper/batch/ITG/A-Faithful", 0xf5c35845f914dd6d),
+    ("paper/batch/ITG/A-Faithful", 0x6e9c21d86409ba77),
     (
         "paper/batch/ITG/A-Faithful/search_bytes",
         0x71cdac5ec68498b7,
@@ -530,21 +530,21 @@ const PAPER_GOLDEN: &[(&str, u64)] = &[
 
 const MALL_GOLDEN: &[(&str, u64)] = &[
     ("mall/ITG/S/PaperPruned", 0x55c5b6ef6b8e85dc),
-    ("mall/ITG/A-Exact/PaperPruned", 0x7577ac55c4d0b863),
-    ("mall/ITG/A-Faithful/PaperPruned", 0xb6eaea7a65e192f5),
+    ("mall/ITG/A-Exact/PaperPruned", 0xde73620e34e90782),
+    ("mall/ITG/A-Faithful/PaperPruned", 0x844b1821d44c9f0e),
     ("mall/static/PaperPruned", 0x82d82c156720235a),
     ("mall/snapshot/PaperPruned", 0x55fa52f1587ce075),
     ("mall/ITG/S/FullRelax", 0xe32d6abc9a8e8429),
-    ("mall/ITG/A-Exact/FullRelax", 0x70c6491db3d60700),
-    ("mall/ITG/A-Faithful/FullRelax", 0x4387b595d90eca69),
+    ("mall/ITG/A-Exact/FullRelax", 0x23400edff516b84b),
+    ("mall/ITG/A-Faithful/FullRelax", 0x2e381fef138a19e0),
     ("mall/static/FullRelax", 0x4792c8d4d54248ae),
     ("mall/snapshot/FullRelax", 0x5ceba15c49e25d23),
     ("mall/reachability", 0xd40f68c496e96ad3),
     ("mall/batch/ITG/S", 0x0688b7e71b9a59cb),
     ("mall/batch/ITG/S/search_bytes", 0x8ecbf41298865801),
-    ("mall/batch/ITG/A-Exact", 0xd2dca3e0915ca2bf),
+    ("mall/batch/ITG/A-Exact", 0x88af6ca3a476ae2c),
     ("mall/batch/ITG/A-Exact/search_bytes", 0x43b714eef9416536),
-    ("mall/batch/ITG/A-Faithful", 0x56d94f0b6f9de794),
+    ("mall/batch/ITG/A-Faithful", 0x6cc7d9a9fa25aeaf),
     ("mall/batch/ITG/A-Faithful/search_bytes", 0xbcd05e760eb2d001),
 ];
 
