@@ -11,10 +11,13 @@
 //!   queries plus the parallel matrix fan-out;
 //! * `comb/sequential` — the same venue through
 //!   `VenueBuilder::build_sequential`, the pre-overhaul reference path that
-//!   rebuilds the visibility graph for every door pair.
+//!   rebuilds the visibility graph for every door pair;
+//! * `comb/landmarks` — the landmark table of the comb venue's `ItGraph`
+//!   (`ItGraph::landmarks`, built in parallel on the host's cores), a layer
+//!   of its own on top of the venue: its seconds and its heap bytes.
 //!
-//! Each fast build runs 5 times and each sequential build 3 times; a point
-//! reports the median with min and max. The fast and sequential builds are
+//! Each fast build and each landmark build runs 5 times and each sequential
+//! build 3 times; a point reports the median with min and max. The fast and sequential builds are
 //! asserted equal at every sweep point before timings are reported. Output:
 //! an aligned table,
 //! `results/construction.csv`, and the committed `BENCH_construction.json`
@@ -27,9 +30,11 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-use indoor_space::IndoorSpace;
+use std::sync::Arc;
+
 use indoor_synthetic::{mall_builder, HoursConfig, MallConfig, ShopHours};
 use itspq_bench::Distribution;
+use itspq_core::ItGraph;
 
 /// Generous CI budget for the 10-floor comb fast build, in seconds. The
 /// measured value on a pinned single-core container is ~0.05 s; tripping this
@@ -51,6 +56,9 @@ struct SweepPoint {
     /// (1.0 for the sequential series itself; None where sequential was not
     /// measured).
     speedup: Option<f64>,
+    /// Heap bytes of what the point builds, where it is measured (the
+    /// landmark table).
+    bytes: Option<usize>,
 }
 
 fn main() {
@@ -82,10 +90,24 @@ fn main() {
 
         let stats = comb_space.stats();
         let speedup = comb_seq.p50 / comb_fast.p50;
+        let comb_space = Arc::new(comb_space);
+        let mut landmark_bytes = 0;
+        let (_, landmarks) = time_builds(FAST_REPEATS, || {
+            let graph = ItGraph::from_arc(Arc::clone(&comb_space));
+            landmark_bytes = graph.landmarks().heap_bytes();
+        });
         println!(
             "floors={floors:>3}  partitions={:>5}  doors={:>5}  band/fast={:>8.4}s  \
-             comb/fast={:>8.4}s  comb/sequential={:>8.4}s  speedup={speedup:>5.1}x  (medians)",
-            stats.partitions, stats.doors, band_fast.p50, comb_fast.p50, comb_seq.p50,
+             comb/fast={:>8.4}s  comb/sequential={:>8.4}s  speedup={speedup:>5.1}x  \
+             comb/landmarks={:>8.4}s [{:.4}, {:.4}] ({landmark_bytes} B)  (medians)",
+            stats.partitions,
+            stats.doors,
+            band_fast.p50,
+            comb_fast.p50,
+            comb_seq.p50,
+            landmarks.p50,
+            landmarks.min,
+            landmarks.max,
         );
         points.push(SweepPoint {
             venue: "mall-band",
@@ -95,6 +117,7 @@ fn main() {
             doors: band_space.num_doors(),
             seconds: band_fast,
             speedup: None,
+            bytes: None,
         });
         points.push(SweepPoint {
             venue: "mall-comb",
@@ -104,6 +127,7 @@ fn main() {
             doors: stats.doors,
             seconds: comb_fast,
             speedup: Some(speedup),
+            bytes: None,
         });
         points.push(SweepPoint {
             venue: "mall-comb",
@@ -113,6 +137,17 @@ fn main() {
             doors: stats.doors,
             seconds: comb_seq,
             speedup: Some(1.0),
+            bytes: None,
+        });
+        points.push(SweepPoint {
+            venue: "mall-comb",
+            pipeline: "landmarks",
+            floors,
+            partitions: stats.partitions,
+            doors: stats.doors,
+            seconds: landmarks,
+            speedup: None,
+            bytes: Some(landmark_bytes),
         });
         if floors == 10 {
             budget_witness = Some(comb_fast.p50);
@@ -142,31 +177,32 @@ fn main() {
     }
 }
 
-/// Runs `build` `repeats` times: the last venue built and the seconds
-/// each build took.
-fn time_builds(repeats: usize, build: impl Fn() -> IndoorSpace) -> (IndoorSpace, Distribution) {
+/// Runs `build` `repeats` times: the last thing built and the seconds each
+/// build took.
+fn time_builds<T>(repeats: usize, mut build: impl FnMut() -> T) -> (T, Distribution) {
     let mut seconds = Vec::with_capacity(repeats);
-    let mut space = None;
+    let mut built = None;
     for _ in 0..repeats {
         let t = Instant::now();
-        space = Some(build());
+        built = Some(build());
         seconds.push(t.elapsed().as_secs_f64());
     }
     (
-        space.expect("at least one build"),
+        built.expect("at least one build"),
         Distribution::of(seconds),
     )
 }
 
 fn csv(points: &[SweepPoint]) -> String {
     let mut out = String::from(
-        "venue,pipeline,floors,partitions,doors,seconds,seconds_min,seconds_max,speedup\n",
+        "venue,pipeline,floors,partitions,doors,seconds,seconds_min,seconds_max,speedup,bytes\n",
     );
     for p in points {
         let speedup = p.speedup.map_or(String::new(), |s| format!("{s:.2}"));
+        let bytes = p.bytes.map_or(String::new(), |b| b.to_string());
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{:.6},{:.6},{:.6},{}",
+            "{},{},{},{},{},{:.6},{:.6},{:.6},{},{}",
             p.venue,
             p.pipeline,
             p.floors,
@@ -175,7 +211,8 @@ fn csv(points: &[SweepPoint]) -> String {
             p.seconds.p50,
             p.seconds.min,
             p.seconds.max,
-            speedup
+            speedup,
+            bytes
         );
     }
     out
@@ -187,9 +224,10 @@ fn json_baseline(points: &[SweepPoint], host_cores: usize) -> String {
     let _ = writeln!(
         out,
         "  \"description\": \"build_mall + VenueBuilder pipeline seconds vs floors; \
-         comb = geodesic service corridors, sequential = per-pair reference path; seconds = \
-         median of {FAST_REPEATS} fast or {SEQUENTIAL_REPEATS} sequential builds, with min and \
-         max; speedup at the medians\","
+         comb = geodesic service corridors, sequential = per-pair reference path, landmarks = \
+         the comb venue's landmark table on the host's cores, with its heap bytes; seconds = \
+         median of {FAST_REPEATS} fast or landmark builds or {SEQUENTIAL_REPEATS} sequential \
+         builds, with min and max; speedup at the medians\","
     );
     let _ = writeln!(out, "  \"host_cores\": {host_cores},");
     let _ = writeln!(out, "  \"points\": [");
@@ -198,12 +236,15 @@ fn json_baseline(points: &[SweepPoint], host_cores: usize) -> String {
         let speedup = p
             .speedup
             .map_or(String::from("null"), |s| format!("{s:.2}"));
+        let bytes = p
+            .bytes
+            .map_or(String::new(), |b| format!(", \"bytes\": {b}"));
         let _ = writeln!(
             out,
             "    {{\"venue\": \"{}\", \"pipeline\": \"{}\", \"floors\": {}, \
              \"partitions\": {}, \"doors\": {}, \"seconds\": {:.6}, \
              \"seconds_min\": {:.6}, \"seconds_max\": {:.6}, \
-             \"speedup_vs_sequential\": {}}}{}",
+             \"speedup_vs_sequential\": {}{}}}{}",
             p.venue,
             p.pipeline,
             p.floors,
@@ -213,6 +254,7 @@ fn json_baseline(points: &[SweepPoint], host_cores: usize) -> String {
             p.seconds.min,
             p.seconds.max,
             speedup,
+            bytes,
             comma
         );
     }

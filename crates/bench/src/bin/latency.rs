@@ -20,8 +20,11 @@
 //! The default run (100 queries per cell, 10 timed runs each) writes the
 //! committed `BENCH_latency.json`. `--quick` (wired into CI) covers 1 and 5
 //! floors with 10 queries and 2 runs. Either run exits non-zero if ITG/S and
-//! ITG/A-Exact return different paths for any query of any cell; no timing
-//! is gated.
+//! ITG/A-Exact return different paths for any query of any cell, or if on
+//! the 5-floor δ = 1,500 m 12:00 `FullRelax` cell ITG/S or ITG/A-Exact
+//! settles on average more than half the doors ITG/A-Faithful settles:
+//! Faithful keeps Dijkstra's order, so the gate fails when landmark order
+//! stops paying. Counters are deterministic; no timing is gated.
 
 use std::fmt::Write as _;
 
@@ -37,6 +40,10 @@ use itspq_core::{
 
 /// `|T|` of every venue: the paper's default.
 const T_SIZE: usize = 8;
+
+/// The most doors ITG/S and ITG/A-Exact may settle on the gated cell, as a
+/// share of what ITG/A-Faithful settles there.
+const SETTLED_SHARE: f64 = 0.5;
 
 fn comb_mall(floors: u16) -> Workload {
     Workload::with_mall(
@@ -71,6 +78,7 @@ fn main() {
 
     let mut json_cells = Vec::new();
     let mut differing = 0;
+    let mut gate_failures = Vec::new();
     for &floors in floor_counts {
         let w = comb_mall(floors);
         for delta in [100.0, 1500.0] {
@@ -100,7 +108,15 @@ fn main() {
                         );
                     }
                     differing += differ;
-                    for m in measure_query_set(&queries, &methods, runs) {
+                    let measured = measure_query_set(&queries, &methods, runs);
+                    if floors == 5
+                        && delta == 1500.0
+                        && departure == TimeOfDay::hm(12, 0)
+                        && expand == ExpandPolicy::FullRelax
+                    {
+                        gate_failures.extend(settled_gate(&measured));
+                    }
+                    for m in measured {
                         println!(
                             "{floors:>6} {delta:>5} {:>6} {:>11} {:>14} {}",
                             departure.to_string(),
@@ -149,9 +165,46 @@ fn main() {
 
     if differing > 0 {
         eprintln!("answer check failed: ITG/A-Exact and ITG/S differ on {differing} queries");
+    }
+    for failure in &gate_failures {
+        eprintln!("settled gate failed: {failure}");
+    }
+    if differing > 0 || !gate_failures.is_empty() {
         std::process::exit(1);
     }
     println!("answers ok: ITG/A-Exact returned ITG/S's path for every query of every cell");
+    println!(
+        "settled ok: on 5 floors, δ 1500, 12:00, FullRelax, ITG/S and ITG/A-Exact settle at \
+         most {SETTLED_SHARE} of ITG/A-Faithful's doors"
+    );
+}
+
+/// The settled-doors gate on one cell's measurements: one message per
+/// landmark-ordered method that settles more than [`SETTLED_SHARE`] of
+/// ITG/A-Faithful's mean.
+fn settled_gate(measured: &[Measurement]) -> Vec<String> {
+    let settled = |label: &str| {
+        measured
+            .iter()
+            .find(|m| m.label == label)
+            .and_then(|m| m.mean(|s| s.doors_settled))
+            .unwrap_or(f64::NAN)
+    };
+    let faithful = settled("ITG/A-Faithful");
+    ["ITG/S", "ITG/A-Exact"]
+        .into_iter()
+        .filter_map(|label| {
+            let mean = settled(label);
+            // A method missing (NaN) fails the gate too.
+            let fails = mean.is_nan() || faithful.is_nan() || mean > SETTLED_SHARE * faithful;
+            fails.then(|| {
+                format!(
+                    "{label} settled {mean:.1} doors per query, ITG/A-Faithful {faithful:.1} \
+                     (at most {SETTLED_SHARE} of it allowed)"
+                )
+            })
+        })
+        .collect()
 }
 
 /// What lies outside the grid, timed on one query set under `FullRelax`.

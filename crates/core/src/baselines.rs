@@ -20,8 +20,8 @@ use crate::heap::{MinHeap, Node};
 use crate::{DoorHop, ItGraph, ItspqConfig, Path, Query, QueryResult, SearchStats};
 
 /// A checker that accepts every door (temporal-oblivious baseline).
-struct StaticChecker<'a> {
-    space: &'a IndoorSpace,
+pub(crate) struct StaticChecker<'a> {
+    pub(crate) space: &'a IndoorSpace,
 }
 
 impl<'a> TvChecker<'a> for StaticChecker<'a> {
@@ -34,12 +34,16 @@ impl<'a> TvChecker<'a> for StaticChecker<'a> {
     }
 
     fn account(&self, _stats: &mut SearchStats) {}
+
+    fn order_free(&self) -> bool {
+        true
+    }
 }
 
 /// A checker that freezes door states at the query time `t`.
-struct SnapshotChecker<'a> {
-    space: &'a IndoorSpace,
-    t: indoor_time::TimeOfDay,
+pub(crate) struct SnapshotChecker<'a> {
+    pub(crate) space: &'a IndoorSpace,
+    pub(crate) t: indoor_time::TimeOfDay,
 }
 
 impl<'a> TvChecker<'a> for SnapshotChecker<'a> {
@@ -52,6 +56,10 @@ impl<'a> TvChecker<'a> for SnapshotChecker<'a> {
     }
 
     fn account(&self, _stats: &mut SearchStats) {}
+
+    fn order_free(&self) -> bool {
+        true
+    }
 }
 
 /// Shortest path ignoring temporal variations entirely.

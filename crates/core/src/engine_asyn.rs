@@ -387,6 +387,12 @@ impl<'a> TvChecker<'a> for AsynChecker<'a> {
     fn account(&self, stats: &mut SearchStats) {
         stats.reduced_graph_bytes = self.view_bytes;
     }
+
+    /// Exact resolves each arrival in its own interval's view; the
+    /// Faithful cursor's verdict depends on the relaxations before it.
+    fn order_free(&self) -> bool {
+        self.mode == AsynMode::Exact
+    }
 }
 
 #[cfg(test)]

@@ -63,6 +63,10 @@ impl<'a> TvChecker<'a> for SynChecker<'a> {
     }
 
     fn account(&self, _stats: &mut SearchStats) {}
+
+    fn order_free(&self) -> bool {
+        true
+    }
 }
 
 /// The ITG/S query engine: every encountered door is validated against its

@@ -12,7 +12,11 @@
 //! algorithm (`crate::ksp`) the one-target sweep from a [`Seed`] door with
 //! some doors banned.
 //!
-//! Two Dijkstra loops stay outside the sweep, because neither is the sweep
+//! A sweep with one target settles doors in Dijkstra's order first and may
+//! then switch to landmark order (`crate::landmarks`): see
+//! [`run_search_targets`].
+//!
+//! Three Dijkstra loops stay outside the sweep, because none is the sweep
 //! with other arguments:
 //!
 //! * `baselines::door_distances` expands back into the partition a door was
@@ -22,7 +26,10 @@
 //!   Its labels feed `generate_queries`, so a zero-target sweep in its place
 //!   would change generated workloads;
 //! * `waiting::earliest_arrival` labels doors with crossing times, not
-//!   distances.
+//!   distances;
+//! * the landmark table's builder (`crate::landmarks`) runs from a door over
+//!   a static graph that admits every partition and every expansion, and
+//!   rounds each sum down to an `f32`.
 //!
 //! A sweep's per-door labels live in a [`SearchState`] pooled per thread,
 //! so a warm query costs what it explores rather than O(|doors|):
@@ -56,7 +63,14 @@ use indoor_space::{DoorId, IndoorPoint, IndoorSpace, PartitionId};
 use indoor_time::{TimeOfDay, Timestamp};
 
 use crate::heap::{MinHeap, Node};
+use crate::landmarks::Bound;
 use crate::{DoorHop, ExpandPolicy, ItGraph, ItspqConfig, Path, Query, SearchStats};
+
+/// How many doors an eligible sweep settles in Dijkstra's order before it
+/// switches to landmark order ([`run_search_targets`]). A short query ends
+/// first and never reads the landmark table: a 100 m query on the 50-floor
+/// mall settles a handful of doors.
+pub(crate) const GOAL_AFTER: usize = 64;
 
 /// The pluggable temporal-variation strategy: a topology view plus `TV_Check`.
 ///
@@ -77,6 +91,46 @@ pub(crate) trait TvChecker<'a> {
 
     /// Final accounting hook (reduced-graph bytes for ITG/A).
     fn account(&self, stats: &mut SearchStats);
+
+    /// Whether `check`'s verdict on a relaxation depends only on the door
+    /// and the arrival, never on the relaxations before it, so a sweep may
+    /// relax in landmark order and reach Dijkstra's answers (ITG/S, ITG/A
+    /// Exact, the baselines; not the Faithful cursor).
+    fn order_free(&self) -> bool;
+}
+
+/// The order a sweep settles doors in: Dijkstra's ([`Dijkstra`]) or
+/// landmark order (`crate::landmarks::Bound`).
+pub(crate) trait Order {
+    /// Whether the order differs from Dijkstra's, so that at equal labels a
+    /// relaxation must keep the writer Dijkstra's order reaches first
+    /// ([`writes_first`]) rather than the first to arrive.
+    const GOAL: bool;
+
+    /// The queue key of door `d` labelled `g`, or `None` if no walk from
+    /// `d` can reach the target, in which case the door is never pushed.
+    fn key(&self, g: f64, d: usize) -> Option<f64>;
+}
+
+/// Dijkstra's order: a door's key is its label.
+pub(crate) struct Dijkstra;
+
+impl Order for Dijkstra {
+    const GOAL: bool = false;
+
+    #[inline(always)]
+    fn key(&self, g: f64, _d: usize) -> Option<f64> {
+        Some(g)
+    }
+}
+
+/// Whether a writer `(label, door)` comes before another in Dijkstra's
+/// order, which pops doors by label and then by index: at an equal label,
+/// the writer that order keeps. The source expansion, which has no door,
+/// precedes every door and is never passed in.
+#[inline]
+fn writes_first(writer: (f64, u32), kept: (f64, u32)) -> bool {
+    writer.0 < kept.0 || (writer.0 <= kept.0 && writer.1 < kept.1)
 }
 
 /// Predecessor of a relaxed door.
@@ -99,10 +153,11 @@ pub(crate) struct Seed {
     pub(crate) via: PartitionId,
 }
 
-/// The retime certificate's recorder for [`run_search_targets`]: a running
-/// minimum of the margin between each checked arrival and its next
-/// checkpoint. Off by default, making the observer free on the per-query
-/// path.
+/// What a caller asks of [`run_search_targets`] besides its answers: the
+/// retime certificate's recorder, a running minimum of the margin between
+/// each checked arrival and its next checkpoint (off by default, making the
+/// observer free on the per-query path), and where an eligible sweep
+/// switches to landmark order.
 #[derive(Debug)]
 pub(crate) struct SweepObserver {
     /// Track `min_margin_secs` across every `TV_Check` arrival.
@@ -114,6 +169,10 @@ pub(crate) struct SweepObserver {
     /// A degenerate (∞/NaN) arrival saturates its margin to `0.0`, so no
     /// member retimes against it.
     pub(crate) min_margin_secs: f64,
+    /// Doors an eligible sweep settles in Dijkstra's order before it
+    /// switches to landmark order; `None` never switches. [`GOAL_AFTER`]
+    /// outside the exactness test.
+    goal_after: Option<usize>,
 }
 
 impl SweepObserver {
@@ -126,7 +185,15 @@ impl SweepObserver {
         SweepObserver {
             track_margin,
             min_margin_secs: f64::INFINITY,
+            goal_after: Some(GOAL_AFTER),
         }
+    }
+
+    /// The observer with the switch to landmark order moved (`None`: never).
+    #[cfg(test)]
+    pub(crate) fn with_goal_after(mut self, goal_after: Option<usize>) -> Self {
+        self.goal_after = goal_after;
+        self
     }
 }
 
@@ -271,106 +338,6 @@ pub(crate) fn run_search<'a, C: TvChecker<'a>>(
     (sweep.paths.pop().flatten(), sweep.stats)
 }
 
-/// Lines 25–34: relax every (currently usable) leaveable door of `v`. The
-/// doors of a vouched list (see [`TvChecker::leaveable`]) skip line 30.
-///
-/// Inlined at each call site (source, seed, settled door): it runs once per
-/// expanded partition, where a call with this many arguments measurably
-/// slows long sweeps.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the sweep's loop state, borrowed field by field by a hot-path helper"
-)]
-#[inline(always)]
-fn expand_partition<'a, C: TvChecker<'a>>(
-    graph: &ItGraph,
-    config: &ItspqConfig,
-    source: &IndoorPoint,
-    checker: &mut C,
-    st: &mut SearchState,
-    stats: &mut SearchStats,
-    v: PartitionId,
-    from: Option<u32>,
-    base_dist: f64,
-    allowed: &dyn Fn(PartitionId) -> bool,
-    t0: Timestamp,
-    observer: &mut SweepObserver,
-) {
-    let space = graph.space();
-    // No list is vouched for the source expansion, whose point legs are no
-    // distance-matrix entries, nor for an observer that tracks margins
-    // (retime needs every checked arrival).
-    let base = (from.is_some() && !observer.track_margin).then_some(base_dist);
-    // The list outlives the checker's views, so ITG/A's check() may move
-    // to another view mid-loop without changing the doors iterated here.
-    let (doors, vouched) = checker.leaveable(v, base);
-    debug_assert!(
-        !vouched || vouch_holds(space, config, t0, v, from, base_dist, doors),
-        "a vouched door list of {v:?} disagrees with Syn_Check"
-    );
-    st.note_scratch(doors.len());
-    // Line 29's matrix lookups read the expanding door's row.
-    let mut walk = from.and_then(|di| RowWalk::new(graph, v, DoorId(di)));
-    for &dj in doors {
-        if Some(dj.index() as u32) == from {
-            continue;
-        }
-        if st.settled[dj.index()] {
-            continue; // line 26: only unvisited doors
-        }
-
-        // Line 27–28: discard doors whose continuation is a forbidden private
-        // partition (doors into P(ps)/P(pt) stay usable).
-        if config.expand == ExpandPolicy::PaperPruned {
-            let continues = space
-                .d2p_enterable(dj)
-                .iter()
-                .any(|&u| u != v && allowed(u));
-            if !continues {
-                continue;
-            }
-        }
-
-        // Line 29: dist_j = dist[di] + DM(v, di, dj)  (or |ps, dj| from ps).
-        let weight = match from {
-            Some(_) => walk.as_mut().and_then(|walk| walk.leg(dj)),
-            None => space.point_to_door(source, dj),
-        };
-        let Some(weight) = weight else { continue };
-        let cand = base_dist + weight;
-        stats.relaxations += 1;
-
-        // Line 30: TV_Check(dj, dist_j, t), which a vouched list has passed.
-        if !vouched {
-            stats.tv_checks += 1;
-            let open = checker.check(dj, cand, stats);
-            if observer.track_margin {
-                let arrival = t0 + config.velocity.travel_time(cand);
-                let margin = space.checkpoints().margin_to_next(arrival);
-                if margin < observer.min_margin_secs {
-                    observer.min_margin_secs = margin;
-                }
-            }
-            if !open {
-                stats.tv_rejections += 1;
-                continue;
-            }
-        }
-
-        // Lines 31–34.
-        if cand < st.dist[dj.index()] {
-            if st.dist[dj.index()].is_infinite() {
-                st.touched.push(dj.index() as u32);
-            }
-            st.dist[dj.index()] = cand;
-            st.prev[dj.index()] = Some(PrevEntry { via: v, from });
-            st.heap.push(cand, Node::Door(dj.index() as u32));
-            stats.heap_pushes += 1;
-            stats.improvements += 1;
-        }
-    }
-}
-
 /// The row of door `di` in partition `v`'s distance matrix, read column by
 /// column along an expansion's door list.
 ///
@@ -380,7 +347,7 @@ fn expand_partition<'a, C: TvChecker<'a>>(
 /// `DistanceMatrix::distance` costs two binary searches per door. Where the
 /// walk misses (a door list out of order, a door the matrix lacks) the
 /// binary search answers.
-struct RowWalk<'s> {
+pub(crate) struct RowWalk<'s> {
     /// The matrix's door list, which the row's columns follow.
     doors: &'s [DoorId],
     row: &'s [f64],
@@ -391,7 +358,7 @@ struct RowWalk<'s> {
 impl<'s> RowWalk<'s> {
     /// The walk along `di`'s row of `v`'s matrix, or `None` if the matrix
     /// has no row for `di`.
-    fn new(graph: &'s ItGraph, v: PartitionId, di: DoorId) -> Option<Self> {
+    pub(crate) fn new(graph: &'s ItGraph, v: PartitionId, di: DoorId) -> Option<Self> {
         let dm = graph.space().distance_matrix(v);
         // A venue with a matrix out of strictly ascending order starts its
         // walks past the last column, leaving every lookup to the binary
@@ -410,7 +377,7 @@ impl<'s> RowWalk<'s> {
 
     /// `DM(v, di, dj)`: exactly `DistanceMatrix::distance(di, dj)`, bit for
     /// bit, `None` included.
-    fn leg(&mut self, dj: DoorId) -> Option<f64> {
+    pub(crate) fn leg(&mut self, dj: DoorId) -> Option<f64> {
         while self.doors.get(self.col).is_some_and(|&d| d < dj) {
             self.col += 1;
         }
@@ -517,7 +484,7 @@ pub(crate) fn direct_path(
 }
 
 /// Algorithm 1 as one sweep from `source` at `time` toward any number of
-/// targets (see the module docs for the two loops that stay outside it):
+/// targets (see the module docs for the loops that stay outside it):
 ///
 /// * a point query is a sweep with one target ([`run_search`], the engines'
 ///   `query`);
@@ -557,6 +524,16 @@ pub(crate) fn direct_path(
 /// a sweep with any other number of targets requires `FullRelax` and
 /// traversable-or-source target partitions; callers (the server's planner,
 /// `one_to_many`) enforce both, and this function debug-asserts them.
+///
+/// A sweep with one target, no seed and no banned door, under `FullRelax`
+/// and with an order-free checker ([`TvChecker::order_free`]), runs in two
+/// phases. It settles its first [`GOAL_AFTER`] doors in Dijkstra's order;
+/// if its target is still pending then, it re-keys its queue in place to
+/// `g + h`, with `h` the venue's landmark bound toward the target, and
+/// settles the rest in that order (`crate::landmarks`). It settles fewer
+/// doors and returns the answer Dijkstra's order returns
+/// (`ARCHITECTURE.md` §"Landmark order for long one-target sweeps"); its
+/// counters show the work it did. Every other sweep keeps Dijkstra's order.
 #[expect(
     clippy::too_many_arguments,
     reason = "the one sweep behind every entry point; each argument is a caller's choice"
@@ -594,12 +571,9 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
         seed.is_none() || config.expand == ExpandPolicy::FullRelax,
         "a seeded sweep requires FullRelax"
     );
-    let allowed = |v: PartitionId| -> bool {
-        v == src_p || Some(v) == exempt || space.partition(v).kind.traversable()
-    };
 
     let mut paths: Vec<Option<Path>> = vec![None; targets.len()];
-    let mut labels = vec![
+    let labels = vec![
         TargetLabel {
             dist: f64::INFINITY,
             prev: None,
@@ -618,7 +592,7 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
         }
     }
     by_partition.sort_unstable();
-    let mut pending = by_partition.len();
+    let pending = by_partition.len();
     if pending == 0 && !targets.is_empty() {
         checker.account(&mut stats);
         return Sweep {
@@ -628,10 +602,38 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
         };
     }
 
-    let mut st = SearchState::take(space);
+    // The target a sweep may switch to landmark order for, and when.
+    let goal = match targets {
+        [target]
+            if seed.is_none()
+                && banned.is_empty()
+                && config.expand == ExpandPolicy::FullRelax
+                && checker.order_free() =>
+        {
+            observer.goal_after.map(|after| (target, after))
+        }
+        _ => None,
+    };
 
+    let mut sweep = Sweeper {
+        graph,
+        config,
+        source,
+        targets,
+        t0,
+        exempt,
+        checker,
+        observer,
+        st: SearchState::take(space),
+        stats,
+        labels,
+        paths,
+        by_partition,
+        pending,
+    };
     // Banned doors and the seed door count as settled, so no relaxation
     // reaches them.
+    let st = &mut sweep.st;
     for d in banned.iter().chain(seed.iter().map(|s| &s.door)) {
         if !st.settled[d.index()] {
             st.settled[d.index()] = true;
@@ -641,163 +643,385 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
     match seed {
         // Source expansion: Algorithm 1 with di = ps, v = P(ps).
         None => {
-            st.visit(src_p);
-            stats.partitions_expanded += 1;
-            expand_partition(
-                graph, config, source, checker, &mut st, &mut stats, src_p, None, 0.0, &allowed,
-                t0, observer,
-            );
+            sweep.st.visit(src_p);
+            sweep.stats.partitions_expanded += 1;
+            sweep.expand(&Dijkstra, src_p, None, 0.0);
         }
         // The seed door gets its label, relaxes no target, and is expanded
-        // as the loop below expands a settled door under FullRelax: never
-        // back into the partition it was crossed from.
+        // as a settled door is under FullRelax: never back into the
+        // partition it was crossed from.
         Some(seed) => {
             let e = seed.door.index();
-            st.dist[e] = seed.dist;
-            st.prev[e] = Some(PrevEntry {
+            sweep.st.dist[e] = seed.dist;
+            sweep.st.prev[e] = Some(PrevEntry {
                 via: seed.via,
                 from: None,
             });
             for &v in space.d2p_enterable(seed.door) {
-                if v != seed.via && allowed(v) {
-                    stats.partitions_expanded += 1;
-                    expand_partition(
-                        graph,
-                        config,
-                        source,
-                        checker,
-                        &mut st,
-                        &mut stats,
-                        v,
-                        Some(e as u32),
-                        seed.dist,
-                        &allowed,
-                        t0,
-                        observer,
-                    );
+                if v != seed.via && sweep.allowed(v) {
+                    sweep.stats.partitions_expanded += 1;
+                    sweep.expand(&Dijkstra, v, Some(e as u32), seed.dist);
                 }
             }
         }
     }
 
-    while let Some(entry) = st.heap.pop() {
-        stats.heap_pops += 1;
-        let di = match entry.node {
-            Node::Target(k) => {
-                let label = &mut labels[k as usize];
-                if label.done || entry.dist > label.dist {
-                    continue; // finalised already, or stale after an improvement
-                }
-                label.done = true;
-                // `reconstruct` is `None` only on a broken predecessor
-                // invariant; degrade to "no such routes" rather than panic.
-                paths[k as usize] =
-                    reconstruct(source, &targets[k as usize], config, &st, label, t0);
-                pending -= 1;
-                if pending == 0 {
-                    break;
-                }
-                continue;
-            }
-            Node::Door(i) => i,
-        };
-        if st.settled[di as usize] {
-            continue; // stale heap entry
+    sweep.settle(&Dijkstra, goal.map_or(usize::MAX, |(_, after)| after));
+    if let Some((target, _)) = goal {
+        if sweep.pending > 0 && !sweep.st.heap.is_empty() {
+            let bound = graph.landmarks().bound(space, target);
+            sweep.rekey(&bound);
+            sweep.settle(&bound, usize::MAX);
         }
-        st.settled[di as usize] = true;
-        stats.doors_settled += 1;
-        let door = DoorId(di);
-        let d_di = st.dist[di as usize];
-        let came_from = st.prev[di as usize].map(|p| p.via);
+    }
+    sweep.finish()
+}
 
-        // Lines 20–24: a door that can enter a pending target's partition
-        // relaxes that target directly …
-        let mut into_target = false;
-        for &v in space.d2p_enterable(door) {
-            let first = by_partition.partition_point(|&(p, _)| p < v);
-            for &(_, k) in by_partition[first..].iter().take_while(|&&(p, _)| p == v) {
-                into_target = true;
-                let label = &mut labels[k as usize];
-                if label.done {
+/// One sweep's loop state: its arguments, its pooled labels and its
+/// target labels, so that each phase of [`run_search_targets`] runs the same
+/// loop in its own order.
+struct Sweeper<'s, C> {
+    graph: &'s ItGraph,
+    config: &'s ItspqConfig,
+    source: &'s IndoorPoint,
+    targets: &'s [IndoorPoint],
+    t0: Timestamp,
+    /// The partition Rule 2 exempts besides `P(ps)`: a one-target sweep's
+    /// `P(pt)`.
+    exempt: Option<PartitionId>,
+    checker: &'s mut C,
+    observer: &'s mut SweepObserver,
+    st: SearchState,
+    stats: SearchStats,
+    labels: Vec<TargetLabel>,
+    paths: Vec<Option<Path>>,
+    /// Pending targets by partition (see [`run_search_targets`]).
+    by_partition: Vec<(PartitionId, u32)>,
+    pending: usize,
+}
+
+impl<'a, C: TvChecker<'a>> Sweeper<'_, C> {
+    /// Rule 2: whether the sweep may enter partition `v`.
+    #[inline(always)]
+    fn allowed(&self, v: PartitionId) -> bool {
+        allowed(self.graph.space(), self.source.partition, self.exempt, v)
+    }
+
+    /// Pops and settles doors in `order` until the target set is done, the
+    /// frontier is empty, or `limit` doors have settled.
+    fn settle<O: Order>(&mut self, order: &O, limit: usize) {
+        let space = self.graph.space();
+        while self.stats.doors_settled < limit {
+            let Some(entry) = self.st.heap.pop() else {
+                break;
+            };
+            self.stats.heap_pops += 1;
+            let di = match entry.node {
+                Node::Target(k) => {
+                    let label = &mut self.labels[k as usize];
+                    if label.done || entry.dist > label.dist {
+                        continue; // finalised already, or stale after an improvement
+                    }
+                    label.done = true;
+                    // `reconstruct` is `None` only on a broken predecessor
+                    // invariant; degrade to "no such routes" rather than panic.
+                    self.paths[k as usize] = reconstruct(
+                        self.source,
+                        &self.targets[k as usize],
+                        self.config,
+                        &self.st,
+                        label,
+                        self.t0,
+                    );
+                    self.pending -= 1;
+                    if self.pending == 0 {
+                        break;
+                    }
                     continue;
                 }
-                if let Some(pd) = space.point_to_door(&targets[k as usize], door) {
-                    let cand = d_di + pd;
-                    if cand < label.dist {
-                        label.dist = cand;
-                        label.prev = Some(di);
-                        st.heap.push(cand, Node::Target(k));
-                        stats.heap_pushes += 1;
+                Node::Door(i) => i,
+            };
+            if self.st.settled[di as usize] {
+                continue; // stale heap entry
+            }
+            self.st.settled[di as usize] = true;
+            self.stats.doors_settled += 1;
+            let door = DoorId(di);
+            let d_di = self.st.dist[di as usize];
+            let came_from = self.st.prev[di as usize].map(|p| p.via);
+
+            // Lines 20–24: a door that can enter a pending target's partition
+            // relaxes that target directly …
+            let mut into_target = false;
+            for &v in space.d2p_enterable(door) {
+                let first = self.by_partition.partition_point(|&(p, _)| p < v);
+                for &(_, k) in self.by_partition[first..]
+                    .iter()
+                    .take_while(|&&(p, _)| p == v)
+                {
+                    into_target = true;
+                    let label = &mut self.labels[k as usize];
+                    if label.done {
+                        continue;
+                    }
+                    if let Some(pd) = space.point_to_door(&self.targets[k as usize], door) {
+                        let cand = d_di + pd;
+                        if cand < label.dist {
+                            label.dist = cand;
+                            label.prev = Some(di);
+                            self.st.heap.push(cand, Node::Target(k));
+                            self.stats.heap_pushes += 1;
+                        } else if O::GOAL
+                            && cand <= label.dist
+                            && label.prev.is_some_and(|q| {
+                                writes_first((d_di, di), (self.st.dist[q as usize], q))
+                            })
+                        {
+                            label.prev = Some(di);
+                        }
                     }
                 }
             }
-        }
-        // … and, in the paper's reading, is not expanded any further.
-        if into_target && config.expand == ExpandPolicy::PaperPruned {
-            continue;
-        }
-
-        // Lines 18–19 / full relaxation: choose partitions to expand.
-        for &v in space.d2p_enterable(door) {
-            if !allowed(v) {
+            // … and, in the paper's reading, is not expanded any further.
+            if into_target && self.config.expand == ExpandPolicy::PaperPruned {
                 continue;
             }
-            match config.expand {
-                ExpandPolicy::PaperPruned => {
-                    if st.visited_parts[v.index()] {
-                        continue;
-                    }
-                    st.visit(v);
+
+            // Lines 18–19 / full relaxation: choose partitions to expand.
+            for &v in space.d2p_enterable(door) {
+                if !self.allowed(v) {
+                    continue;
                 }
-                ExpandPolicy::FullRelax => {
-                    // Never expand back into the partition the door was
-                    // reached through: it would let paths *touch* a door to
-                    // burn walking time until another door opens — waiting
-                    // in disguise, which the paper's semantics exclude
-                    // (footnote 2). Distance-wise this loses nothing where
-                    // the triangle inequality holds, which it does inside one
-                    // distance matrix but not between a point leg and an
-                    // explicit distance such as a stair's half-flight. The
-                    // target side keeps its touch: a door reached through
-                    // `P(pt)` still relaxes `pt` (ARCHITECTURE.md
-                    // §"Deviations from the paper").
-                    if Some(v) == came_from {
-                        continue;
+                match self.config.expand {
+                    ExpandPolicy::PaperPruned => {
+                        if self.st.visited_parts[v.index()] {
+                            continue;
+                        }
+                        self.st.visit(v);
+                    }
+                    ExpandPolicy::FullRelax => {
+                        // Never expand back into the partition the door was
+                        // reached through: it would let paths *touch* a door
+                        // to burn walking time until another door opens —
+                        // waiting in disguise, which the paper's semantics
+                        // exclude (footnote 2). Distance-wise this loses
+                        // nothing where the triangle inequality holds, which
+                        // it does inside one distance matrix but not between
+                        // a point leg and an explicit distance such as a
+                        // stair's half-flight. The target side keeps its
+                        // touch: a door reached through `P(pt)` still relaxes
+                        // `pt` (ARCHITECTURE.md §"Deviations from the paper").
+                        if Some(v) == came_from {
+                            continue;
+                        }
                     }
                 }
+                self.stats.partitions_expanded += 1;
+                self.expand(order, v, Some(di), d_di);
             }
-            stats.partitions_expanded += 1;
-            expand_partition(
-                graph,
-                config,
-                source,
-                checker,
-                &mut st,
-                &mut stats,
-                v,
-                Some(di),
-                d_di,
-                &allowed,
-                t0,
-                observer,
-            );
         }
     }
 
-    stats.peak_heap = st.heap.peak();
-    stats.search_bytes = st.search_bytes();
-    checker.account(&mut stats);
-    let door_dist = if targets.is_empty() {
-        st.dist.clone()
-    } else {
-        Vec::new()
-    };
-    st.give_back();
-    Sweep {
-        paths,
-        stats,
-        door_dist,
+    /// Lines 25–34: relax every (currently usable) leaveable door of `v`
+    /// from `from` (`None`: the source) labelled `base_dist`. The doors of
+    /// a vouched list (see [`TvChecker::leaveable`]) skip line 30.
+    ///
+    /// Inlined at each call site (source, seed, settled door): it runs once
+    /// per expanded partition, where a call measurably slows long sweeps.
+    #[inline(always)]
+    fn expand<O: Order>(&mut self, order: &O, v: PartitionId, from: Option<u32>, base_dist: f64) {
+        let graph = self.graph;
+        let space = graph.space();
+        let (src_p, exempt) = (self.source.partition, self.exempt);
+        let Sweeper {
+            config,
+            source,
+            t0,
+            checker,
+            observer,
+            st,
+            stats,
+            ..
+        } = self;
+        let (config, t0) = (*config, *t0);
+        // No list is vouched for the source expansion, whose point legs are
+        // no distance-matrix entries, nor for an observer that tracks margins
+        // (retime needs every checked arrival).
+        let base = (from.is_some() && !observer.track_margin).then_some(base_dist);
+        // The list outlives the checker's views, so ITG/A's check() may move
+        // to another view mid-loop without changing the doors iterated here.
+        let (doors, vouched) = checker.leaveable(v, base);
+        debug_assert!(
+            !vouched || vouch_holds(space, config, t0, v, from, base_dist, doors),
+            "a vouched door list of {v:?} disagrees with Syn_Check"
+        );
+        st.note_scratch(doors.len());
+        // Line 29's matrix lookups read the expanding door's row.
+        let mut walk = from.and_then(|di| RowWalk::new(graph, v, DoorId(di)));
+        let mut leg = |dj: DoorId| match from {
+            Some(_) => walk.as_mut().and_then(|walk| walk.leg(dj)),
+            None => space.point_to_door(source, dj),
+        };
+        for &dj in doors {
+            if Some(dj.index() as u32) == from {
+                continue;
+            }
+            if st.settled[dj.index()] {
+                // Line 26: only unvisited doors. No relaxation may lower a
+                // settled label (a banned door has none): in landmark order
+                // that is what the bound's consistency guarantees.
+                debug_assert!(
+                    st.dist[dj.index()].is_infinite()
+                        || leg(dj).is_none_or(|w| {
+                            let cand = base_dist + w;
+                            cand.is_nan() || cand >= st.dist[dj.index()]
+                        }),
+                    "a relaxation from {from:?} would lower the settled label of {dj:?}"
+                );
+                continue;
+            }
+
+            // Line 27–28: discard doors whose continuation is a forbidden
+            // private partition (doors into P(ps)/P(pt) stay usable).
+            if config.expand == ExpandPolicy::PaperPruned {
+                let continues = space
+                    .d2p_enterable(dj)
+                    .iter()
+                    .any(|&u| u != v && allowed(space, src_p, exempt, u));
+                if !continues {
+                    continue;
+                }
+            }
+
+            // Line 29: dist_j = dist[di] + DM(v, di, dj)  (or |ps, dj| from ps).
+            let Some(weight) = leg(dj) else { continue };
+            let cand = base_dist + weight;
+            stats.relaxations += 1;
+
+            // Line 30: TV_Check(dj, dist_j, t), which a vouched list has passed.
+            if !vouched {
+                stats.tv_checks += 1;
+                let open = checker.check(dj, cand, stats);
+                if observer.track_margin {
+                    let arrival = t0 + config.velocity.travel_time(cand);
+                    let margin = space.checkpoints().margin_to_next(arrival);
+                    if margin < observer.min_margin_secs {
+                        observer.min_margin_secs = margin;
+                    }
+                }
+                if !open {
+                    stats.tv_rejections += 1;
+                    continue;
+                }
+            }
+
+            // Lines 31–34.
+            let old = st.dist[dj.index()];
+            if cand < old {
+                let Some(key) = order.key(cand, dj.index()) else {
+                    continue; // no walk from dj reaches the target
+                };
+                if old.is_infinite() {
+                    st.touched.push(dj.index() as u32);
+                }
+                st.dist[dj.index()] = cand;
+                st.prev[dj.index()] = Some(PrevEntry { via: v, from });
+                st.heap.push(key, Node::Door(dj.index() as u32));
+                stats.heap_pushes += 1;
+                stats.improvements += 1;
+            } else if O::GOAL && cand <= old {
+                // An equal label: keep the writer Dijkstra's order keeps.
+                // The door is queued already, under the same key.
+                let kept = st.prev[dj.index()].and_then(|p| p.from);
+                if let (Some(p), Some(q)) = (from, kept) {
+                    if writes_first((base_dist, p), (st.dist[q as usize], q)) {
+                        st.prev[dj.index()] = Some(PrevEntry { via: v, from });
+                    }
+                }
+            }
+        }
     }
+
+    /// Re-keys the queue to `bound`'s order in place, dropping the stale
+    /// entries and the doors no walk from which reaches the target.
+    fn rekey(&mut self, bound: &Bound<'_>) {
+        let Sweeper { st, labels, .. } = self;
+        let SearchState {
+            heap,
+            dist,
+            settled,
+            ..
+        } = st;
+        heap.rekey(|e| match e.node {
+            Node::Door(i) => {
+                let i = i as usize;
+                if settled[i] || e.dist > dist[i] {
+                    None
+                } else {
+                    bound.key(dist[i], i)
+                }
+            }
+            Node::Target(k) => {
+                let label = &labels[k as usize];
+                (!label.done && e.dist <= label.dist).then_some(e.dist)
+            }
+        });
+    }
+
+    /// Accounts the sweep and gives its state back to the pool.
+    fn finish(self) -> Sweep {
+        let Sweeper {
+            targets,
+            checker,
+            st,
+            mut stats,
+            paths,
+            ..
+        } = self;
+        stats.peak_heap = st.heap.peak();
+        stats.search_bytes = st.search_bytes();
+        checker.account(&mut stats);
+        let door_dist = if targets.is_empty() {
+            st.dist.clone()
+        } else {
+            Vec::new()
+        };
+        st.give_back();
+        Sweep {
+            paths,
+            stats,
+            door_dist,
+        }
+    }
+}
+
+/// Rule 2: a sweep from `P(ps) = src_p` may enter `v` if it is `P(ps)`, the
+/// `exempt` `P(pt)`, or traversable.
+#[inline(always)]
+fn allowed(
+    space: &IndoorSpace,
+    src_p: PartitionId,
+    exempt: Option<PartitionId>,
+    v: PartitionId,
+) -> bool {
+    v == src_p || Some(v) == exempt || space.partition(v).kind.traversable()
+}
+
+/// The paper's example through JSON, with the door list of its first matrix
+/// of more than one door reversed.
+#[cfg(test)]
+pub(crate) fn paper_example_with_a_reversed_matrix() -> ItGraph {
+    let json = serde_json::to_string(&indoor_space::paper_example::build().space).unwrap();
+    let (mut open, mut close) = (json.find("\"dms\":").unwrap(), 0);
+    let mut ids: Vec<&str> = Vec::new();
+    while ids.len() < 2 {
+        open += json[open..].find("\"doors\":[").unwrap() + "\"doors\":[".len();
+        close = open + json[open..].find(']').unwrap();
+        ids = json[open..close].split(',').collect();
+    }
+    ids.reverse();
+    let json = format!("{}{}{}", &json[..open], ids.join(","), &json[close..]);
+    ItGraph::new(serde_json::from_str::<IndoorSpace>(&json).unwrap())
 }
 
 #[cfg(test)]
@@ -866,18 +1090,7 @@ mod tests {
     /// must answer as that search does.
     #[test]
     fn row_walk_reads_a_matrix_out_of_order_as_its_binary_search_does() {
-        let json = serde_json::to_string(&paper_example::build().space).unwrap();
-        // Reverse the door list of the first matrix with more than one door.
-        let (mut open, mut close) = (json.find("\"dms\":").unwrap(), 0);
-        let mut ids: Vec<&str> = Vec::new();
-        while ids.len() < 2 {
-            open += json[open..].find("\"doors\":[").unwrap() + "\"doors\":[".len();
-            close = open + json[open..].find(']').unwrap();
-            ids = json[open..close].split(',').collect();
-        }
-        ids.reverse();
-        let json = format!("{}{}{}", &json[..open], ids.join(","), &json[close..]);
-        let graph = ItGraph::new(serde_json::from_str::<IndoorSpace>(&json).unwrap());
+        let graph = paper_example_with_a_reversed_matrix();
         assert!(!graph.ascending_matrices());
         every_row_walk_matches_distance(&graph);
     }

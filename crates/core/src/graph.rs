@@ -47,10 +47,12 @@
 //! assert!((a.path.unwrap().length - 12.0).abs() < 1e-9);
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use indoor_space::{DoorId, DoorKind, IndoorSpace, PartitionId, PartitionKind};
 use indoor_time::AtiList;
+
+use crate::landmarks::Landmarks;
 
 /// The paper's IT-Graph `G_IT(V, E, L_V, L_E)`.
 ///
@@ -70,6 +72,9 @@ pub struct ItGraph {
     /// relies on it; a deserialised venue need not keep it, and the walk
     /// then gives way to the matrix's own lookup.
     ascending_matrices: bool,
+    /// The landmark table that orders long one-target sweeps, built once
+    /// on first use ([`ItGraph::landmarks`]).
+    landmarks: OnceLock<Landmarks>,
 }
 
 /// One directed edge `(from, to, door)` of the IT-Graph.
@@ -108,6 +113,7 @@ impl ItGraph {
         ItGraph {
             space,
             ascending_matrices,
+            landmarks: OnceLock::new(),
         }
     }
 
@@ -121,6 +127,15 @@ impl ItGraph {
     /// order (see the field).
     pub(crate) fn ascending_matrices(&self) -> bool {
         self.ascending_matrices
+    }
+
+    /// The landmark table of the venue (`crate::landmarks`), built in
+    /// parallel on the first call; a call racing it waits for that build.
+    /// `VenueServer::warm` makes the first call under `FullRelax`, else the
+    /// first sweep that leaves Dijkstra's order does.
+    #[must_use]
+    pub fn landmarks(&self) -> &Landmarks {
+        self.landmarks.get_or_init(|| Landmarks::build(self))
     }
 
     /// A shareable handle to the venue.

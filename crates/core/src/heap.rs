@@ -6,13 +6,16 @@
 //! key whose integer order is exactly that order, so the heap compares
 //! plain integers:
 //!
-//! * the high 64 bits hold the distance's `total_cmp` image: the bit
-//!   pattern with every bit flipped for a negative sign, and only the sign
-//!   bit flipped otherwise;
+//! * the high 64 bits hold the `total_cmp` image of the distance with a
+//!   NaN's sign bit cleared: the bit pattern with every bit flipped for a
+//!   negative sign, and only the sign bit flipped otherwise, so every NaN
+//!   ranks after `+inf`;
 //! * the low 64 bits hold the node's rank (door index; targets after every
-//!   door).
+//!   door) shifted up one bit, above a NaN's sign bit.
 //!
 //! A pop decodes its key back into the distance's exact bits and the node.
+//! A sweep may also re-key its queue in place ([`MinHeap::rekey`]) when it
+//! moves from Dijkstra's order to landmark order (`crate::landmarks`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -41,6 +44,8 @@ const _: () = assert!(std::mem::size_of::<Entry>() == std::mem::size_of::<u128>(
 /// The rank of targets' first index: every door ranks below it.
 const TARGET_RANK: u64 = 1 << 32;
 const SIGN: u64 = 1 << 63;
+/// The bits of `+inf`: above them, with the sign bit clear, lie the NaNs.
+const INFINITY: u64 = 0x7ff0_0000_0000_0000;
 
 fn node_rank(n: Node) -> u64 {
     match n {
@@ -51,12 +56,16 @@ fn node_rank(n: Node) -> u64 {
     }
 }
 
-/// The entry's key: ascending keys are ascending `(cmp_dist, node rank)`.
+/// The entry's key: ascending keys are ascending `(cmp_dist, node rank)`,
+/// and two NaNs differing only in sign come positive first.
 fn pack(dist: f64, node: Node) -> u128 {
-    let bits = dist.to_bits();
+    let raw = dist.to_bits();
+    // 1 for a NaN with its sign bit set, whose sign the key keeps apart.
+    let nan_sign = u64::from(raw & !SIGN > INFINITY) & (raw >> 63);
+    let bits = raw ^ (nan_sign << 63);
     // All ones for a negative sign, the sign bit alone otherwise.
     let flip = ((bits as i64 >> 63) as u64) | SIGN;
-    (u128::from(bits ^ flip) << 64) | u128::from(node_rank(node))
+    (u128::from(bits ^ flip) << 64) | u128::from(node_rank(node) << 1 | nan_sign)
 }
 
 /// Inverts [`pack`], bit for bit.
@@ -64,13 +73,14 @@ fn unpack(key: u128) -> Entry {
     let image = (key >> 64) as u64;
     // The image's top bit is set exactly for a distance with a clear sign.
     let flip = !((image as i64 >> 63) as u64) | SIGN;
-    let rank = key as u64;
+    let low = key as u64;
+    let rank = low >> 1;
     let node = match rank.checked_sub(TARGET_RANK) {
         None => Node::Door(rank as u32),
         Some(k) => Node::Target(k as u32),
     };
     Entry {
-        dist: f64::from_bits(image ^ flip),
+        dist: f64::from_bits((image ^ flip) | (low << 63)),
         node,
     }
 }
@@ -87,11 +97,13 @@ impl MinHeap {
         Self::default()
     }
 
+    #[inline]
     pub fn push(&mut self, dist: f64, node: Node) {
         self.heap.push(Reverse(pack(dist, node)));
         self.peak = self.peak.max(self.heap.len());
     }
 
+    #[inline]
     pub fn pop(&mut self) -> Option<Entry> {
         self.heap.pop().map(|Reverse(key)| unpack(key))
     }
@@ -100,11 +112,30 @@ impl MinHeap {
         self.peak
     }
 
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
     /// Empties the heap (keeping its capacity) and zeroes the peak, so a
     /// reused heap reports exactly what a fresh one would.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.peak = 0;
+    }
+
+    /// Gives every entry the distance `key` returns for it, dropping the
+    /// entries it answers `None` for, in place: no allocation, and the peak
+    /// stays what the pushes made it.
+    pub fn rekey(&mut self, mut key: impl FnMut(Entry) -> Option<f64>) {
+        let mut keys = std::mem::take(&mut self.heap).into_vec();
+        keys.retain_mut(|Reverse(k)| {
+            let entry = unpack(*k);
+            key(entry).is_some_and(|dist| {
+                *k = pack(dist, entry.node);
+                true
+            })
+        });
+        self.heap = BinaryHeap::from(keys);
     }
 }
 
@@ -138,13 +169,44 @@ mod tests {
 
     #[test]
     fn nan_distance_pops_last_instead_of_panicking() {
+        let inf_minus_inf = std::hint::black_box(f64::INFINITY) - f64::INFINITY;
+        for nan in [f64::NAN, -f64::NAN, inf_minus_inf] {
+            let mut h = MinHeap::new();
+            h.push(nan, Node::Door(0));
+            h.push(2.0, Node::Door(1));
+            h.push(f64::INFINITY, Node::Door(2));
+            h.push(f64::NEG_INFINITY, Node::Door(3));
+            assert_eq!(h.pop().unwrap().dist, f64::NEG_INFINITY);
+            assert_eq!(h.pop().unwrap().dist, 2.0);
+            assert_eq!(h.pop().unwrap().dist, f64::INFINITY);
+            assert_eq!(h.pop().unwrap().dist.to_bits(), nan.to_bits());
+        }
+    }
+
+    #[test]
+    fn rekey_reorders_and_drops_in_place() {
         let mut h = MinHeap::new();
-        h.push(f64::NAN, Node::Door(0));
-        h.push(2.0, Node::Door(1));
-        h.push(f64::INFINITY, Node::Door(2));
-        assert_eq!(h.pop().unwrap().dist, 2.0);
-        assert_eq!(h.pop().unwrap().dist, f64::INFINITY);
-        assert!(h.pop().unwrap().dist.is_nan());
+        for (d, door) in [(1.0, 0), (2.0, 1), (3.0, 2), (4.0, 3)] {
+            h.push(d, Node::Door(door));
+        }
+        h.push(2.5, Node::Target(0));
+        h.rekey(|e| match e.node {
+            Node::Door(1) => None,
+            Node::Door(i) => Some(10.0 - e.dist + f64::from(i)),
+            Node::Target(_) => Some(e.dist),
+        });
+        let order: Vec<(f64, Node)> =
+            std::iter::from_fn(|| h.pop().map(|e| (e.dist, e.node))).collect();
+        assert_eq!(
+            order,
+            [
+                (2.5, Node::Target(0)),
+                (9.0, Node::Door(0)),
+                (9.0, Node::Door(2)),
+                (9.0, Node::Door(3)),
+            ]
+        );
+        assert_eq!(h.peak(), 5);
     }
 
     #[test]
@@ -169,11 +231,14 @@ mod tests {
         assert_eq!(h.peak(), 1);
     }
 
-    /// The reference order: `(cmp_dist, node rank)`, smallest first.
+    /// The reference order: `(cmp_dist, node rank)`, smallest first; two
+    /// NaNs of one payload and node, the positive one first.
     fn reference_min(entries: &[Entry]) -> Option<usize> {
         (0..entries.len()).min_by(|&a, &b| {
             let (a, b) = (entries[a], entries[b]);
-            crate::ord::cmp_dist(a.dist, b.dist).then(node_rank(a.node).cmp(&node_rank(b.node)))
+            crate::ord::cmp_dist(a.dist, b.dist)
+                .then(node_rank(a.node).cmp(&node_rank(b.node)))
+                .then(a.dist.to_bits().cmp(&b.dist.to_bits()))
         })
     }
 
@@ -188,6 +253,7 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
+        let inf_minus_inf = std::hint::black_box(f64::INFINITY) - f64::INFINITY;
         let specials = [
             0.0,
             -0.0,
@@ -195,6 +261,8 @@ mod tests {
             f64::NEG_INFINITY,
             f64::NAN,
             -f64::NAN,
+            inf_minus_inf,
+            f64::from_bits(0xfff0_0000_0000_0001),
             f64::from_bits(0x7ff0_0000_0000_0001),
             f64::from_bits(0xfff8_0000_0000_0002),
             f64::MIN_POSITIVE,

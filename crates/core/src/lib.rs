@@ -21,6 +21,8 @@
 //!   arrival when waiting at closed doors is allowed;
 //! * [`ksp`] — `k` shortest valid paths (Yen's algorithm), for the
 //!   alternative-route lists indoor LBS front-ends expect;
+//! * [`landmarks`] — per-venue landmark distances whose lower bounds order
+//!   long one-target sweeps toward their target, with unchanged answers;
 //! * [`profile`] — departure-time profiles ("when should I leave?"),
 //!   checkpoint-aligned and refined to a chosen resolution;
 //! * [`one_to_many`] — single-source valid-distance maps over all doors and
@@ -102,6 +104,7 @@ mod framework;
 pub mod graph;
 mod heap;
 pub mod ksp;
+pub mod landmarks;
 pub mod one_to_many;
 pub mod ord;
 pub mod profile;

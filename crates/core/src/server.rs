@@ -239,9 +239,14 @@ impl VenueServer {
     }
 
     /// Precomputes the reduced graph of every checkpoint interval, so no
-    /// query ever builds a view or waits on another thread's build.
+    /// query ever builds a view or waits on another thread's build, and
+    /// under `FullRelax` the venue's landmark table
+    /// ([`ItGraph::landmarks`]), so no long query waits on its build.
     pub fn warm(&self) {
         self.asyn.precompute_all();
+        if self.config.itspq.expand == ExpandPolicy::FullRelax {
+            let _ = self.graph.landmarks();
+        }
     }
 
     /// Number of reduced-graph views currently cached.

@@ -534,16 +534,16 @@ const MALL_GOLDEN: &[(&str, u64)] = &[
     ("mall/ITG/A-Faithful/PaperPruned", 0x844b1821d44c9f0e),
     ("mall/static/PaperPruned", 0x82d82c156720235a),
     ("mall/snapshot/PaperPruned", 0x55fa52f1587ce075),
-    ("mall/ITG/S/FullRelax", 0xe32d6abc9a8e8429),
-    ("mall/ITG/A-Exact/FullRelax", 0x23400edff516b84b),
+    ("mall/ITG/S/FullRelax", 0xb4ebb12d303dc7ec),
+    ("mall/ITG/A-Exact/FullRelax", 0xf986a8e06b0f5e68),
     ("mall/ITG/A-Faithful/FullRelax", 0x2e381fef138a19e0),
-    ("mall/static/FullRelax", 0x4792c8d4d54248ae),
-    ("mall/snapshot/FullRelax", 0x5ceba15c49e25d23),
+    ("mall/static/FullRelax", 0xeb5da59b0b734def),
+    ("mall/snapshot/FullRelax", 0x5967a017c4a4bf80),
     ("mall/reachability", 0xd40f68c496e96ad3),
-    ("mall/batch/ITG/S", 0x0688b7e71b9a59cb),
-    ("mall/batch/ITG/S/search_bytes", 0x8ecbf41298865801),
-    ("mall/batch/ITG/A-Exact", 0x88af6ca3a476ae2c),
-    ("mall/batch/ITG/A-Exact/search_bytes", 0x43b714eef9416536),
+    ("mall/batch/ITG/S", 0x134d2fe225cdb8be),
+    ("mall/batch/ITG/S/search_bytes", 0x35ccd7d3a3746836),
+    ("mall/batch/ITG/A-Exact", 0x5bc32eeaffea7127),
+    ("mall/batch/ITG/A-Exact/search_bytes", 0x14a9ee1a78e21f4d),
     ("mall/batch/ITG/A-Faithful", 0x6cc7d9a9fa25aeaf),
     ("mall/batch/ITG/A-Faithful/search_bytes", 0xbcd05e760eb2d001),
 ];
@@ -576,6 +576,6 @@ const MALL_EXTENSION_GOLDEN: &[(&str, u64)] = &[
     ("mall/waiting/UpTo5min", 0x4c3fba8a4f43d203),
     ("mall/waiting/Unlimited", 0x18c33eb26605598c),
     ("mall/profile", 0xf4f5e7a4a73c6937),
-    ("mall/paths_to_many", 0x3e39cc737f571e88),
+    ("mall/paths_to_many", 0x299a131d86787f38),
     ("mall/door_distances", 0xe94a855d80a11a51),
 ];
