@@ -1,17 +1,25 @@
 //! `itspq` — command-line front-end for the ITSPQ library.
 //!
 //! ```text
-//! itspq generate [--floors N] [--t-size N] [--seed N] --out venue.json
-//! itspq stats    venue.json
-//! itspq audit    venue.json [--origin PARTITION]
-//! itspq query    venue.json --from PID:X,Y --to PID:X,Y --at H:MM
+//! itspq generate [--floors N] [--t-size N] [--seed N] --out VENUE
+//! itspq convert  VENUE --out VENUE
+//! itspq stats    VENUE
+//! itspq audit    VENUE [--origin PARTITION]
+//! itspq query    VENUE --from PID:X,Y --to PID:X,Y --at H:MM
 //!                [--method syn|asyn] [--k N] [--wait MINUTES|unlimited]
-//! itspq profile  venue.json --from PID:X,Y --to PID:X,Y
+//! itspq profile  VENUE --from PID:X,Y --to PID:X,Y
 //!                --window H:MM-H:MM [--step SECONDS]
 //! ```
 //!
+//! A venue file is JSON (`IndoorSpace`'s serde layout) or plan text
+//! (`indoor_space::plan_text`). Reading tells them apart by a leading `{`;
+//! `--out` writes JSON to a path ending in `.json` and plan text to any
+//! other. Both are rebuilt through `VenueBuilder`, so a malformed file is an
+//! error, never a panic.
+//!
 //! Points are given as a partition id plus floor-local coordinates; use
-//! `stats`/`audit` output and the venue JSON to discover ids.
+//! `stats`/`audit` output and the venue file to discover ids (a
+//! partition's id is its position in the file).
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -61,14 +69,17 @@ fn run() -> Result<(), String> {
 const USAGE: &str = "\
 itspq — temporal-variation aware indoor shortest paths (ICDE 2020 reproduction)
 
-  itspq generate [--floors N] [--t-size N] [--seed N] --out venue.json
-  itspq convert  venue.{json|plan} --out venue.{plan|json}
-  itspq stats    venue.json
-  itspq audit    venue.json [--origin PARTITION]
-  itspq query    venue.json --from PID:X,Y --to PID:X,Y --at H:MM
+  itspq generate [--floors N] [--t-size N] [--seed N] --out VENUE
+  itspq convert  VENUE --out VENUE
+  itspq stats    VENUE
+  itspq audit    VENUE [--origin PARTITION]
+  itspq query    VENUE --from PID:X,Y --to PID:X,Y --at H:MM
                  [--method syn|asyn] [--k N] [--wait MINUTES|unlimited]
-  itspq profile  venue.json --from PID:X,Y --to PID:X,Y --window H:MM-H:MM
-                 [--step SECONDS]";
+  itspq profile  VENUE --from PID:X,Y --to PID:X,Y --window H:MM-H:MM
+                 [--step SECONDS]
+
+VENUE is a JSON file or plan text; --out writes JSON to a path ending in
+.json and plan text to any other.";
 
 fn split_args(rest: &[String]) -> (Vec<String>, HashMap<String, String>) {
     let mut positional = Vec::new();
@@ -103,17 +114,24 @@ fn load_space(positional: &[String]) -> Result<IndoorSpace, String> {
     }
 }
 
-fn convert(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
-    let space = load_space(positional)?;
-    let out = flags.get("out").ok_or("missing --out")?;
+/// Writes a venue to `out`: JSON for a path ending in `.json`, plan text
+/// otherwise.
+fn write_space(space: &IndoorSpace, out: &str) -> Result<(), String> {
     let text = if out.ends_with(".json") {
-        serde_json::to_string(&space).map_err(|e| e.to_string())?
+        serde_json::to_string(space).map_err(|e| e.to_string())?
     } else {
-        indoor_space::plan_text::to_plan_text(&space)
+        indoor_space::plan_text::to_plan_text(space)
     };
     std::fs::write(out, text).map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out} ({})", space.stats());
+    println!("wrote {out}");
     Ok(())
+}
+
+fn convert(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
+    let out = flags.get("out").ok_or("missing --out")?;
+    let space = load_space(positional)?;
+    println!("{}", space.stats());
+    write_space(&space, out)
 }
 
 fn parse_time(s: &str) -> Result<TimeOfDay, String> {
@@ -163,10 +181,7 @@ fn generate(flags: &HashMap<String, String>) -> Result<(), String> {
     let hours = ShopHours::sample(&HoursConfig::default().with_t_size(t_size).with_seed(seed));
     let space = build_mall(&MallConfig::paper_default().with_floors(floors), &hours);
     println!("{}", space.stats());
-    let json = serde_json::to_string(&space).map_err(|e| e.to_string())?;
-    std::fs::write(out, json).map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
+    write_space(&space, out)
 }
 
 fn stats(positional: &[String]) -> Result<(), String> {

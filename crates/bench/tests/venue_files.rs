@@ -1,0 +1,144 @@
+//! End-to-end tests of the `itspq` CLI's venue files: `generate` and
+//! `convert` write JSON or plan text by the `--out` extension, every reading
+//! of one venue answers the same query, and a malformed file is an
+//! `error:` with exit status 1 under every command, never a panic.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const QUERY: [&str; 6] = [
+    "--from",
+    "1:1.0,1.0",
+    "--to",
+    "59:470.0,525.0",
+    "--at",
+    "12:00",
+];
+
+fn itspq(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_itspq"))
+        .args(args)
+        .output()
+        .unwrap()
+}
+
+/// Runs `itspq` and returns its stdout; the run must succeed.
+fn ok(args: &[&str]) -> String {
+    let out = itspq(args);
+    assert!(
+        out.status.success(),
+        "itspq {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// A scratch directory of this test binary, removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(name: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("itspq-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+
+    fn path(&self, file: &str) -> String {
+        self.0.join(file).to_str().unwrap().to_owned()
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn generate(out: &str) {
+    ok(&["generate", "--floors", "1", "--seed", "7", "--out", out]);
+}
+
+/// The length of the query's answer, as `query` prints it.
+fn answer(venue: &str) -> String {
+    let mut args = vec!["query", venue];
+    args.extend(QUERY);
+    let out = ok(&args);
+    let first = out.lines().next().unwrap();
+    let (_, tail) = first.rsplit_once(" (").unwrap();
+    tail.split(',').next().unwrap().to_owned()
+}
+
+fn read(path: &str) -> String {
+    std::fs::read_to_string(Path::new(path)).unwrap()
+}
+
+#[test]
+fn generate_writes_by_extension_and_every_reading_answers_alike() {
+    let dir = Scratch::new("venue-files");
+    let (json, plan) = (dir.path("v.json"), dir.path("v.plan"));
+    generate(&json);
+    generate(&plan);
+    assert!(read(&json).starts_with("{\"partitions\":"));
+    assert!(read(&plan).starts_with("# itspq plan text\n"));
+
+    // JSON -> JSON is byte-identical.
+    let again = dir.path("again.json");
+    ok(&["convert", &json, "--out", &again]);
+    assert_eq!(read(&again), read(&json));
+
+    // JSON -> plan -> JSON.
+    let (via_plan, back) = (dir.path("via.plan"), dir.path("back.json"));
+    ok(&["convert", &json, "--out", &via_plan]);
+    ok(&["convert", &via_plan, "--out", &back]);
+
+    for venue in [&json, &plan, &back] {
+        assert_eq!(answer(venue), "837.6 m", "{venue}");
+    }
+}
+
+#[test]
+fn a_malformed_venue_is_an_error_under_every_command() {
+    let dir = Scratch::new("malformed-venue");
+    let json = dir.path("v.json");
+    generate(&json);
+    let text = read(&json);
+    // The first value after `marker` (up to the next `,`, `]` or `}`) set
+    // to `value`.
+    let set_first = |marker: &str, value: &str| {
+        let start = text.find(marker).unwrap() + marker.len();
+        let len = text[start..].find([',', ']', '}']).unwrap();
+        format!("{}{value}{}", &text[..start], &text[start + len..])
+    };
+    let cases = [
+        (
+            "side.json",
+            set_first("\"sides\":[", "9999"),
+            "unknown partition v9999",
+        ),
+        (
+            "leg.json",
+            set_first("\"metres\":", "-2.0"),
+            "invalid distance -2",
+        ),
+    ];
+    for (name, body, why) in cases {
+        let path = dir.path(name);
+        std::fs::write(&path, &body).unwrap();
+        let mut query = vec!["query", path.as_str()];
+        query.extend(QUERY);
+        let mut asyn = query.clone();
+        asyn.extend(["--method", "asyn"]);
+        for args in [
+            vec!["stats", path.as_str()],
+            vec!["audit", path.as_str()],
+            query,
+            asyn,
+        ] {
+            let out = itspq(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+            assert!(stderr.contains(why), "{args:?}: {stderr}");
+        }
+    }
+}

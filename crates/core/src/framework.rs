@@ -341,12 +341,12 @@ pub(crate) fn run_search<'a, C: TvChecker<'a>>(
 /// The row of door `di` in partition `v`'s distance matrix, read column by
 /// column along an expansion's door list.
 ///
-/// Both lists ascend, so each door's column is found by walking a cursor
-/// forward over the matrix's door list. An expansion then costs one binary
-/// search for the row and one pass over the door list, where
-/// `DistanceMatrix::distance` costs two binary searches per door. Where the
-/// walk misses (a door list out of order, a door the matrix lacks) the
-/// binary search answers.
+/// Both lists ascend (`DistanceMatrix::build` sorts every matrix's doors),
+/// so each door's column is found by walking a cursor forward over the
+/// matrix's door list. An expansion then costs one binary search for the
+/// row and one pass over the door list, where `DistanceMatrix::distance`
+/// costs two binary searches per door. Where the walk misses (an expansion
+/// list out of order, a door the matrix lacks) the binary search answers.
 pub(crate) struct RowWalk<'s> {
     /// The matrix's door list, which the row's columns follow.
     doors: &'s [DoorId],
@@ -360,18 +360,10 @@ impl<'s> RowWalk<'s> {
     /// has no row for `di`.
     pub(crate) fn new(graph: &'s ItGraph, v: PartitionId, di: DoorId) -> Option<Self> {
         let dm = graph.space().distance_matrix(v);
-        // A venue with a matrix out of strictly ascending order starts its
-        // walks past the last column, leaving every lookup to the binary
-        // search that defines such a matrix's answers.
-        let col = if graph.ascending_matrices() {
-            0
-        } else {
-            dm.len()
-        };
         Some(RowWalk {
             doors: dm.doors(),
             row: dm.row(di)?,
-            col,
+            col: 0,
         })
     }
 
@@ -1007,23 +999,6 @@ fn allowed(
     v == src_p || Some(v) == exempt || space.partition(v).kind.traversable()
 }
 
-/// The paper's example through JSON, with the door list of its first matrix
-/// of more than one door reversed.
-#[cfg(test)]
-pub(crate) fn paper_example_with_a_reversed_matrix() -> ItGraph {
-    let json = serde_json::to_string(&indoor_space::paper_example::build().space).unwrap();
-    let (mut open, mut close) = (json.find("\"dms\":").unwrap(), 0);
-    let mut ids: Vec<&str> = Vec::new();
-    while ids.len() < 2 {
-        open += json[open..].find("\"doors\":[").unwrap() + "\"doors\":[".len();
-        close = open + json[open..].find(']').unwrap();
-        ids = json[open..close].split(',').collect();
-    }
-    ids.reverse();
-    let json = format!("{}{}{}", &json[..open], ids.join(","), &json[close..]);
-    ItGraph::new(serde_json::from_str::<IndoorSpace>(&json).unwrap())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1072,7 +1047,6 @@ mod tests {
     #[test]
     fn row_walk_reads_the_paper_example_matrices() {
         let graph = ItGraph::new(paper_example::build().space);
-        assert!(graph.ascending_matrices());
         every_row_walk_matches_distance(&graph);
     }
 
@@ -1081,17 +1055,6 @@ mod tests {
         let hours = ShopHours::sample(&HoursConfig::default());
         let mall = build_mall(&MallConfig::paper_default().with_floors(2), &hours);
         let graph = ItGraph::new(mall);
-        assert!(graph.ascending_matrices());
-        every_row_walk_matches_distance(&graph);
-    }
-
-    /// A deserialised venue's matrix need not list its doors in order, and
-    /// then its binary search need not find every door it lists. The walk
-    /// must answer as that search does.
-    #[test]
-    fn row_walk_reads_a_matrix_out_of_order_as_its_binary_search_does() {
-        let graph = paper_example_with_a_reversed_matrix();
-        assert!(!graph.ascending_matrices());
         every_row_walk_matches_distance(&graph);
     }
 }

@@ -67,11 +67,6 @@ use crate::landmarks::Landmarks;
 #[derive(Debug, Clone)]
 pub struct ItGraph {
     space: Arc<IndoorSpace>,
-    /// Whether every distance matrix lists its doors in strictly ascending
-    /// order, as `DistanceMatrix::build` leaves them. The search's row walk
-    /// relies on it; a deserialised venue need not keep it, and the walk
-    /// then gives way to the matrix's own lookup.
-    ascending_matrices: bool,
     /// The landmark table that orders long one-target sweeps, built once
     /// on first use ([`ItGraph::landmarks`]).
     landmarks: OnceLock<Landmarks>,
@@ -106,13 +101,8 @@ impl ItGraph {
     /// Builds the IT-Graph over an already shared venue.
     #[must_use]
     pub fn from_arc(space: Arc<IndoorSpace>) -> Self {
-        let ascending_matrices = (0..space.num_partitions()).all(|v| {
-            let doors = space.distance_matrix(PartitionId::from_index(v)).doors();
-            doors.windows(2).all(|w| w[0] < w[1])
-        });
         ItGraph {
             space,
-            ascending_matrices,
             landmarks: OnceLock::new(),
         }
     }
@@ -121,12 +111,6 @@ impl ItGraph {
     #[must_use]
     pub fn space(&self) -> &IndoorSpace {
         &self.space
-    }
-
-    /// Whether every distance matrix lists its doors in strictly ascending
-    /// order (see the field).
-    pub(crate) fn ascending_matrices(&self) -> bool {
-        self.ascending_matrices
     }
 
     /// The landmark table of the venue (`crate::landmarks`), built in

@@ -56,7 +56,7 @@ const DEFLATE: f64 = 1.0 - 1.0 / (1u64 << 24) as f64;
 pub struct Landmarks {
     /// Door-major: `fwd[d * LANDMARKS + l]` is door `d`'s distance from
     /// landmark `l`, `+inf` where the table graph has no walk. Empty for a
-    /// venue without doors or with a negative leg, whose bounds are all 0.
+    /// venue without doors, whose bounds are all 0.
     fwd: Box<[f32]>,
 }
 
@@ -74,7 +74,7 @@ impl Landmarks {
     pub(crate) fn build(graph: &ItGraph) -> Self {
         let space = graph.space();
         let n = space.num_doors();
-        if n == 0 || has_negative_leg(space) {
+        if n == 0 {
             return Landmarks {
                 fwd: Box::default(),
             };
@@ -205,19 +205,6 @@ fn sum_down(a: f64, b: f64) -> f32 {
     }
 }
 
-/// Whether some matrix holds a negative leg: no bound of Dijkstra's order
-/// holds on such a venue, so it gets no table.
-fn has_negative_leg(space: &IndoorSpace) -> bool {
-    (0..space.num_partitions()).any(|v| {
-        let dm = space.distance_matrix(PartitionId::from_index(v));
-        dm.doors()
-            .iter()
-            .filter_map(|&d| dm.row(d))
-            .flatten()
-            .any(|&leg| leg < 0.0)
-    })
-}
-
 /// [`LANDMARKS`] doors picked farthest-point on their positions, a floor
 /// [`STOREY`] above the one below: first the door farthest from the doors'
 /// mean position, then each time the door farthest from its nearest pick.
@@ -307,10 +294,7 @@ mod tests {
 
     use super::*;
     use crate::baselines::{SnapshotChecker, StaticChecker};
-    use crate::framework::{
-        paper_example_with_a_reversed_matrix, run_search_targets, SweepObserver, TvChecker,
-        GOAL_AFTER,
-    };
+    use crate::framework::{run_search_targets, SweepObserver, TvChecker, GOAL_AFTER};
     use crate::{AsynEngine, AsynMode, ItspqConfig, Query, SynEngine};
 
     /// SplitMix64, so every run draws the same queries.
@@ -482,14 +466,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn landmark_order_keeps_every_answer_with_a_matrix_out_of_order() {
-        let graph = paper_example_with_a_reversed_matrix();
-        assert!(!graph.ascending_matrices());
-        let (fewer_at_0, _) = same_answers_in_every_order(graph, 3, 600);
-        assert!(fewer_at_0 > 200, "{fewer_at_0}");
-    }
-
     /// Every leg of the table graph, as the sweep reads it, keeps
     /// `fwd(w) ≤ fwd(u) + leg` exactly: `fwd(w)` is at most the largest
     /// `f32` below the real sum.
@@ -517,7 +493,6 @@ mod tests {
     #[test]
     fn table_sums_never_exceed_a_leg() {
         table_is_consistent(&ItGraph::new(paper_example::build().space));
-        table_is_consistent(&paper_example_with_a_reversed_matrix());
         let hours = ShopHours::sample(&HoursConfig::default());
         table_is_consistent(&ItGraph::new(build_mall(
             &MallConfig::paper_default().with_floors(2),
@@ -546,19 +521,5 @@ mod tests {
         assert_eq!(sum_down(f64::INFINITY, 1.0), f32::INFINITY);
         assert!(sum_down(f64::NAN, 1.0).is_nan());
         assert_eq!(sum_down(f64::from(f32::MAX), f64::from(f32::MAX)), f32::MAX);
-    }
-
-    #[test]
-    fn a_venue_with_a_negative_leg_gets_no_table() {
-        let json = serde_json::to_string(&paper_example::build().space).unwrap();
-        // The paper's v16 matrix holds a 2 m leg between d3 and d17.
-        let json = json.replacen(",2.0,", ",-2.0,", 1);
-        let space: IndoorSpace = serde_json::from_str(&json).unwrap();
-        let graph = ItGraph::new(space);
-        assert_eq!(graph.landmarks().heap_bytes(), 0);
-        let bound = graph
-            .landmarks()
-            .bound(graph.space(), &paper_example::build().p4);
-        assert!((0..graph.door_count()).all(|d| bound.key(1.5, d) == Some(1.5)));
     }
 }

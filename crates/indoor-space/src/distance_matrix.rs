@@ -1,7 +1,5 @@
 //! Intra-partition door-to-door distance matrices.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DoorId, SpaceError};
 
 /// The `DM` vertex label of the IT-Graph: for one partition, the walking
@@ -9,7 +7,7 @@ use crate::{DoorId, SpaceError};
 ///
 /// Distances are symmetric with a zero diagonal. The paper stores `null` for
 /// single-door partitions; here a 1×1 zero matrix plays that role.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistanceMatrix {
     /// The partition's doors in ascending id order.
     doors: Vec<DoorId>,

@@ -28,7 +28,7 @@ impl DoorKind {
 
 /// A door of the venue: the `(IDd, d-type, ATIs)` edge label of the IT-Graph
 /// plus its geometric position.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DoorRecord {
     /// Dense identifier.
     pub id: DoorId,

@@ -11,8 +11,11 @@ pub enum SpaceError {
     UnknownPartition(PartitionId),
     /// A referenced door id does not exist.
     UnknownDoor(DoorId),
-    /// A door was connected to more than two distinct partitions.
+    /// A door was given more than two sides.
     TooManySides(DoorId),
+    /// A one-way door was given a single side: it must lead from one
+    /// partition into another.
+    OneWayBoundary(DoorId),
     /// A door was never connected to any partition.
     DanglingDoor(DoorId),
     /// A door was connected twice to the same partition pair.
@@ -55,6 +58,9 @@ impl fmt::Display for SpaceError {
             SpaceError::UnknownDoor(d) => write!(f, "unknown door {d}"),
             SpaceError::TooManySides(d) => {
                 write!(f, "door {d} connects more than two partitions")
+            }
+            SpaceError::OneWayBoundary(d) => {
+                write!(f, "one-way door {d} has a single side")
             }
             SpaceError::DanglingDoor(d) => {
                 write!(f, "door {d} is not connected to any partition")

@@ -40,7 +40,7 @@ impl PartitionKind {
 
 /// A partition of the venue: the `(IDv, p-type, DM)` vertex label of the
 /// IT-Graph plus its footprint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionRecord {
     /// Dense identifier.
     pub id: PartitionId,

@@ -1,8 +1,10 @@
 //! A human-writable text format for indoor floor plans.
 //!
-//! JSON round-trips venues exactly but is unpleasant to author by hand. The
-//! *plan text* format lets venue operators describe a floor plan in a few
-//! lines — the quickstart venue looks like this:
+//! A venue's JSON ([`IndoorSpace`]'s serde layout) holds the same inputs as
+//! plan text, and both are read through [`VenueBuilder`], but JSON is
+//! unpleasant to author by hand. The *plan text* format lets venue operators
+//! describe a floor plan in a few lines — the quickstart venue looks like
+//! this:
 //!
 //! ```text
 //! # office floor
@@ -30,10 +32,11 @@
 //! * `distance PARTITION DOOR DOOR METRES`
 //!
 //! Names are case-sensitive identifiers without whitespace or `#`. [`parse`]
-//! produces a validated [`IndoorSpace`]; [`to_plan_text`] writes one back
-//! (polygons included, explicit overrides folded into geometry are not
-//! recoverable and are re-emitted as `distance` lines only when they differ
-//! from geometry).
+//! produces a validated [`IndoorSpace`]; [`to_plan_text`] writes one back,
+//! polygons included, with a `distance` line for each matrix entry whose
+//! bits differ from the Euclidean leg between its doors, so the parsed plan
+//! rebuilds the same matrices. Names lose their whitespace and `#` (each
+//! becomes `_`), and ATIs are written to the minute.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -283,9 +286,9 @@ pub fn parse(text: &str) -> Result<IndoorSpace, PlanError> {
     b.build().map_err(PlanError::from)
 }
 
-/// Serialises a venue to plan text (connections are reconstructed from the
-/// directional topology; explicit overrides are re-emitted when they differ
-/// from door-position geometry).
+/// Serialises a venue to plan text: each door's connection as it was built,
+/// and a `distance` line for each matrix entry whose bits differ from the
+/// Euclidean leg between its doors.
 #[must_use]
 pub fn to_plan_text(space: &IndoorSpace) -> String {
     let mut out = String::from("# itspq plan text\n");
@@ -315,22 +318,11 @@ pub fn to_plan_text(space: &IndoorSpace) -> String {
             DoorKind::Private => "private",
         };
         let atis = atis_text(&d.atis);
-        let leaves = space.d2p_leaveable(d.id);
-        let enters = space.d2p_enterable(d.id);
-        let conn = if leaves.len() == 1 && enters.len() == 1 && leaves[0] != enters[0] {
-            format!(
-                "{} -> {}",
-                sanitize(&space.partition(leaves[0]).name),
-                sanitize(&space.partition(enters[0]).name)
-            )
-        } else if leaves.len() == 2 {
-            format!(
-                "{} <> {}",
-                sanitize(&space.partition(leaves[0]).name),
-                sanitize(&space.partition(leaves[1]).name)
-            )
-        } else {
-            format!("{} |", sanitize(&space.partition(leaves[0]).name))
+        let name = |p: PartitionId| sanitize(&space.partition(p).name);
+        let conn = match space.connection(d.id) {
+            Connection::TwoWay(a, b) => format!("{} <> {}", name(a), name(b)),
+            Connection::OneWay { from, to } => format!("{} -> {}", name(from), name(to)),
+            Connection::Boundary(p) => format!("{} |", name(p)),
         };
         let _ = writeln!(
             out,
@@ -341,31 +333,14 @@ pub fn to_plan_text(space: &IndoorSpace) -> String {
             d.floor.0
         );
     }
-    // Explicit distances that differ from raw geometry.
-    for p in space.partitions() {
-        let dm = space.distance_matrix(p.id);
-        let doors = dm.doors();
-        for (i, &a) in doors.iter().enumerate() {
-            for &bb in &doors[i + 1..] {
-                // `doors()` enumerates exactly this matrix's keys.
-                #[expect(
-                    clippy::expect_used,
-                    reason = "a and bb come from dm.doors(), so the entry exists"
-                )]
-                let stored = dm.distance(a, bb).expect("doors of this matrix");
-                let geo = space.door(a).position.distance(space.door(bb).position);
-                if (stored - geo).abs() > 1e-9 {
-                    let _ = writeln!(
-                        out,
-                        "distance {} {} {} {}",
-                        sanitize(&p.name),
-                        sanitize(&space.door(a).name),
-                        sanitize(&space.door(bb).name),
-                        stored
-                    );
-                }
-            }
-        }
+    for (p, a, b, metres) in space.explicit_distances() {
+        let _ = writeln!(
+            out,
+            "distance {} {} {} {metres}",
+            sanitize(&space.partition(p).name),
+            sanitize(&space.door(a).name),
+            sanitize(&space.door(b).name),
+        );
     }
     out
 }

@@ -1,16 +1,16 @@
-//! The assembled indoor space.
+//! The assembled indoor space, and its JSON layout.
 
-use indoor_geom::Point;
-use indoor_time::CheckpointSet;
+use indoor_geom::{Point, Polygon};
+use indoor_time::{AtiList, CheckpointSet};
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    DistanceMatrix, DoorId, DoorRecord, FloorId, IndoorPoint, PartitionId, PartitionRecord,
-    SpaceStats,
+    Connection, DistanceMatrix, DoorId, DoorKind, DoorRecord, FloorId, IndoorPoint, PartitionId,
+    PartitionKind, PartitionRecord, SpaceError, SpaceStats, VenueBuilder,
 };
 
 /// Derived connectivity of a venue (the paper's accessibility mappings).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Topology {
     /// `D2P⊳(d)` — partitions one can leave through door `d`.
     pub door_leaves: Vec<Vec<PartitionId>>,
@@ -29,7 +29,25 @@ pub(crate) struct Topology {
 ///
 /// Construct via [`crate::VenueBuilder`]; the paper's running example is
 /// available from [`crate::paper_example::build`].
+///
+/// A venue serialises as the builder's inputs, and deserialising runs
+/// [`VenueBuilder::build`] on them, so a JSON venue is checked as any other:
+///
+/// ```json
+/// {"partitions": [{"name": "hall", "kind": "Public", "floor": 0, "polygon": null}, …],
+///  "doors": [{"name": "d0", "kind": "Public", "atis": [{"start": 28800.0, "end": 64800.0}],
+///             "position": {"x": 0.0, "y": 0.0}, "floor": 0,
+///             "connection": {"sides": [0, 1], "one_way": false}}, …],
+///  "distances": [{"partition": 3, "a": 5, "b": 7, "metres": 20.0}, …]}
+/// ```
+///
+/// A record's slot is its id. `sides` holds a door's two partitions, or one
+/// for a boundary door, and a one-way door leads from the first into the
+/// second. `distances` lists the matrix entries whose bits differ from the
+/// Euclidean leg between their doors. The topology, the matrices and the
+/// checkpoint set are derived, not stored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "VenueFile", into = "VenueFile")]
 pub struct IndoorSpace {
     partitions: Vec<PartitionRecord>,
     doors: Vec<DoorRecord>,
@@ -135,6 +153,42 @@ impl IndoorSpace {
         &self.topology.door_enters[d.index()]
     }
 
+    /// The [`Connection`] door `d` was built with, read back from its
+    /// `D2P⊳` and `D2P⊲` lists.
+    pub(crate) fn connection(&self, d: DoorId) -> Connection {
+        let (leaves, enters) = (self.d2p_leaveable(d), self.d2p_enterable(d));
+        match *leaves {
+            [a, b] => Connection::TwoWay(a, b),
+            _ if leaves != enters => Connection::OneWay {
+                from: leaves[0],
+                to: enters[0],
+            },
+            _ => Connection::Boundary(leaves[0]),
+        }
+    }
+
+    /// The matrix entries `(v, a, b, metres)`, `a < b`, whose bits differ
+    /// from the Euclidean leg between `a` and `b`: the explicit distances
+    /// (and geodesic legs) that rebuild the venue's matrices on top of
+    /// [`crate::DistanceModel::Euclidean`].
+    pub(crate) fn explicit_distances(&self) -> Vec<(PartitionId, DoorId, DoorId, f64)> {
+        let mut out = Vec::new();
+        for (v, dm) in self.dms.iter().enumerate() {
+            let doors = dm.doors();
+            for (i, &a) in doors.iter().enumerate() {
+                let Some(row) = dm.row(a) else { continue };
+                let at = self.doors[a.index()].position;
+                for (&b, &metres) in doors.iter().zip(row).skip(i + 1) {
+                    let euclid = at.distance(self.doors[b.index()].position);
+                    if metres.to_bits() != euclid.to_bits() {
+                        out.push((PartitionId::from_index(v), a, b, metres));
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// The distance matrix of partition `v`.
     #[must_use]
     pub fn distance_matrix(&self, v: PartitionId) -> &DistanceMatrix {
@@ -220,11 +274,143 @@ impl IndoorSpace {
     }
 }
 
+/// The JSON layout of an [`IndoorSpace`]: the builder's inputs.
+#[derive(Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+struct VenueFile {
+    partitions: Vec<PartitionEntry>,
+    doors: Vec<DoorEntry>,
+    distances: Vec<DistanceEntry>,
+}
+
+#[derive(Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+struct PartitionEntry {
+    name: String,
+    kind: PartitionKind,
+    floor: FloorId,
+    polygon: Option<Polygon>,
+}
+
+#[derive(Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+struct DoorEntry {
+    name: String,
+    kind: DoorKind,
+    atis: AtiList,
+    position: Point,
+    floor: FloorId,
+    connection: Sides,
+}
+
+/// A [`Connection`] as the file holds it: `[a, b]` two-way, `[from, to]`
+/// one-way, `[p]` boundary.
+#[derive(Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+struct Sides {
+    sides: Vec<PartitionId>,
+    one_way: bool,
+}
+
+#[derive(Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+struct DistanceEntry {
+    partition: PartitionId,
+    a: DoorId,
+    b: DoorId,
+    metres: f64,
+}
+
+impl Sides {
+    /// The connection of `door`, or why these sides make none.
+    fn connection(&self, door: DoorId) -> Result<Connection, SpaceError> {
+        match (self.sides.as_slice(), self.one_way) {
+            (&[a, b], false) => Ok(Connection::TwoWay(a, b)),
+            (&[from, to], true) => Ok(Connection::OneWay { from, to }),
+            (&[p], false) => Ok(Connection::Boundary(p)),
+            ([_], true) => Err(SpaceError::OneWayBoundary(door)),
+            ([], _) => Err(SpaceError::DanglingDoor(door)),
+            _ => Err(SpaceError::TooManySides(door)),
+        }
+    }
+}
+
+impl From<Connection> for Sides {
+    fn from(conn: Connection) -> Self {
+        let (sides, one_way) = match conn {
+            Connection::TwoWay(a, b) => (vec![a, b], false),
+            Connection::OneWay { from, to } => (vec![from, to], true),
+            Connection::Boundary(p) => (vec![p], false),
+        };
+        Sides { sides, one_way }
+    }
+}
+
+impl TryFrom<VenueFile> for IndoorSpace {
+    type Error = SpaceError;
+
+    fn try_from(file: VenueFile) -> Result<Self, SpaceError> {
+        let mut b = VenueBuilder::new();
+        for p in file.partitions {
+            b.add_partition_on(&p.name, p.kind, p.floor, p.polygon);
+        }
+        for d in file.doors {
+            let id = b.add_door_on(&d.name, d.kind, d.atis, d.position, d.floor);
+            b.connect(id, d.connection.connection(id)?)?;
+        }
+        for e in file.distances {
+            b.set_distance(e.partition, e.a, e.b, e.metres)?;
+        }
+        b.build()
+    }
+}
+
+impl From<IndoorSpace> for VenueFile {
+    fn from(space: IndoorSpace) -> Self {
+        let distances = space
+            .explicit_distances()
+            .into_iter()
+            .map(|(partition, a, b, metres)| DistanceEntry {
+                partition,
+                a,
+                b,
+                metres,
+            })
+            .collect();
+        let doors = space
+            .doors
+            .iter()
+            .map(|d| DoorEntry {
+                name: d.name.clone(),
+                kind: d.kind,
+                atis: d.atis.clone(),
+                position: d.position,
+                floor: d.floor,
+                connection: space.connection(d.id).into(),
+            })
+            .collect();
+        let partitions = space
+            .partitions
+            .into_iter()
+            .map(|p| PartitionEntry {
+                name: p.name,
+                kind: p.kind,
+                floor: p.floor,
+                polygon: p.polygon,
+            })
+            .collect();
+        VenueFile {
+            partitions,
+            doors,
+            distances,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Connection, DoorKind, PartitionKind, VenueBuilder};
-    use indoor_time::{AtiList, TimeOfDay};
+    use indoor_time::TimeOfDay;
 
     /// room --d0-- hall --d1-- office, d1 private one-way into office.
     fn venue() -> (IndoorSpace, [PartitionId; 3], [DoorId; 2]) {

@@ -312,6 +312,12 @@ mod tests {
     }
 
     #[test]
+    fn serde_refuses_a_list_with_an_inverted_interval() {
+        let json = "[{\"start\":28800.0,\"end\":43200.0},{\"start\":72000.0,\"end\":28800.0}]";
+        assert!(serde_json::from_str::<AtiList>(json).is_err());
+    }
+
+    #[test]
     fn display() {
         let d13 = AtiList::hm(&[((5, 0), (17, 0)), ((18, 0), (23, 0))]);
         assert_eq!(d13.to_string(), "⟨[5:00, 17:00), [18:00, 23:00)⟩");

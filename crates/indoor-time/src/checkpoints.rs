@@ -7,15 +7,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{AtiList, TimeOfDay, Timestamp};
 
 /// The sorted set `T` of distinct checkpoints of a venue.
 ///
 /// Midnight (0:00) is always a member so that every instant of the day has a
 /// previous checkpoint, matching the paper's piecewise-constant topology view.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointSet {
     /// Sorted, de-duplicated checkpoints. Invariant: non-empty, first is 0:00,
     /// all < 24:00.

@@ -11,10 +11,37 @@ use crate::{TimeError, TimeOfDay};
 /// This is the unit the paper uses for a door's active time: `[8:00, 16:00)`
 /// means the door opens at 8:00 and closes at 16:00. `end` must lie strictly
 /// after `start`; the paper's always-open interval is `[0:00, 24:00)`.
+/// Serialised as `{"start": …, "end": …}`; deserialising checks the pair
+/// through [`Interval::new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[serde(try_from = "Bounds", into = "Bounds")]
 pub struct Interval {
     start: TimeOfDay,
     end: TimeOfDay,
+}
+
+/// The serialised fields of an [`Interval`], unchecked.
+#[derive(Serialize, Deserialize)]
+struct Bounds {
+    start: TimeOfDay,
+    end: TimeOfDay,
+}
+
+impl TryFrom<Bounds> for Interval {
+    type Error = TimeError;
+
+    fn try_from(b: Bounds) -> Result<Self, TimeError> {
+        Interval::new(b.start, b.end)
+    }
+}
+
+impl From<Interval> for Bounds {
+    fn from(i: Interval) -> Self {
+        Bounds {
+            start: i.start,
+            end: i.end,
+        }
+    }
 }
 
 impl Interval {
@@ -179,5 +206,18 @@ mod tests {
         let json = serde_json::to_string(&i).unwrap();
         let back: Interval = serde_json::from_str(&json).unwrap();
         assert_eq!(i, back);
+    }
+
+    #[test]
+    fn serde_refuses_inverted_and_out_of_day_intervals() {
+        for (json, why) in [
+            (r#"{"start":72000.0,"end":28800.0}"#, "must be after start"),
+            (r#"{"start":28800.0,"end":28800.0}"#, "must be after start"),
+            (r#"{"start":-1.0,"end":28800.0}"#, "out of range"),
+            (r#"{"start":28800.0,"end":1e9}"#, "out of range"),
+        ] {
+            let err = serde_json::from_str::<Interval>(json).unwrap_err();
+            assert!(err.to_string().contains(why), "{json}: {err}");
+        }
     }
 }

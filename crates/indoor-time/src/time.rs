@@ -14,10 +14,25 @@ pub const SECONDS_PER_DAY: f64 = 86_400.0;
 ///
 /// The value is always within `[0, 86 400]`; the upper bound (24:00) is
 /// permitted so that the paper's fully-open interval `[0:00, 24:00)` can be
-/// expressed as a regular [`crate::Interval`].
+/// expressed as a regular [`crate::Interval`]. Serialised as its seconds;
+/// deserialising checks them through [`TimeOfDay::from_seconds`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(transparent)]
+#[serde(try_from = "f64", into = "f64")]
 pub struct TimeOfDay(f64);
+
+impl TryFrom<f64> for TimeOfDay {
+    type Error = TimeError;
+
+    fn try_from(secs: f64) -> Result<Self, TimeError> {
+        TimeOfDay::from_seconds(secs)
+    }
+}
+
+impl From<TimeOfDay> for f64 {
+    fn from(t: TimeOfDay) -> f64 {
+        t.0
+    }
+}
 
 impl TimeOfDay {
     /// Midnight (0:00).
@@ -289,5 +304,15 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let back: TimeOfDay = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn serde_refuses_times_outside_the_day() {
+        for json in ["-1.0", "1e9", "86400.5"] {
+            let err = serde_json::from_str::<TimeOfDay>(json).unwrap_err();
+            assert!(err.to_string().contains("out of range"), "{json}: {err}");
+        }
+        let end: TimeOfDay = serde_json::from_str("86400.0").unwrap();
+        assert_eq!(end, TimeOfDay::END_OF_DAY);
     }
 }
