@@ -169,6 +169,9 @@ fn generate(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("floors")
         .map_or(Ok(5), |v| v.parse())
         .map_err(|_| "bad --floors")?;
+    if floors == 0 {
+        return Err("bad --floors: a venue needs at least one floor".into());
+    }
     let t_size: usize = flags
         .get("t-size")
         .map_or(Ok(8), |v| v.parse())
@@ -178,7 +181,14 @@ fn generate(flags: &HashMap<String, String>) -> Result<(), String> {
         .map_or(Ok(0x5EED), |v| v.parse())
         .map_err(|_| "bad --seed")?;
     let out = flags.get("out").ok_or("missing --out")?;
-    let hours = ShopHours::sample(&HoursConfig::default().with_t_size(t_size).with_seed(seed));
+    let hours_cfg = HoursConfig::default().with_t_size(t_size).with_seed(seed);
+    if !hours_cfg.t_size_is_valid() {
+        return Err(format!(
+            "bad --t-size {t_size}: |T| must be even and between 2 and {}",
+            HoursConfig::MAX_T_SIZE
+        ));
+    }
+    let hours = ShopHours::sample(&hours_cfg);
     let space = build_mall(&MallConfig::paper_default().with_floors(floors), &hours);
     println!("{}", space.stats());
     write_space(&space, out)
@@ -286,6 +296,9 @@ fn profile_cmd(positional: &[String], flags: &HashMap<String, String>) -> Result
     let window = flags.get("window").ok_or("missing --window")?;
     let (a, b) = window.split_once('-').ok_or("bad --window (H:MM-H:MM)")?;
     let (wa, wb) = (parse_time(a)?, parse_time(b)?);
+    if wb < wa {
+        return Err(format!("bad --window {window}: it ends before it starts"));
+    }
     let step: f64 = flags
         .get("step")
         .map_or(Ok(60.0), |v| v.parse())

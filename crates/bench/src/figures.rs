@@ -4,6 +4,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
+use indoor_space::fan_out;
 use indoor_time::TimeOfDay;
 use itspq_core::{AsynEngine, ItspqConfig, Query, SearchStats, SynEngine};
 
@@ -141,21 +142,12 @@ fn both_methods(w: &Workload, queries: &[Query], runs: usize) -> Vec<Measurement
 /// Figure 4: search time vs `|T|`, at `t = 12:00` and `t = 8:00`.
 ///
 /// The four venues (one per `|T|`) are independent, so they are built in
-/// parallel with scoped threads; the timed measurements stay sequential to
-/// avoid cross-talk.
+/// parallel, one [`fan_out`] task each; the timed measurements stay
+/// sequential to avoid cross-talk.
 #[must_use]
 pub fn fig4(params: &PaperParams) -> Figure {
-    let workloads: Vec<Workload> = std::thread::scope(|scope| {
-        let handles: Vec<_> = params
-            .t_sizes
-            .iter()
-            .map(|&t| scope.spawn(move || Workload::paper(t)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("venue build"))
-            .collect()
-    });
+    let sizes = &params.t_sizes;
+    let workloads = fan_out(sizes.len(), sizes.len(), |i| Workload::paper(sizes[i]));
 
     let mut rows = Vec::new();
     for w in &workloads {

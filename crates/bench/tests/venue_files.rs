@@ -142,3 +142,46 @@ fn a_malformed_venue_is_an_error_under_every_command() {
         }
     }
 }
+
+#[test]
+fn an_out_of_range_flag_is_an_error_not_a_panic() {
+    let dir = Scratch::new("bad-flags");
+    let out = dir.path("v.json");
+    let venue = dir.path("venue.json");
+    generate(&venue);
+    let cases: [(Vec<&str>, &str); 4] = [
+        (
+            vec!["generate", "--floors", "0", "--out", &out],
+            "bad --floors",
+        ),
+        (
+            vec!["generate", "--t-size", "3", "--out", &out],
+            "bad --t-size 3",
+        ),
+        (
+            vec!["generate", "--t-size", "0", "--out", &out],
+            "bad --t-size 0",
+        ),
+        (
+            vec![
+                "profile",
+                &venue,
+                "--from",
+                "1:1.0,1.0",
+                "--to",
+                "59:470.0,525.0",
+                "--window",
+                "12:00-10:00",
+            ],
+            "bad --window 12:00-10:00",
+        ),
+    ];
+    for (args, why) in cases {
+        let run = itspq(&args);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(why), "{args:?}: {stderr}");
+    }
+    assert!(!Path::new(&out).exists(), "a refused generate wrote {out}");
+}

@@ -24,16 +24,17 @@
 //! Every sum is rounded toward `-inf`, so `fwd(w) ≤ fwd(u) + leg` holds
 //! exactly for every leg of the table graph, hence of every sweep.
 //!
-//! [`ItGraph::landmarks`] builds the table once per graph, in parallel, on
-//! first use: `VenueServer::warm` under `FullRelax`, else the first sweep
-//! that reaches its goal phase.
+//! [`ItGraph::landmarks`] builds the table once per graph on first use:
+//! `VenueServer::warm` under `FullRelax`, else the first sweep that reaches
+//! its goal phase. Each landmark's Dijkstra is one [`fan_out`] task, so the
+//! calling thread and up to the host's other cores build the columns.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::num::NonZeroUsize;
 
-use indoor_space::{DoorId, IndoorPoint, IndoorSpace, PartitionId};
+use indoor_space::{fan_out, DoorId, IndoorPoint, IndoorSpace, PartitionId};
 
 use crate::framework::{Order, RowWalk};
 use crate::ord::cmp_dist;
@@ -69,8 +70,8 @@ impl fmt::Debug for Landmarks {
 }
 
 impl Landmarks {
-    /// Builds the table of `graph`, one landmark Dijkstra per scoped worker
-    /// thread at a time, on up to the host's available parallelism.
+    /// Builds the table of `graph`, one landmark Dijkstra per [`fan_out`]
+    /// task, on up to the host's available parallelism.
     pub(crate) fn build(graph: &ItGraph) -> Self {
         let space = graph.space();
         let n = space.num_doors();
@@ -80,33 +81,10 @@ impl Landmarks {
             };
         }
         let doors = pick(space);
-        let workers = std::thread::available_parallelism()
-            .map_or(1, NonZeroUsize::get)
-            .min(LANDMARKS);
-        // Worker `w` builds every `workers`-th column from `w`; the calling
-        // thread is worker 0.
-        let share = |w: usize| {
-            (w..LANDMARKS)
-                .step_by(workers)
-                .map(|l| (l, column(graph, doors[l])))
-                .collect::<Vec<_>>()
-        };
-        let columns: Vec<(usize, Vec<f32>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..workers)
-                .map(|w| scope.spawn(move || share(w)))
-                .collect();
-            let mut columns = share(0);
-            for h in handles {
-                match h.join() {
-                    Ok(local) => columns.extend(local),
-                    // Re-raise the worker's panic with its own payload.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            columns
-        });
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let columns = fan_out(LANDMARKS, workers, |l| column(graph, doors[l]));
         let mut fwd = vec![f32::INFINITY; n * LANDMARKS].into_boxed_slice();
-        for (l, col) in columns {
+        for (l, col) in columns.into_iter().enumerate() {
             for (row, f) in fwd.chunks_exact_mut(LANDMARKS).zip(col) {
                 row[l] = f;
             }

@@ -2,10 +2,11 @@
 //!
 //! A [`VenueServer`] owns a single `Arc<ItGraph>` and answers
 //! [`Query`] batches on a configurable number of worker threads
-//! ([`ServerConfig::workers`]) via [`VenueServer::query_batch`]. Workers are
-//! plain [`std::thread::scope`] threads pulling query indices off an atomic
-//! counter (dynamic load balancing — an expensive query does not stall the
-//! rest of its chunk), and answers come back in input order.
+//! ([`ServerConfig::workers`]) via [`VenueServer::query_batch`]. A batch
+//! runs through [`indoor_space::fan_out`]: workers pull work items off one
+//! atomic counter (dynamic load balancing — an expensive query does not
+//! stall the rest of its chunk), the calling thread is worker 0 and keeps
+//! its pooled search state, and answers come back in input order.
 //!
 //! What makes this safe and fast is the ownership model of the rest of the
 //! crate: the IT-Graph is immutable and `Arc`-shared, so workers borrow it
@@ -42,14 +43,12 @@
 //! assert!(answers[1].path.is_none());
 //! ```
 
-use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use indoor_space::{IndoorPoint, PartitionId};
+use indoor_space::{fan_out, IndoorPoint, PartitionId};
 
-use crate::framework::{direct_path, SweepObserver};
+use crate::framework::SweepObserver;
 use crate::{
     AsynEngine, AsynMode, BatchStats, DoorHop, ExpandPolicy, ItGraph, ItspqConfig, Path, Query,
     QueryError, QueryResult, SearchStats, SynEngine,
@@ -74,10 +73,9 @@ pub enum ServeMethod {
 /// How [`VenueServer::query_batch`] executes a batch.
 ///
 /// Both strategies answer byte-identically: `Shared` derives a member's
-/// answer from its group's search (verbatim, recomputed or retimed) only
-/// where that is exact, and a member the retime certificate refuses falls
-/// back to its own per-query search (see `ARCHITECTURE.md` §Shared
-/// execution).
+/// answer from its group's search (verbatim or retimed) only where that is
+/// exact, and a member the retime certificate refuses falls back to its own
+/// per-query search (see `ARCHITECTURE.md` §Shared execution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchStrategy {
     /// One search per query, exactly as submitted.
@@ -87,21 +85,22 @@ pub enum BatchStrategy {
     /// the span in which every door's open/closed label is constant — and
     /// answer each ≥ 2-member group from one multi-target search by its
     /// earliest-departing member, the *lead*. Members departing with the
-    /// lead take their answer verbatim; later ones get a same-partition
-    /// target recomputed directly or the lead's path retimed under a margin
-    /// certificate, and a member the certificate refuses runs its own
-    /// search. Queries from other points of the partition, singleton groups
-    /// and shared-ineligible queries run per query.
+    /// lead take their answer verbatim; later ones get the lead's path
+    /// retimed when their target shares the source's partition or their
+    /// shift clears a margin certificate, and a member the certificate
+    /// refuses runs its own search. Queries from other points of the
+    /// partition, singleton groups and shared-ineligible queries run per
+    /// query.
     Shared,
 }
 
 /// Tunables of a [`VenueServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Worker threads used by [`VenueServer::query_batch`] (at least 1).
-    /// Clamped to the host's available parallelism at execution time unless
-    /// [`ServerConfig::pin_workers`] is set — see
-    /// [`ServerConfig::effective_workers`].
+    /// Workers used by [`VenueServer::query_batch`] (at least 1), the
+    /// calling thread among them. Clamped to the host's available
+    /// parallelism at execution time unless [`ServerConfig::pin_workers`] is
+    /// set — see [`ServerConfig::effective_workers`].
     pub workers: usize,
     /// Use exactly [`ServerConfig::workers`] threads even past the host's
     /// available parallelism. Off by default: oversubscribing cores buys
@@ -118,9 +117,9 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Worker threads a batch will actually spawn: `workers` (at least 1)
-    /// clamped to the host's available parallelism, unless
-    /// [`ServerConfig::pin_workers`] demands the literal count.
+    /// Workers a batch will actually run on, the calling thread among them:
+    /// `workers` (at least 1) clamped to the host's available parallelism,
+    /// unless [`ServerConfig::pin_workers`] demands the literal count.
     #[must_use]
     pub fn effective_workers(&self) -> usize {
         let w = self.workers.max(1);
@@ -282,11 +281,11 @@ impl VenueServer {
     }
 
     /// Answers a batch of queries on up to [`ServerConfig::workers`] threads,
-    /// returning results in input order.
+    /// the calling thread among them, returning results in input order.
     ///
     /// Under [`BatchStrategy::Shared`] the batch is first planned into work
     /// items — shared groups and per-query fallbacks (see [`plan`]) — and
-    /// workers pull *items* off a shared atomic counter; under
+    /// [`fan_out`]'s workers pull *items* off a shared atomic counter; under
     /// [`BatchStrategy::Independent`] every item is one query. Either way the
     /// answers are the same and independent of the worker count and of
     /// scheduling (the only shared mutable state, the reduced-graph cache,
@@ -342,11 +341,13 @@ impl VenueServer {
     /// holds (strategy, `FullRelax` expansion, validity, traversable-or-same
     /// target partition — see [`BatchStrategy`]); groups are keyed by source
     /// partition, the departure's checkpoint interval and the source
-    /// position's bits. Groups that end up with a single member are demoted
-    /// to per-query items, so a plan's groups always amortise at least two
-    /// queries. Each group's first member — its *lead*, whose search the
-    /// others derive from — is rotated to the earliest departure so every
-    /// member's time shift is ≥ 0.
+    /// position's bits. One sort of `(key, index)` pairs brings each key's
+    /// queries together in input order. Per-query items come first, in input
+    /// order, then one item per key in the order of its first query. A key
+    /// with a single query is a per-query item, so a plan's groups always
+    /// amortise at least two queries. Each group's first member — its
+    /// *lead*, whose search the others derive from — is rotated to the
+    /// earliest departure so every member's time shift is ≥ 0.
     #[must_use]
     pub fn plan(&self, queries: &[Query], reject_malformed: bool) -> BatchPlan {
         let space = self.graph.space();
@@ -354,10 +355,7 @@ impl VenueServer {
             && self.config.itspq.expand == ExpandPolicy::FullRelax;
 
         let mut items: Vec<WorkItem> = Vec::with_capacity(queries.len());
-        // An ordered map, so that if grouping ever iterates it, the order is
-        // a pure function of the keys — never of hasher state.
-        let mut group_of: BTreeMap<(PartitionId, usize, (u64, u64)), usize> = BTreeMap::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut keyed: Vec<(GroupKey, usize)> = Vec::with_capacity(queries.len());
         for (i, q) in queries.iter().enumerate() {
             match q.validate(space) {
                 Err(e) if reject_malformed => {
@@ -380,30 +378,28 @@ impl VenueServer {
                 items.push(WorkItem::Single(i));
                 continue;
             }
-            let key = (
-                q.source.partition,
-                space.checkpoints().interval_index(q.time),
-                pos_bits(q),
-            );
-            let gi = *group_of.entry(key).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[gi].push(i);
+            let interval = space.checkpoints().interval_index(q.time);
+            keyed.push(((q.source.partition, interval, pos_bits(q)), i));
         }
 
-        // Rosters are compacted into the plan-owned `members` arena (one
-        // allocation) on the way out.
-        let mut members: Vec<usize> = Vec::new();
-        for roster in &mut groups {
-            if let [only] = roster[..] {
-                items.push(WorkItem::Single(only));
-                continue;
+        // The sorted indices are the plan's `members` arena: each key's run
+        // is one range of it. A run is filed under its first query, so the
+        // items follow first-query order whatever the keys' order.
+        keyed.sort_unstable();
+        let mut members: Vec<usize> = keyed.iter().map(|&(_, i)| i).collect();
+        let mut run_at: Vec<Option<Range<usize>>> = vec![None; queries.len()];
+        let mut start = 0;
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            run_at[run[0].1] = Some(start..start + run.len());
+            start += run.len();
+        }
+        for run in run_at.into_iter().flatten() {
+            if run.len() == 1 {
+                items.push(WorkItem::Single(members[run.start]));
+            } else {
+                rotate_earliest_lead(queries, &mut members[run.clone()]);
+                items.push(WorkItem::Group(run));
             }
-            rotate_earliest_lead(queries, roster);
-            let start = members.len();
-            members.extend_from_slice(roster);
-            items.push(WorkItem::Group(start..members.len()));
         }
         BatchPlan {
             queries: queries.len(),
@@ -412,22 +408,18 @@ impl VenueServer {
         }
     }
 
-    /// Runs one planned work item, appending `(input index, answer)` pairs to
-    /// `out` and returning its execution report (views counted once per
-    /// physical search, so batch totals do not double-count group members;
-    /// fallbacks so the batch books can be corrected after the fact).
+    /// Runs one planned work item, returning its `(input index, answer)`
+    /// pairs and its execution report (views counted once per physical
+    /// search, so batch totals do not double-count group members; fallbacks
+    /// so the batch books can be corrected after the fact).
     fn run_item(
         &self,
         queries: &[Query],
         plan: &BatchPlan,
         item: &WorkItem,
-        out: &mut Vec<(usize, Result<QueryResult, QueryError>)>,
-    ) -> ItemReport {
+    ) -> (Vec<(usize, Answer)>, ItemReport) {
         match item {
-            WorkItem::Rejected(i, e) => {
-                out.push((*i, Err(*e)));
-                ItemReport::default()
-            }
+            WorkItem::Rejected(i, e) => (vec![(*i, Err(*e))], ItemReport::default()),
             WorkItem::Single(i) => {
                 let (r, search_nanos) = timed(|| self.query(&queries[*i]));
                 let report = ItemReport {
@@ -435,27 +427,24 @@ impl VenueServer {
                     search_nanos,
                     ..ItemReport::default()
                 };
-                out.push((*i, Ok(r)));
-                report
+                (vec![(*i, Ok(r))], report)
             }
-            WorkItem::Group(members) => {
-                self.run_group(queries, &plan.members[members.clone()], out)
-            }
+            WorkItem::Group(members) => self.run_group(queries, &plan.members[members.clone()]),
         }
     }
 
     /// One sweep from the group's source point toward every member's target,
     /// then per-member scatter: members departing with the lead take its
-    /// answer verbatim, later ones get a same-partition target recomputed
-    /// directly or the lead's path retimed under the margin certificate, and
-    /// a member the certificate refuses runs its own per-query search. See
-    /// `framework.rs` for the byte-identity argument of the shared sweep.
+    /// answer verbatim, later ones get the lead's path retimed where that is
+    /// exact (a target in the source's partition, or a shift that clears the
+    /// margin certificate), and a member the certificate refuses runs its
+    /// own per-query search. See `framework.rs` for the byte-identity
+    /// argument of the shared sweep.
     fn run_group(
         &self,
         queries: &[Query],
         members: &[usize],
-        out: &mut Vec<(usize, Result<QueryResult, QueryError>)>,
-    ) -> ItemReport {
+    ) -> (Vec<(usize, Answer)>, ItemReport) {
         let lead = &queries[members[0]];
         let lead_time = time_bits(lead);
         // Track checkpoint margins only if some member departs at another
@@ -475,6 +464,7 @@ impl VenueServer {
             ..ItemReport::default()
         };
         let config = &self.config.itspq;
+        let mut out = Vec::with_capacity(members.len());
         // Scatter (timed as a phase; a refused member's own search runs
         // inside it and is attributed here, not to the search phase).
         let scatter_start = PhaseTimer::start();
@@ -488,45 +478,32 @@ impl VenueServer {
                 out.push((i, Ok(QueryResult { path, stats })));
                 continue;
             }
-            let derived: Option<Option<Path>> = if q.target.partition == q.source.partition {
-                // The member's own search would short-circuit before any
-                // TV check; recompute the straight segment from its own
-                // endpoints and departure — exact by construction.
-                Some(Some(direct_path(
-                    &q.source,
-                    &q.target,
-                    config,
-                    q.departure(),
-                )))
-            } else if q.departure() >= lead.departure() {
-                // Later departure: retime iff the shift clears the smallest
-                // margin every lead arrival had to its next checkpoint —
-                // then every TV verdict provably transfers. The lead
-                // departs first by construction; the ordering guard keeps
-                // that an explicit precondition, because `Timestamp`
-                // subtraction saturates at zero and an earlier departure
-                // would masquerade as a zero shift.
-                let delta = (q.departure() - lead.departure()).seconds();
-                (delta + RETIME_SLACK_SECS < observer.min_margin_secs)
-                    .then(|| retime(path.as_ref(), q, config))
+            // A target in the source's partition is the straight segment,
+            // which no checkpoint touches: retiming the sweep's segment
+            // gives the member's own bit for bit. Any other later departure
+            // is retimed iff its shift clears the smallest margin every lead
+            // arrival had to its next checkpoint — then every TV verdict
+            // provably transfers. The lead departs first by construction;
+            // the ordering guard keeps that an explicit precondition,
+            // because `Timestamp` subtraction saturates at zero and an
+            // earlier departure would masquerade as a zero shift.
+            let retimed = q.target.partition == q.source.partition
+                || (q.departure() >= lead.departure()
+                    && (q.departure() - lead.departure()).seconds() + RETIME_SLACK_SECS
+                        < observer.min_margin_secs);
+            if retimed {
+                report.retimed += 1;
+                let path = retime(path.as_ref(), q, config);
+                out.push((i, Ok(QueryResult { path, stats })));
             } else {
-                None
-            };
-            match derived {
-                Some(p) => {
-                    report.retimed += 1;
-                    out.push((i, Ok(QueryResult { path: p, stats })));
-                }
-                None => {
-                    let r = self.query(q);
-                    report.fallbacks += 1;
-                    report.views += r.stats.views_built;
-                    out.push((i, Ok(r)));
-                }
+                let r = self.query(q);
+                report.fallbacks += 1;
+                report.views += r.stats.views_built;
+                out.push((i, Ok(r)));
             }
         }
         report.scatter_nanos = scatter_start.elapsed_nanos();
-        report
+        (out, report)
     }
 
     /// One shared frontier for a whole group (see `framework.rs` for the
@@ -550,52 +527,19 @@ impl VenueServer {
         &self,
         queries: &[Query],
         reject_malformed: bool,
-    ) -> (Vec<Result<QueryResult, QueryError>>, BatchStats) {
+    ) -> (Vec<Answer>, BatchStats) {
         let (plan, plan_nanos) = timed(|| self.plan(queries, reject_malformed));
         let mut stats = plan.stats();
         stats.plan_nanos = plan_nanos;
         let items = &plan.items;
-        let workers = self.config.effective_workers().clamp(1, items.len().max(1));
-
+        let done = fan_out(items.len(), self.config.effective_workers(), |k| {
+            self.run_item(queries, &plan, &items[k])
+        });
         let mut report = ItemReport::default();
-        let mut indexed: Vec<(usize, Result<QueryResult, QueryError>)>;
-        if workers == 1 {
-            indexed = Vec::with_capacity(queries.len());
-            for item in items {
-                report.absorb(self.run_item(queries, &plan, item, &mut indexed));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let per_worker: Vec<(Vec<_>, ItemReport)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local = Vec::new();
-                            let mut report = ItemReport::default();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(item) = items.get(i) else { break };
-                                report.absorb(self.run_item(queries, &plan, item, &mut local));
-                            }
-                            (local, report)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(local) => local,
-                        // Re-raise a worker's panic with its original payload
-                        // instead of wrapping it in a second panic here.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            });
-            indexed = Vec::with_capacity(queries.len());
-            for (local, worker_report) in per_worker {
-                indexed.extend(local);
-                report.absorb(worker_report);
-            }
+        let mut indexed = Vec::with_capacity(queries.len());
+        for (answers, item_report) in done {
+            indexed.extend(answers);
+            report.absorb(item_report);
         }
         // Correct the plan-derived books for execution-time fallbacks: each
         // one paid its own search (a group) and stopped being a reuse. The
@@ -614,6 +558,13 @@ impl VenueServer {
         (indexed.into_iter().map(|(_, r)| r).collect(), stats)
     }
 }
+
+/// A shared group's key: source partition, the departure's checkpoint
+/// interval and the source position's bits.
+type GroupKey = (PartitionId, usize, (u64, u64));
+
+/// One query's batch answer: its result, or why validation refused it.
+type Answer = Result<QueryResult, QueryError>;
 
 /// One unit of batch work: a single query or a shared group.
 #[derive(Debug, Clone, PartialEq)]
@@ -1141,6 +1092,27 @@ mod tests {
             (4, 0, 3, 0),
             "{stats}"
         );
+    }
+
+    #[test]
+    fn a_same_partition_member_is_retimed_past_the_margin() {
+        let ex = paper_example::build();
+        let server = sharing_server(&ex);
+        let nine = TimeOfDay::hm(9, 0);
+        // One second before the next checkpoint: the lead's arrivals come
+        // later than that after 9:00, so the margin refuses this shift.
+        let next = ex.space.checkpoints().next(nine).unwrap();
+        let late = TimeOfDay::from_seconds(next.seconds() - 1.0).unwrap();
+        let near =
+            indoor_space::IndoorPoint::new(ex.p3.partition, indoor_geom::Point::new(1.0, 1.0));
+        let batch = vec![
+            Query::new(ex.p3, ex.p4, nine),
+            Query::new(ex.p3, near, late),
+            Query::new(ex.p3, ex.p2, late),
+        ];
+        let (_, stats) = server.query_batch_with_stats(&batch);
+        assert_eq!((stats.retimed, stats.fallbacks), (1, 1), "{stats}");
+        assert_parity(&server, &batch);
     }
 
     #[test]

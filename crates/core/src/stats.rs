@@ -127,8 +127,8 @@ pub struct BatchStats {
     pub replayed: usize,
     /// Members at the lead's source point departing later in the same
     /// checkpoint interval, answered without a search of their own: the
-    /// lead's path retimed under the margin certificate, or a direct
-    /// recompute of a same-partition target.
+    /// lead's path retimed, for a target in the source's partition or under
+    /// the margin certificate.
     pub retimed: usize,
     /// Group members departing later than the lead whose retime the margin
     /// certificate refused, answered by their own per-query search instead

@@ -4,21 +4,21 @@
 //! with indexed membership checks, each partition's distance matrix is filled
 //! from a per-polygon [`GeodesicSolver`] answering one-to-many queries, and
 //! the per-partition matrix builds — which are independent of each other —
-//! fan out over [`std::thread::scope`] workers. [`VenueBuilder::build_sequential`]
-//! keeps the naive single-threaded pipeline (one pairwise
-//! [`geodesic_distance`] call per door pair, each rebuilding the polygon's
-//! visibility graph) as the reference: both paths produce identical
-//! [`IndoorSpace`] values, which the test suite asserts, and the
-//! `construction` benchmark measures the gap.
+//! fan out over [`fan_out`] workers, the calling thread among them.
+//! [`VenueBuilder::build_sequential`] keeps the naive single-threaded
+//! pipeline (one pairwise [`geodesic_distance`] call per door pair, each
+//! rebuilding the polygon's visibility graph) as the reference: both paths
+//! produce identical [`IndoorSpace`] values, which the test suite asserts,
+//! and the `construction` benchmark measures the gap.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use indoor_geom::{geodesic_distance, GeodesicSolver, Point, Polygon};
 use indoor_time::{AtiList, CheckpointSet};
 
 use crate::{
-    venue::Topology, DistanceMatrix, DoorId, DoorKind, DoorRecord, FloorId, IndoorSpace,
+    fan_out, venue::Topology, DistanceMatrix, DoorId, DoorKind, DoorRecord, FloorId, IndoorSpace,
     PartitionId, PartitionKind, PartitionRecord, SpaceError,
 };
 
@@ -201,8 +201,10 @@ impl VenueBuilder {
     ///
     /// # Errors
     /// Rejects unknown ids, self-pairs (`a == b` — the matrix diagonal is
-    /// fixed at zero and an override for it would be silently dropped) and
-    /// invalid distances; door membership is verified at
+    /// fixed at zero and an override for it would be silently dropped),
+    /// invalid distances and a second override of one unordered pair in one
+    /// partition (`a, b` after `b, a` included), which would otherwise
+    /// replace the first; door membership is verified at
     /// [`VenueBuilder::build`] time.
     pub fn set_distance(
         &mut self,
@@ -231,8 +233,17 @@ impl VenueBuilder {
         } else {
             (partition, b, a)
         };
-        self.explicit.insert(key, dist);
-        Ok(())
+        match self.explicit.entry(key) {
+            Entry::Occupied(_) => Err(SpaceError::DuplicateDistance {
+                partition,
+                a: key.1,
+                b: key.2,
+            }),
+            Entry::Vacant(slot) => {
+                slot.insert(dist);
+                Ok(())
+            }
+        }
     }
 
     /// Validates the venue and derives topology mappings, distance matrices
@@ -241,8 +252,8 @@ impl VenueBuilder {
     /// This is the production pipeline: geodesic distance matrices reuse one
     /// [`GeodesicSolver`] per partition polygon (one-to-many queries instead
     /// of a visibility-graph rebuild per door pair), and the independent
-    /// per-partition matrix builds fan out over [`std::thread::scope`]
-    /// workers. The output is identical — value for value — to
+    /// per-partition matrix builds fan out over [`fan_out`] workers. The
+    /// output is identical — value for value — to
     /// [`VenueBuilder::build_sequential`].
     ///
     /// # Errors
@@ -255,8 +266,9 @@ impl VenueBuilder {
 
     /// Like [`VenueBuilder::build`] with an explicit worker-thread count for
     /// the distance-matrix fan-out (mainly for tests and benchmarks; `build`
-    /// picks the host parallelism). `workers == 1` runs the fast pipeline
-    /// inline without spawning. The output never depends on the worker count.
+    /// picks the host parallelism). `workers == 1` runs the fast pipeline on
+    /// the calling thread alone. The output never depends on the worker
+    /// count.
     ///
     /// # Errors
     /// Returns the first validation failure, exactly as [`VenueBuilder::build`].
@@ -355,8 +367,14 @@ impl VenueBuilder {
             }
         }
 
+        // The per-partition matrices are independent, so the fast pipeline
+        // fans them out. The first error in partition order wins, the one the
+        // sequential pass would hit, so the two pipelines stay
+        // interchangeable.
         let dms = match workers {
-            Some(w) => self.matrices_parallel(&part_doors, w)?,
+            Some(w) => fan_out(n_parts, w, |pi| self.matrix_for(pi, &part_doors[pi]))
+                .into_iter()
+                .collect::<Result<_, _>>()?,
             None => self.matrices_sequential(&part_doors)?,
         };
 
@@ -461,55 +479,6 @@ impl VenueBuilder {
                 .position
                 .distance(self.doors[b.index()].position)
         })
-    }
-
-    /// Fans the independent per-partition matrix builds out over scoped
-    /// worker threads (the same atomic-counter work queue as
-    /// `VenueServer::query_batch`). Results are re-assembled in partition
-    /// order, and the reported error — if any — is the one the sequential
-    /// pass would have hit first, so the two pipelines stay interchangeable.
-    fn matrices_parallel(
-        &self,
-        part_doors: &[Vec<DoorId>],
-        workers: usize,
-    ) -> Result<Vec<DistanceMatrix>, SpaceError> {
-        let n = part_doors.len();
-        let workers = workers.min(n);
-        if workers <= 1 {
-            return (0..n)
-                .map(|pi| self.matrix_for(pi, &part_doors[pi]))
-                .collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let mut indexed: Vec<(usize, Result<DistanceMatrix, SpaceError>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local = Vec::new();
-                            loop {
-                                let pi = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(doors) = part_doors.get(pi) else {
-                                    break;
-                                };
-                                local.push((pi, self.matrix_for(pi, doors)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| match h.join() {
-                        Ok(local) => local,
-                        // Re-raise the worker's panic with its own payload.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            });
-        indexed.sort_unstable_by_key(|&(pi, _)| pi);
-        indexed.into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -619,6 +588,33 @@ mod tests {
         b.connect(d, Connection::TwoWay(p0, p1)).unwrap();
         let s = b.build().unwrap();
         assert_eq!(s.door_to_door(p0, d, d), Some(0.0));
+    }
+
+    #[test]
+    fn second_override_of_a_pair_rejected() {
+        let (mut b, p0, p1, d) = two_room_builder();
+        let e = b.add_door(
+            "door2",
+            DoorKind::Public,
+            AtiList::always_open(),
+            Point::new(3.0, 4.0),
+        );
+        b.connect(d, Connection::TwoWay(p0, p1)).unwrap();
+        b.connect(e, Connection::TwoWay(p0, p1)).unwrap();
+        b.set_distance(p0, e, d, 10.0).unwrap();
+        let twice = SpaceError::DuplicateDistance {
+            partition: p0,
+            a: d,
+            b: e,
+        };
+        // Either order of the pair is the same pair; the first value stays.
+        assert_eq!(b.set_distance(p0, d, e, 50.0).unwrap_err(), twice);
+        assert_eq!(b.set_distance(p0, e, d, 10.0).unwrap_err(), twice);
+        // The same pair in another partition is another matrix entry.
+        b.set_distance(p1, d, e, 7.0).unwrap();
+        let s = b.build().unwrap();
+        assert_eq!(s.door_to_door(p0, d, e), Some(10.0));
+        assert_eq!(s.door_to_door(p1, e, d), Some(7.0));
     }
 
     #[test]

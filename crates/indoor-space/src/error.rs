@@ -40,6 +40,17 @@ pub enum SpaceError {
         /// The door paired with itself.
         door: DoorId,
     },
+    /// A second explicit distance was given for one unordered door pair of
+    /// one partition. Keeping either value silently would make the venue
+    /// depend on the order of its overrides.
+    DuplicateDistance {
+        /// The partition whose matrix both overrides targeted.
+        partition: PartitionId,
+        /// The lower door of the pair.
+        a: DoorId,
+        /// The higher door of the pair.
+        b: DoorId,
+    },
     /// An explicit distance references a door that is not on the partition.
     ForeignDoor {
         /// The partition whose matrix was being built.
@@ -81,6 +92,12 @@ impl fmt::Display for SpaceError {
                      (the matrix diagonal is fixed at zero)"
                 )
             }
+            SpaceError::DuplicateDistance { partition, a, b } => {
+                write!(
+                    f,
+                    "distance between {a} and {b} in partition {partition} is given twice"
+                )
+            }
             SpaceError::ForeignDoor { partition, door } => {
                 write!(f, "door {door} does not belong to partition {partition}")
             }
@@ -115,5 +132,14 @@ mod tests {
         }
         .to_string()
         .contains("itself"));
+        assert_eq!(
+            SpaceError::DuplicateDistance {
+                partition: PartitionId(1),
+                a: DoorId(2),
+                b: DoorId(5)
+            }
+            .to_string(),
+            "distance between d2 and d5 in partition v1 is given twice"
+        );
     }
 }

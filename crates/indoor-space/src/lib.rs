@@ -22,7 +22,9 @@
 //! * **[`plan_text`]** — a human-writable text format for floor plans with a
 //!   line-numbered parser and serialiser;
 //! * **[`paper_example::build`]** — the running example of the paper
-//!   (Figure 1 floor plan + Table I ATIs + query points p1–p4).
+//!   (Figure 1 floor plan + Table I ATIs + query points p1–p4);
+//! * **[`fan_out`]** — the one work loop behind every parallel step of the
+//!   workspace: venue builds, landmark tables and server batches.
 //!
 //! The [`IndoorSpace`] produced here is the input to `itspq-core`'s IT-Graph.
 
@@ -52,6 +54,7 @@ mod builder;
 mod distance_matrix;
 mod door;
 mod error;
+mod fan_out;
 mod ids;
 pub mod paper_example;
 mod partition;
@@ -64,6 +67,7 @@ pub use builder::{Connection, DistanceModel, VenueBuilder};
 pub use distance_matrix::DistanceMatrix;
 pub use door::{DoorKind, DoorRecord};
 pub use error::SpaceError;
+pub use fan_out::fan_out;
 pub use ids::{DoorId, FloorId, PartitionId};
 pub use partition::{PartitionKind, PartitionRecord};
 pub use point::IndoorPoint;

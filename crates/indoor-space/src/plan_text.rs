@@ -276,8 +276,13 @@ pub fn parse(text: &str) -> Result<IndoorSpace, PlanError> {
                 };
                 let a = door(d1)?;
                 let bb = door(d2)?;
-                b.set_distance(pid, a, bb, m)
-                    .map_err(|e| err(line_no, e.to_string()))?;
+                b.set_distance(pid, a, bb, m).map_err(|e| match e {
+                    SpaceError::DuplicateDistance { .. } => err(
+                        line_no,
+                        format!("distance between `{d1}` and `{d2}` in `{p}` is given twice"),
+                    ),
+                    e => err(line_no, e.to_string()),
+                })?;
             }
             other => return Err(err(line_no, format!("unknown directive `{other}`"))),
         }
@@ -557,6 +562,15 @@ distance hallway a c 12.5
         assert_eq!(
             e.to_string(),
             "line 7: door `d1` does not belong to partition `a`"
+        );
+
+        let bad = "partition a public\npartition b public\n\
+                   door d1 public always @ 0,0 a <> b\ndoor d2 public always @ 1,0 a |\n\
+                   distance a d1 d2 3\ndistance a d2 d1 4\n";
+        let e = parse(bad).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "line 6: distance between `d2` and `d1` in `a` is given twice"
         );
 
         for p in ["NaN,0", "0,inf", "inf,0,1"] {

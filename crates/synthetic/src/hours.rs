@@ -54,6 +54,17 @@ impl Default for HoursConfig {
 }
 
 impl HoursConfig {
+    /// The largest `|T|` [`ShopHours::sample`] can draw: one open and one
+    /// close time per entry of the hours pool.
+    pub const MAX_T_SIZE: usize = 16;
+
+    /// Whether [`ShopHours::sample`] accepts this `|T|`: an even count (open
+    /// and close times pair up) from 2 to [`HoursConfig::MAX_T_SIZE`].
+    #[must_use]
+    pub fn t_size_is_valid(&self) -> bool {
+        self.t_size.is_multiple_of(2) && (2..=Self::MAX_T_SIZE).contains(&self.t_size)
+    }
+
     /// The paper's default setting (`|T| = 8`).
     #[must_use]
     pub fn paper_default() -> Self {
@@ -77,8 +88,8 @@ impl HoursConfig {
 
 /// The pool of opening times, ordered for nested sampling: times at or before
 /// 8:00 first so that small `T` keeps doors open at the paper's 8:00 probe.
-fn opens_pool() -> Vec<TimeOfDay> {
-    vec![
+fn opens_pool() -> [TimeOfDay; HoursConfig::MAX_T_SIZE / 2] {
+    [
         TimeOfDay::hm(8, 0),
         TimeOfDay::hm(7, 0),
         TimeOfDay::hm(9, 0),
@@ -92,8 +103,8 @@ fn opens_pool() -> Vec<TimeOfDay> {
 
 /// The pool of closing times, ordered for nested sampling: late closes first
 /// so that the default `T` keeps the paper's 10:00–20:00 plateau intact.
-fn closes_pool() -> Vec<TimeOfDay> {
-    vec![
+fn closes_pool() -> [TimeOfDay; HoursConfig::MAX_T_SIZE / 2] {
+    [
         TimeOfDay::hm(21, 0),
         TimeOfDay::hm(22, 0),
         TimeOfDay::hm(20, 0),
@@ -118,21 +129,17 @@ impl ShopHours {
     /// Samples `T` according to the configuration.
     ///
     /// # Panics
-    /// Panics if `t_size` is odd, below 2 or larger than the pool allows (16).
+    /// Panics unless [`HoursConfig::t_size_is_valid`].
     #[must_use]
     pub fn sample(cfg: &HoursConfig) -> Self {
         assert!(
-            cfg.t_size.is_multiple_of(2),
-            "|T| must be even (open/close pairs)"
+            cfg.t_size_is_valid(),
+            "|T| must be even and between 2 and {}",
+            HoursConfig::MAX_T_SIZE
         );
         let half = cfg.t_size / 2;
         let opens_pool = opens_pool();
         let closes_pool = closes_pool();
-        assert!(
-            (1..=opens_pool.len()).contains(&half),
-            "|T| must be between 2 and {}",
-            2 * opens_pool.len()
-        );
         let (opens, closes) = match cfg.sampling {
             Sampling::Nested => (opens_pool[..half].to_vec(), closes_pool[..half].to_vec()),
             Sampling::Random => {
@@ -299,6 +306,14 @@ mod tests {
         let times = hours.checkpoint_times();
         assert!(times.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(times.len(), 16); // pools share no values
+    }
+
+    #[test]
+    fn valid_t_sizes_are_even_up_to_the_pool() {
+        let valid: Vec<usize> = (0..=20)
+            .filter(|&t| HoursConfig::default().with_t_size(t).t_size_is_valid())
+            .collect();
+        assert_eq!(valid, [2, 4, 6, 8, 10, 12, 14, 16]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Named regression pins for shared execution.
 //!
 //! A `Shared` group is one multi-target sweep from one source point: its
-//! members are answered verbatim, by a direct recompute or by a retime of
-//! the lead's path under the margin certificate, else by their own search.
+//! members are answered verbatim or by a retime of the lead's path (always
+//! for a target in the source's partition, else under the margin
+//! certificate), else by their own search.
 //! Each test constructs one specific edge case — a source exactly on a
 //! door, a zero-length source leg on the *lead*, a sealed source door at
 //! departure — and pins the batch answer against per-query `try_query`,

@@ -93,6 +93,27 @@ fn an_explicit_distance_off_its_partition_is_refused() {
 }
 
 #[test]
+fn a_second_distance_for_one_pair_is_refused() {
+    let json = mall_json();
+    let start = json.find("\"distances\":[").unwrap() + "\"distances\":[".len();
+    let first = &json[start..start + json[start..].find('}').unwrap()];
+    let field = |name: &str| {
+        let marker = format!("\"{name}\":");
+        let at = first.find(&marker).unwrap() + marker.len();
+        let len = first[at..].find(',').unwrap_or(first.len() - at);
+        &first[at..at + len]
+    };
+    let (p, a, b) = (field("partition"), field("a"), field("b"));
+    // The first entry's pair again, doors swapped, at another length.
+    let again = format!("{{\"partition\":{p},\"a\":{b},\"b\":{a},\"metres\":50.0}},");
+    let json = format!("{}{again}{}", &json[..start], &json[start..]);
+    refused(
+        &json,
+        &format!("distance between d{a} and d{b} in partition v{p} is given twice"),
+    );
+}
+
+#[test]
 fn an_inverted_ati_is_refused() {
     let json = replace_object(
         &mall_json(),

@@ -2,8 +2,9 @@
 //!
 //! The claim of [`BatchStrategy::Shared`] is that sharing is *invisible* in
 //! the answers: grouping queries by source point and checkpoint interval
-//! and answering each group from one multi-target frontier (verbatim,
-//! recomputed directly, or retimed under the margin certificate) returns
+//! and answering each group from one multi-target frontier (verbatim, or
+//! retimed where the target shares the source's partition or the margin
+//! certificate holds) returns
 //! exactly what per-query execution returns — the same `Path` values bit
 //! for bit, the same "no such routes", the same typed errors for malformed
 //! queries — for every engine (ITG/S, ITG/A Exact *and* the stateful
