@@ -1,14 +1,18 @@
 //! Construction-cost sweep: seconds to generate and build the synthetic mall
 //! (`mall_builder` + `VenueBuilder` pipeline) as floor count grows.
 //!
-//! Three series per floor count in `{5, 10, 25, 50}`:
+//! Five series per floor count in `{5, 10, 25, 50}`:
 //!
 //! * `band/fast` — the original rectangular-corridor mall (all partitions
 //!   convex, Euclidean distances) through the production pipeline;
+//! * `comb/wiring` — `mall_builder` alone on the comb venue: the builder's
+//!   inputs (partitions, doors, connections, overrides), no topology and no
+//!   matrix, the part of every build below that is not `VenueBuilder`'s;
 //! * `comb/fast` — comb-shaped service corridors (geodesic distance model,
 //!   real visibility-graph shortest paths in every corridor matrix) through
-//!   the production pipeline: per-polygon `GeodesicSolver` one-to-many
-//!   queries plus the parallel matrix fan-out;
+//!   the production pipeline: one `GeodesicSolver` per distinct corridor
+//!   footprint answering one-to-many queries, then the parallel matrix
+//!   fan-out;
 //! * `comb/sequential` — the same venue through
 //!   `VenueBuilder::build_sequential`, the pre-overhaul reference path that
 //!   rebuilds the visibility graph for every door pair;
@@ -16,15 +20,16 @@
 //!   (`ItGraph::landmarks`, built in parallel on the host's cores), a layer
 //!   of its own on top of the venue: its seconds and its heap bytes.
 //!
-//! Each fast build and each landmark build runs 5 times and each sequential
-//! build 3 times; a point reports the median with min and max. The fast and sequential builds are
-//! asserted equal at every sweep point before timings are reported. Output:
-//! an aligned table,
-//! `results/construction.csv`, and the committed `BENCH_construction.json`
-//! baseline. `--quick` (wired into CI) sweeps `{5, 10}` only and exits
-//! non-zero if the 10-floor comb fast build exceeds a generous wall-clock
-//! budget, catching construction regressions before they reach the figure
-//! sweeps.
+//! Each wiring, fast and landmark build runs 5 times and each sequential
+//! build 3 times; a point reports the median with min and max. The fast and
+//! sequential builds are asserted equal at every sweep point before timings
+//! are reported. Output: an aligned table, `results/construction.csv`, and
+//! the committed `BENCH_construction.json` baseline. `--quick` (wired into
+//! CI) sweeps `{5, 10}` only. It fails if the 10-floor comb fast build
+//! exceeds a generous wall-clock budget, and exits 1 if that build's median
+//! is more than [`QUICK_COMB_OVER_BAND`] times the 10-floor band fast
+//! build's median of the same run: both venues have the same partitions and
+//! doors, so the ratio names the geodesic layer whatever the host's speed.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -41,7 +46,14 @@ use itspq_core::ItGraph;
 /// means construction got at least two orders of magnitude slower.
 const QUICK_BUDGET_SECS: f64 = 15.0;
 
-/// Timed builds per fast and per sequential point.
+/// The most the 10-floor comb fast build's median may be, as a multiple of
+/// the 10-floor band fast build's median in the same `--quick` run. With one
+/// geodesic solve per distinct corridor footprint it reads ~2.4× on 2 cores
+/// and ~3.4× on one; with one solve per corridor it read 12–15× on 2 cores.
+const QUICK_COMB_OVER_BAND: f64 = 5.0;
+
+/// Timed builds per wiring, fast and landmark point, and per sequential
+/// point.
 const FAST_REPEATS: usize = 5;
 const SEQUENTIAL_REPEATS: usize = 3;
 
@@ -69,7 +81,8 @@ fn main() {
     println!("host parallelism: {host_cores}, sweep: {floor_counts:?} floors");
 
     let mut points: Vec<SweepPoint> = Vec::new();
-    let mut budget_witness: Option<f64> = None;
+    // (band, comb) fast-build medians at 10 floors.
+    let mut ten_floors: Option<(f64, f64)> = None;
     for &floors in floor_counts {
         let band = MallConfig::paper_default().with_floors(floors);
         let comb = band.with_comb_corridors();
@@ -77,6 +90,7 @@ fn main() {
         let (band_space, band_fast) = time_builds(FAST_REPEATS, || {
             mall_builder(&band, &hours).build().unwrap()
         });
+        let (_, wiring) = time_builds(FAST_REPEATS, || mall_builder(&comb, &hours));
         let (comb_space, comb_fast) = time_builds(FAST_REPEATS, || {
             mall_builder(&comb, &hours).build().unwrap()
         });
@@ -98,11 +112,13 @@ fn main() {
         });
         println!(
             "floors={floors:>3}  partitions={:>5}  doors={:>5}  band/fast={:>8.4}s  \
-             comb/fast={:>8.4}s  comb/sequential={:>8.4}s  speedup={speedup:>5.1}x  \
-             comb/landmarks={:>8.4}s [{:.4}, {:.4}] ({landmark_bytes} B)  (medians)",
+             comb/wiring={:>8.4}s  comb/fast={:>8.4}s  comb/sequential={:>8.4}s  \
+             speedup={speedup:>5.1}x  comb/landmarks={:>8.4}s [{:.4}, {:.4}] \
+             ({landmark_bytes} B)  (medians)",
             stats.partitions,
             stats.doors,
             band_fast.p50,
+            wiring.p50,
             comb_fast.p50,
             comb_seq.p50,
             landmarks.p50,
@@ -116,6 +132,16 @@ fn main() {
             partitions: band_space.num_partitions(),
             doors: band_space.num_doors(),
             seconds: band_fast,
+            speedup: None,
+            bytes: None,
+        });
+        points.push(SweepPoint {
+            venue: "mall-comb",
+            pipeline: "wiring",
+            floors,
+            partitions: stats.partitions,
+            doors: stats.doors,
+            seconds: wiring,
             speedup: None,
             bytes: None,
         });
@@ -150,7 +176,7 @@ fn main() {
             bytes: Some(landmark_bytes),
         });
         if floors == 10 {
-            budget_witness = Some(comb_fast.p50);
+            ten_floors = Some((band_fast.p50, comb_fast.p50));
         }
     }
 
@@ -167,25 +193,40 @@ fn main() {
     }
 
     if quick {
-        let witness = budget_witness.expect("quick sweep includes 10 floors");
+        let (band, witness) = ten_floors.expect("quick sweep includes 10 floors");
         assert!(
             witness <= QUICK_BUDGET_SECS,
             "construction regression: 10-floor comb fast build took {witness:.2}s \
              (budget {QUICK_BUDGET_SECS}s)"
         );
         println!("quick budget ok: 10-floor comb fast build {witness:.3}s <= {QUICK_BUDGET_SECS}s");
+        let ratio = witness / band;
+        if ratio > QUICK_COMB_OVER_BAND {
+            eprintln!(
+                "construction ratio gate failed: 10-floor comb fast build {witness:.4}s is \
+                 {ratio:.2}x the band fast build {band:.4}s (at most {QUICK_COMB_OVER_BAND}x)"
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "ratio ok: 10-floor comb fast build is {ratio:.2}x the band fast build \
+             (at most {QUICK_COMB_OVER_BAND}x)"
+        );
     }
 }
 
 /// Runs `build` `repeats` times: the last thing built and the seconds each
-/// build took.
+/// build took. The previous build is dropped before the clock starts, so no
+/// timing includes freeing what the one before it built.
 fn time_builds<T>(repeats: usize, mut build: impl FnMut() -> T) -> (T, Distribution) {
     let mut seconds = Vec::with_capacity(repeats);
     let mut built = None;
     for _ in 0..repeats {
+        drop(built.take());
         let t = Instant::now();
-        built = Some(build());
+        let this = build();
         seconds.push(t.elapsed().as_secs_f64());
+        built = Some(this);
     }
     (
         built.expect("at least one build"),
@@ -224,10 +265,11 @@ fn json_baseline(points: &[SweepPoint], host_cores: usize) -> String {
     let _ = writeln!(
         out,
         "  \"description\": \"build_mall + VenueBuilder pipeline seconds vs floors; \
-         comb = geodesic service corridors, sequential = per-pair reference path, landmarks = \
-         the comb venue's landmark table on the host's cores, with its heap bytes; seconds = \
-         median of {FAST_REPEATS} fast or landmark builds or {SEQUENTIAL_REPEATS} sequential \
-         builds, with min and max; speedup at the medians\","
+         comb = geodesic service corridors, wiring = mall_builder alone on the comb venue, \
+         sequential = per-pair reference path, landmarks = the comb venue's landmark table on \
+         the host's cores, with its heap bytes; seconds = median of {FAST_REPEATS} wiring, fast \
+         or landmark builds or {SEQUENTIAL_REPEATS} sequential builds, with min and max; \
+         speedup at the medians\","
     );
     let _ = writeln!(out, "  \"host_cores\": {host_cores},");
     let _ = writeln!(out, "  \"points\": [");

@@ -216,22 +216,40 @@ fn audit_cmd(positional: &[String], flags: &HashMap<String, String>) -> Result<(
     Ok(())
 }
 
+/// `--wait`: `unlimited`, or a budget in minutes that `DurationSecs::new`
+/// accepts (finite and not negative).
+fn parse_wait(w: &str) -> Result<WaitPolicy, String> {
+    if w == "unlimited" {
+        return Ok(WaitPolicy::Unlimited);
+    }
+    let mins: f64 = w
+        .parse()
+        .map_err(|_| format!("bad --wait `{w}` (expected MINUTES or unlimited)"))?;
+    DurationSecs::new(mins * 60.0)
+        .map(WaitPolicy::UpTo)
+        .map_err(|e| format!("bad --wait {w}: {e}"))
+}
+
 fn query_cmd(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
     let space = load_space(positional)?;
     let from = parse_point(&space, flags.get("from").ok_or("missing --from")?)?;
     let to = parse_point(&space, flags.get("to").ok_or("missing --to")?)?;
     let at = parse_time(flags.get("at").ok_or("missing --at")?)?;
+    let q = Query::new(from, to, at);
+    q.validate(&space).map_err(|e| e.to_string())?;
+    let wait = flags.get("wait").map(|w| parse_wait(w)).transpose()?;
+    let k: usize = match flags.get("k") {
+        None => 1,
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|&k| k > 0)
+            .ok_or_else(|| format!("bad --k `{v}` (expected a positive integer)"))?,
+    };
     let graph = ItGraph::new(space);
     let config = ItspqConfig::default();
-    let q = Query::new(from, to, at);
 
-    if let Some(w) = flags.get("wait") {
-        let policy = if w == "unlimited" {
-            WaitPolicy::Unlimited
-        } else {
-            let mins: f64 = w.parse().map_err(|_| "bad --wait")?;
-            WaitPolicy::UpTo(DurationSecs::from_minutes(mins))
-        };
+    if let Some(policy) = wait {
         match earliest_arrival(&graph, &q, &config, policy) {
             Some(tp) => println!(
                 "earliest arrival {} after {:.1} m walk and {} waiting",
@@ -242,10 +260,6 @@ fn query_cmd(positional: &[String], flags: &HashMap<String, String>) -> Result<(
         return Ok(());
     }
 
-    let k: usize = flags
-        .get("k")
-        .map_or(Ok(1), |v| v.parse())
-        .map_err(|_| "bad --k")?;
     if k > 1 {
         let paths = k_shortest_paths(&graph, &q, &ItspqConfig::full_relax(), k);
         if paths.is_empty() {
@@ -299,6 +313,9 @@ fn profile_cmd(positional: &[String], flags: &HashMap<String, String>) -> Result
     if wb < wa {
         return Err(format!("bad --window {window}: it ends before it starts"));
     }
+    Query::new(from, to, wa)
+        .validate(&space)
+        .map_err(|e| e.to_string())?;
     let step: f64 = flags
         .get("step")
         .map_or(Ok(60.0), |v| v.parse())

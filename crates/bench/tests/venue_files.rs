@@ -149,7 +149,13 @@ fn an_out_of_range_flag_is_an_error_not_a_panic() {
     let out = dir.path("v.json");
     let venue = dir.path("venue.json");
     generate(&venue);
-    let cases: [(Vec<&str>, &str); 4] = [
+    let query = |extra: [&'static str; 2]| {
+        let mut args = vec!["query", venue.as_str()];
+        args.extend(QUERY);
+        args.extend(extra);
+        args
+    };
+    let cases: [(Vec<&str>, &str); 9] = [
         (
             vec!["generate", "--floors", "0", "--out", &out],
             "bad --floors",
@@ -175,6 +181,17 @@ fn an_out_of_range_flag_is_an_error_not_a_panic() {
             ],
             "bad --window 12:00-10:00",
         ),
+        // `DurationSecs::new` refuses these; they used to be coerced to a
+        // zero wait budget.
+        (
+            query(["--wait", "-5"]),
+            "bad --wait -5: duration must be finite and non-negative",
+        ),
+        (query(["--wait", "NaN"]), "bad --wait NaN"),
+        (query(["--wait", "inf"]), "bad --wait inf"),
+        (query(["--wait", "soon"]), "bad --wait `soon`"),
+        // It used to answer as `--k 1`.
+        (query(["--k", "0"]), "bad --k `0`"),
     ];
     for (args, why) in cases {
         let run = itspq(&args);
@@ -184,4 +201,46 @@ fn an_out_of_range_flag_is_an_error_not_a_panic() {
         assert!(stderr.contains(why), "{args:?}: {stderr}");
     }
     assert!(!Path::new(&out).exists(), "a refused generate wrote {out}");
+}
+
+#[test]
+fn a_query_that_fails_validation_is_an_error_before_any_engine_runs() {
+    let dir = Scratch::new("bad-query");
+    let venue = dir.path("venue.json");
+    generate(&venue);
+    let cases = [
+        ("1:NaN,1.0", "59:470.0,525.0", "source position (NaN, 1)"),
+        ("1:inf,1.0", "59:470.0,525.0", "source position (inf, 1)"),
+        ("1:1.0,1.0", "59:470.0,-inf", "target position (470, -inf)"),
+    ];
+    for (from, to, why) in cases {
+        let ends = ["--from", from, "--to", to];
+        let query = |extra: &[&'static str]| {
+            [
+                &["query", venue.as_str(), "--at", "12:00"][..],
+                &ends,
+                extra,
+            ]
+            .concat()
+        };
+        // Every engine behind `query`, and `profile`.
+        for args in [
+            query(&[]),
+            query(&["--method", "asyn"]),
+            query(&["--k", "2"]),
+            query(&["--wait", "5"]),
+            [
+                &["profile", venue.as_str(), "--window", "10:00-10:05"][..],
+                &ends,
+            ]
+            .concat(),
+        ] {
+            let run = itspq(&args);
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+            assert!(stderr.contains(why), "{args:?}: {stderr}");
+            assert!(run.stdout.is_empty(), "{args:?} answered anyway");
+        }
+    }
 }

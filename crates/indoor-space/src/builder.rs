@@ -1,10 +1,12 @@
 //! Validated construction of indoor spaces.
 //!
-//! [`VenueBuilder::build`] is the production pipeline: topology is derived
-//! with indexed membership checks, each partition's distance matrix is filled
-//! from a per-polygon [`GeodesicSolver`] answering one-to-many queries, and
-//! the per-partition matrix builds — which are independent of each other —
-//! fan out over [`fan_out`] workers, the calling thread among them.
+//! [`VenueBuilder::build`] is the production pipeline. Topology is derived
+//! with indexed membership checks. Each distinct non-convex footprint (a
+//! polygon and its doors' positions, bit for bit) is solved once by a
+//! [`GeodesicSolver`] answering one-to-many queries, however many partitions
+//! share it; convex polygons take the Euclidean leg without a solver. The
+//! solves, and then the per-partition matrix builds, fan out over
+//! [`fan_out`] workers, the calling thread among them.
 //! [`VenueBuilder::build_sequential`] keeps the naive single-threaded
 //! pipeline (one pairwise [`geodesic_distance`] call per door pair, each
 //! rebuilding the polygon's visibility graph) as the reference: both paths
@@ -249,12 +251,16 @@ impl VenueBuilder {
     /// Validates the venue and derives topology mappings, distance matrices
     /// and the checkpoint set.
     ///
-    /// This is the production pipeline: geodesic distance matrices reuse one
-    /// [`GeodesicSolver`] per partition polygon (one-to-many queries instead
-    /// of a visibility-graph rebuild per door pair), and the independent
-    /// per-partition matrix builds fan out over [`fan_out`] workers. The
-    /// output is identical — value for value — to
-    /// [`VenueBuilder::build_sequential`].
+    /// This is the production pipeline. Geodesic distance matrices take one
+    /// [`GeodesicSolver`] per distinct non-convex footprint (one-to-many
+    /// queries instead of a visibility-graph rebuild per door pair): the
+    /// partitions whose polygon and door positions, in door order, are equal
+    /// bit for bit (the same corridor on every floor of a mall) share one
+    /// solve, and each keeps its own explicit overrides. Convex polygons take
+    /// the Euclidean leg, which is what the solver would answer there. The
+    /// solves and then the independent per-partition matrix builds fan out
+    /// over [`fan_out`] workers. The output is identical — value for value —
+    /// to [`VenueBuilder::build_sequential`].
     ///
     /// # Errors
     /// Returns the first validation failure (dangling doors, foreign doors in
@@ -372,9 +378,7 @@ impl VenueBuilder {
         // sequential pass would hit, so the two pipelines stay
         // interchangeable.
         let dms = match workers {
-            Some(w) => fan_out(n_parts, w, |pi| self.matrix_for(pi, &part_doors[pi]))
-                .into_iter()
-                .collect::<Result<_, _>>()?,
+            Some(w) => self.matrices_fast(&part_doors, w)?,
             None => self.matrices_sequential(&part_doors)?,
         };
 
@@ -430,34 +434,81 @@ impl VenueBuilder {
         Ok(dms)
     }
 
-    /// One partition's distance matrix via the amortised path: a single
-    /// [`GeodesicSolver`] answers one-to-many queries per source door, and
-    /// explicit overrides are applied pair-wise on top.
-    fn matrix_for(&self, pi: usize, doors: &[DoorId]) -> Result<DistanceMatrix, SpaceError> {
-        let partition = PartitionId::from_index(pi);
-        let polygon = self.partitions[pi].polygon.as_ref();
-        let n = doors.len();
-
-        // Geodesic rows, computed one-to-many: `geo[i]` holds the distances
-        // from door i to doors i+1..n (the upper triangle the matrix build
-        // asks for). `None` entries fall back to the Euclidean distance,
-        // mirroring `geodesic_distance`'s out-of-polygon contract.
-        let geo: Option<Vec<Vec<Option<f64>>>> = match polygon {
-            Some(poly) if self.distance_model == DistanceModel::Geodesic && n > 1 => {
-                let solver = GeodesicSolver::new(poly);
-                let positions: Vec<Point> = doors
-                    .iter()
-                    .map(|d| self.doors[d.index()].position)
-                    .collect();
-                Some(
-                    (0..n)
-                        .map(|i| solver.distances_from(positions[i], &positions[i + 1..]))
-                        .collect(),
-                )
+    /// The fast distance-matrix pass: one geodesic solve per distinct
+    /// footprint, then one matrix per partition.
+    ///
+    /// Only a non-convex polygon with at least two doors needs the solver;
+    /// on a convex one [`GeodesicSolver`] answers the Euclidean leg or
+    /// `None`, which falls back to that same leg. Such a partition is keyed
+    /// by its footprint: both lengths, then the exact bits of its polygon's
+    /// vertices and of its doors' positions, in door order. Those are all
+    /// the solve reads, so partitions with equal keys get the same rows bit
+    /// for bit: one sort puts them in runs, and each run is solved once. A
+    /// mall that repeats one floor plan on every floor solves one floor's
+    /// corridors.
+    fn matrices_fast(
+        &self,
+        part_doors: &[Vec<DoorId>],
+        workers: usize,
+    ) -> Result<Vec<DistanceMatrix>, SpaceError> {
+        let position = |d: &DoorId| self.doors[d.index()].position;
+        let mut keyed = Vec::new();
+        if self.distance_model == DistanceModel::Geodesic {
+            for (pi, doors) in part_doors.iter().enumerate() {
+                let Some(poly) = &self.partitions[pi].polygon else {
+                    continue;
+                };
+                if doors.len() < 2 || poly.is_convex() {
+                    continue;
+                }
+                let verts = poly.vertices();
+                let mut bits = Vec::with_capacity(2 * (verts.len() + doors.len()));
+                for p in verts.iter().copied().chain(doors.iter().map(position)) {
+                    bits.extend([p.x.to_bits(), p.y.to_bits()]);
+                }
+                keyed.push(((verts.len(), doors.len(), bits), pi, poly));
             }
-            _ => None,
-        };
+        }
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut solves: Vec<(&Polygon, &[DoorId])> = Vec::new();
+        let mut solve_of: Vec<Option<usize>> = vec![None; part_doors.len()];
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, pi, _) in run {
+                solve_of[pi] = Some(solves.len());
+            }
+            let (_, pi, poly) = run[0];
+            solves.push((poly, &part_doors[pi]));
+        }
 
+        // `rows[s][i][j - i - 1]` is the geodesic from door i to door j > i
+        // of solve `s` (the upper triangle the matrix build asks for),
+        // computed one-to-many from one solver per footprint.
+        let rows = fan_out(solves.len(), workers, |s| {
+            let (poly, doors) = solves[s];
+            let solver = GeodesicSolver::new(poly);
+            let positions: Vec<Point> = doors.iter().map(position).collect();
+            (0..positions.len())
+                .map(|i| solver.distances_from(positions[i], &positions[i + 1..]))
+                .collect::<Vec<_>>()
+        });
+        fan_out(part_doors.len(), workers, |pi| {
+            self.matrix_for(pi, &part_doors[pi], solve_of[pi].map(|s| &rows[s][..]))
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// One partition's distance matrix in the fast pass: an explicit
+    /// override of the partition's own, else its footprint's geodesic row
+    /// entry, else the Euclidean leg (`None` entries fall back to it too,
+    /// mirroring `geodesic_distance`'s out-of-polygon contract).
+    fn matrix_for(
+        &self,
+        pi: usize,
+        doors: &[DoorId],
+        geo: Option<&[Vec<Option<f64>>]>,
+    ) -> Result<DistanceMatrix, SpaceError> {
+        let partition = PartitionId::from_index(pi);
         DistanceMatrix::build_indexed(doors.to_vec(), |sorted, i, j| {
             let (a, b) = (sorted[i], sorted[j]);
             let key = if a <= b {
@@ -468,12 +519,11 @@ impl VenueBuilder {
             if let Some(&d) = self.explicit.get(&key) {
                 return d;
             }
-            if let Some(geo) = &geo {
-                // `doors` arrives sorted and deduplicated (it is a
-                // `part_doors` entry), so positions line up with `sorted`.
-                if let Some(d) = geo[i][j - i - 1] {
-                    return d;
-                }
+            // `doors` arrives sorted and deduplicated (it is a `part_doors`
+            // entry), and the footprint's rows walk the same positions in
+            // the same order, so row indices line up with `sorted`.
+            if let Some(d) = geo.and_then(|geo| geo[i][j - i - 1]) {
+                return d;
             }
             self.doors[a.index()]
                 .position
@@ -814,6 +864,78 @@ mod tests {
             Point::new(2.5, 10.0).distance(corner) + corner.distance(Point::new(10.0, 2.5));
         assert_eq!(fast.door_to_door(hall, da, db), Some(expected));
         assert_eq!(fast.door_to_door(hall, da, dc), Some(42.0));
+    }
+
+    #[test]
+    fn partitions_sharing_a_footprint_keep_their_own_overrides_and_door_order() {
+        use indoor_geom::Polygon;
+        let l = Polygon::new(vec![
+            Point::new(0.0, 0.0),
+            Point::new(10.0, 0.0),
+            Point::new(10.0, 5.0),
+            Point::new(5.0, 5.0),
+            Point::new(5.0, 10.0),
+            Point::new(0.0, 10.0),
+        ])
+        .unwrap();
+        // Spots 0 and 1 see each other only around the corner (5, 5); spot
+        // 2 sees both.
+        let spots = [
+            Point::new(2.5, 10.0),
+            Point::new(10.0, 2.5),
+            Point::new(1.0, 0.0),
+        ];
+        let mut b = VenueBuilder::new();
+        b.distance_model(DistanceModel::Geodesic);
+        let mut halls = Vec::new();
+        // Three copies of one hall on three floors. The third adds its doors
+        // in another order, so its doors in id order walk the spots in
+        // another order: the same polygon and positions, another footprint.
+        for (floor, order) in (0u16..).zip([[0, 1, 2], [0, 1, 2], [1, 0, 2]]) {
+            let hall = b.add_partition_on(
+                &format!("L{floor}"),
+                PartitionKind::Public,
+                FloorId(floor),
+                Some(l.clone()),
+            );
+            let mut doors = [DoorId(0); 3];
+            for spot in order {
+                let room = b.add_partition(&format!("room{floor}.{spot}"), PartitionKind::Public);
+                let d = b.add_door_on(
+                    &format!("d{floor}.{spot}"),
+                    DoorKind::Public,
+                    AtiList::always_open(),
+                    spots[spot],
+                    FloorId(floor),
+                );
+                b.connect(d, Connection::TwoWay(hall, room)).unwrap();
+                doors[spot] = d;
+            }
+            halls.push((hall, doors));
+        }
+        // Only the second copy overrides a pair.
+        let (hall1, doors1) = halls[1];
+        b.set_distance(hall1, doors1[0], doors1[1], 42.0).unwrap();
+
+        let fast = b.clone().build().unwrap();
+        assert_eq!(fast, b.clone().build_with_workers(1).unwrap());
+        assert_eq!(fast, b.build_sequential().unwrap());
+        let corner = Point::new(5.0, 5.0);
+        let bent = spots[0].distance(corner) + corner.distance(spots[1]);
+        for (copy, &(hall, [d0, d1, d2])) in halls.iter().enumerate() {
+            let around = if copy == 1 { 42.0 } else { bent };
+            assert_eq!(fast.door_to_door(hall, d0, d1), Some(around), "copy {copy}");
+            assert_eq!(
+                fast.door_to_door(hall, d0, d2),
+                Some(spots[0].distance(spots[2])),
+                "copy {copy}"
+            );
+            assert_eq!(
+                fast.door_to_door(hall, d1, d2),
+                Some(spots[1].distance(spots[2])),
+                "copy {copy}"
+            );
+        }
     }
 
     #[test]

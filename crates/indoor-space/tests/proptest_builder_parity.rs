@@ -1,14 +1,17 @@
 //! Property-based parity of the two construction pipelines.
 //!
-//! `VenueBuilder::build` (indexed lookups, per-polygon `GeodesicSolver`,
-//! parallel matrix fan-out) must produce *exactly* the same `IndoorSpace` —
-//! topology maps, every distance matrix, checkpoints — as
-//! `VenueBuilder::build_sequential` (per-pair `geodesic_distance`, one
+//! `VenueBuilder::build` (indexed lookups, one `GeodesicSolver` per distinct
+//! non-convex footprint, parallel matrix fan-out) must produce *exactly* the
+//! same `IndoorSpace` — topology maps, every distance matrix, checkpoints —
+//! as `VenueBuilder::build_sequential` (per-pair `geodesic_distance`, one
 //! partition at a time), on venues whose partitions carry random L- and
-//! U-shaped polygons.
+//! U-shaped polygons. Each shape repeats on up to three floors, as a mall
+//! repeats its floor plan, with overrides on only some copies; one more copy
+//! moves a door by one ulp and another a polygon vertex, so a footprint key
+//! that misses either shares a solve it must not.
 
 use indoor_geom::{Point, Polygon};
-use indoor_space::{Connection, DistanceModel, DoorKind, PartitionKind, VenueBuilder};
+use indoor_space::{Connection, DistanceModel, DoorKind, FloorId, PartitionKind, VenueBuilder};
 use indoor_time::AtiList;
 use proptest::prelude::*;
 
@@ -75,46 +78,90 @@ fn arb_shape() -> impl Strategy<Value = ShapeSpec> {
         })
 }
 
+/// Adds a hall on `floor` with `poly` and one room behind each door, the
+/// doors at `positions` in id order. With `override_dist` every
+/// second pair of consecutive doors gets that explicit distance.
+fn add_hall(
+    b: &mut VenueBuilder,
+    name: &str,
+    floor: u16,
+    poly: &Polygon,
+    positions: &[Point],
+    override_dist: Option<f64>,
+) {
+    let hall = b.add_partition_on(
+        name,
+        PartitionKind::Public,
+        FloorId(floor),
+        Some(poly.clone()),
+    );
+    let mut prev = None;
+    for (di, &pos) in positions.iter().enumerate() {
+        let room = b.add_partition(&format!("{name}.room{di}"), PartitionKind::Public);
+        let door = b.add_door_on(
+            &format!("{name}.d{di}"),
+            DoorKind::Public,
+            AtiList::hm(&[((8, 0), (20, 0))]),
+            pos,
+            FloorId(floor),
+        );
+        b.connect(door, Connection::TwoWay(hall, room)).unwrap();
+        if let (Some(p), Some(dist)) = (prev, override_dist) {
+            if di % 2 == 0 {
+                b.set_distance(hall, p, door, dist).unwrap();
+            }
+        }
+        prev = Some(door);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Fast and sequential pipelines agree exactly on random multi-partition
-    /// geodesic venues, including explicit overrides.
+    /// geodesic venues whose footprints repeat across floors, including
+    /// explicit overrides on some copies and copies one ulp apart.
     #[test]
     fn pipelines_agree_on_random_venues(
-        shapes in prop::collection::vec(arb_shape(), 1..4),
+        shapes in prop::collection::vec((arb_shape(), 1u16..4), 1..4),
         override_dist in 1.0f64..100.0,
     ) {
         let mut b = VenueBuilder::new();
         b.distance_model(DistanceModel::Geodesic);
-        let mut overridable = None;
-        for (si, s) in shapes.iter().enumerate() {
+        for (si, (s, floors)) in shapes.iter().enumerate() {
             let poly = shape_polygon(s);
-            let hall = b.add_partition_on(
-                &format!("hall{si}"),
-                PartitionKind::Public,
-                indoor_space::FloorId(0),
-                Some(poly.clone()),
-            );
-            let mut prev = None;
-            for (di, &(fx, fy)) in s.doors.iter().enumerate() {
-                let pos = Point::new(fx * s.w, fy * s.h);
-                let room = b.add_partition(&format!("room{si}.{di}"), PartitionKind::Public);
-                let door = b.add_door(
-                    &format!("d{si}.{di}"),
-                    DoorKind::Public,
-                    AtiList::hm(&[((8, 0), (20, 0))]),
-                    pos,
+            let positions: Vec<Point> = s
+                .doors
+                .iter()
+                .map(|&(fx, fy)| Point::new(fx * s.w, fy * s.h))
+                .collect();
+            // Copies alternate with and without overrides, so a footprint's
+            // first copy and its second never share them.
+            let overrides = |copy: usize| (copy + si).is_multiple_of(2).then_some(override_dist);
+            for floor in 0..*floors {
+                add_hall(
+                    &mut b,
+                    &format!("hall{si}.f{floor}"),
+                    floor,
+                    &poly,
+                    &positions,
+                    overrides(usize::from(floor)),
                 );
-                b.connect(door, Connection::TwoWay(hall, room)).unwrap();
-                if let Some(p) = prev {
-                    if di % 2 == 0 {
-                        b.set_distance(hall, p, door, override_dist).unwrap();
-                    }
-                }
-                prev = Some(door);
             }
-            overridable.get_or_insert(hall);
+            let mut moved_door = positions.clone();
+            moved_door[0].x = moved_door[0].x.next_up();
+            add_hall(&mut b, &format!("hall{si}.door-ulp"), 0, &poly, &moved_door, overrides(1));
+            let mut vertices = poly.vertices().to_vec();
+            vertices[3].x = vertices[3].x.next_up();
+            let moved_vertex = Polygon::new(vertices).unwrap();
+            add_hall(
+                &mut b,
+                &format!("hall{si}.vertex-ulp"),
+                0,
+                &moved_vertex,
+                &positions,
+                overrides(1),
+            );
         }
         let fast = b.clone().build().unwrap();
         let threaded = b.clone().build_with_workers(4).unwrap();
