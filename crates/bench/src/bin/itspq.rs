@@ -21,7 +21,7 @@
 //! `stats`/`audit` output and the venue file to discover ids (a
 //! partition's id is its position in the file).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use indoor_geom::Point;
@@ -51,20 +51,30 @@ fn run() -> Result<(), String> {
         return Err("missing command".into());
     };
     let (positional, flags) = split_args(&args[1..]);
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => {
-            println!("{}", USAGE);
+    // Each command with the flags it takes; any other flag is an error.
+    let (takes, command): (&[&str], Command) = match cmd.as_str() {
+        "help" | "--help" | "-h" => (&[], |_, _| {
+            println!("{USAGE}");
             Ok(())
-        }
-        "generate" => generate(&flags),
-        "convert" => convert(&positional, &flags),
-        "stats" => stats(&positional),
-        "audit" => audit_cmd(&positional, &flags),
-        "query" => query_cmd(&positional, &flags),
-        "profile" => profile_cmd(&positional, &flags),
-        other => Err(format!("unknown command `{other}`")),
+        }),
+        "generate" => (&["floors", "t-size", "seed", "out"], |_, flags| {
+            generate(flags)
+        }),
+        "convert" => (&["out"], convert),
+        "stats" => (&[], |positional, _| stats(positional)),
+        "audit" => (&["origin"], audit_cmd),
+        "query" => (&["from", "to", "at", "method", "k", "wait"], query_cmd),
+        "profile" => (&["from", "to", "window", "step"], profile_cmd),
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    if let Some(flag) = flags.keys().find(|f| !takes.contains(&f.as_str())) {
+        return Err(format!("`{cmd}` takes no flag --{flag}"));
     }
+    command(&positional, &flags)
 }
+
+/// A command's body, given its positional arguments and its flags.
+type Command = fn(&[String], &BTreeMap<String, String>) -> Result<(), String>;
 
 const USAGE: &str = "\
 itspq — temporal-variation aware indoor shortest paths (ICDE 2020 reproduction)
@@ -81,9 +91,9 @@ itspq — temporal-variation aware indoor shortest paths (ICDE 2020 reproduction
 VENUE is a JSON file or plan text; --out writes JSON to a path ending in
 .json and plan text to any other.";
 
-fn split_args(rest: &[String]) -> (Vec<String>, HashMap<String, String>) {
+fn split_args(rest: &[String]) -> (Vec<String>, BTreeMap<String, String>) {
     let mut positional = Vec::new();
-    let mut flags = HashMap::new();
+    let mut flags = BTreeMap::new();
     let mut it = rest.iter().peekable();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
@@ -127,7 +137,7 @@ fn write_space(space: &IndoorSpace, out: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn convert(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
+fn convert(positional: &[String], flags: &BTreeMap<String, String>) -> Result<(), String> {
     let out = flags.get("out").ok_or("missing --out")?;
     let space = load_space(positional)?;
     println!("{}", space.stats());
@@ -164,7 +174,7 @@ fn parse_point(space: &IndoorSpace, s: &str) -> Result<IndoorPoint, String> {
     ))
 }
 
-fn generate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn generate(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let floors: u16 = flags
         .get("floors")
         .map_or(Ok(5), |v| v.parse())
@@ -202,7 +212,7 @@ fn stats(positional: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn audit_cmd(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
+fn audit_cmd(positional: &[String], flags: &BTreeMap<String, String>) -> Result<(), String> {
     let space = load_space(positional)?;
     let origin: u32 = flags
         .get("origin")
@@ -230,13 +240,18 @@ fn parse_wait(w: &str) -> Result<WaitPolicy, String> {
         .map_err(|e| format!("bad --wait {w}: {e}"))
 }
 
-fn query_cmd(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
+fn query_cmd(positional: &[String], flags: &BTreeMap<String, String>) -> Result<(), String> {
     let space = load_space(positional)?;
     let from = parse_point(&space, flags.get("from").ok_or("missing --from")?)?;
     let to = parse_point(&space, flags.get("to").ok_or("missing --to")?)?;
     let at = parse_time(flags.get("at").ok_or("missing --at")?)?;
     let q = Query::new(from, to, at);
     q.validate(&space).map_err(|e| e.to_string())?;
+    let asyn = match flags.get("method").map(String::as_str) {
+        None | Some("syn") => false,
+        Some("asyn") => true,
+        Some(m) => return Err(format!("bad --method `{m}` (expected syn or asyn)")),
+    };
     let wait = flags.get("wait").map(|w| parse_wait(w)).transpose()?;
     let k: usize = match flags.get("k") {
         None => 1,
@@ -276,9 +291,10 @@ fn query_cmd(positional: &[String], flags: &HashMap<String, String>) -> Result<(
         return Ok(());
     }
 
-    let result = match flags.get("method").map(String::as_str) {
-        Some("asyn") => AsynEngine::new(graph.clone(), config).query(&q),
-        _ => SynEngine::new(graph.clone(), config).query(&q),
+    let result = if asyn {
+        AsynEngine::new(graph.clone(), config).query(&q)
+    } else {
+        SynEngine::new(graph.clone(), config).query(&q)
     };
     match result.path {
         Some(p) => {
@@ -303,7 +319,7 @@ fn query_cmd(positional: &[String], flags: &HashMap<String, String>) -> Result<(
     Ok(())
 }
 
-fn profile_cmd(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
+fn profile_cmd(positional: &[String], flags: &BTreeMap<String, String>) -> Result<(), String> {
     let space = load_space(positional)?;
     let from = parse_point(&space, flags.get("from").ok_or("missing --from")?)?;
     let to = parse_point(&space, flags.get("to").ok_or("missing --to")?)?;
@@ -316,20 +332,14 @@ fn profile_cmd(positional: &[String], flags: &HashMap<String, String>) -> Result
     Query::new(from, to, wa)
         .validate(&space)
         .map_err(|e| e.to_string())?;
-    let step: f64 = flags
-        .get("step")
-        .map_or(Ok(60.0), |v| v.parse())
-        .map_err(|_| "bad --step")?;
+    // `DurationSecs::new` refuses NaN, infinite and negative steps.
+    let step = flags.get("step").map_or("60", String::as_str);
+    let step = step
+        .parse()
+        .map_err(|_| format!("bad --step `{step}` (expected SECONDS)"))
+        .and_then(|s| DurationSecs::new(s).map_err(|e| format!("bad --step {step}: {e}")))?;
     let graph = ItGraph::new(space);
-    let profile = departure_profile(
-        &graph,
-        from,
-        to,
-        wa,
-        wb,
-        DurationSecs::new(step.max(1.0)).map_err(|e| e.to_string())?,
-        &ItspqConfig::default(),
-    );
+    let profile = departure_profile(&graph, from, to, wa, wb, step, &ItspqConfig::default());
     for p in &profile.points {
         match p.length {
             Some(l) => println!("{:>8}  {l:>9.1} m", p.departure.to_string()),

@@ -3,20 +3,19 @@
 //! 1. **Worker sweep** — queries/sec vs worker threads (1–8) for a
 //!    [`itspq_core::VenueServer`] on a mixed-time batch;
 //! 2. **Sharing sweep** — queries/sec vs batch size × traffic shape for
-//!    [`itspq_core::BatchStrategy::Shared`] against `Independent` on the
-//!    *same* batches: exact-duplicate (source, time) pairs group by source
-//!    point and checkpoint interval, while partition-clustered sources, at
-//!    fixed or jittered departures, are distinct points and plan one search
-//!    per query.
+//!    [`itspq_core::VenueServer::query_batch`] against per-query execution
+//!    on the *same* batches: exact-duplicate (source, time) pairs group by
+//!    source point and checkpoint interval, while partition-clustered
+//!    sources, at fixed or jittered departures, are distinct points and plan
+//!    one search per query.
 //!
 //! The default run uses the paper's five-floor mall and writes the committed
 //! `BENCH_throughput.json` baseline plus `results/throughput*.csv`.
 //! `--quick` (wired into CI) shrinks the venue to a single floor, asserts
-//! that `Shared` groups the exact-duplicate shape and beats independent
-//! execution on it, that it plans the partition-clustered shapes exactly as
-//! `Independent` does, and exits non-zero if the hot batch exceeds a
-//! generous wall-clock budget — the serving-path analogue of
-//! `construction --quick`.
+//! that the batch path groups the exact-duplicate shape and beats per-query
+//! execution on it, that it plans the partition-clustered shapes as one
+//! search per query, and exits non-zero if the hot batch exceeds a generous
+//! wall-clock budget — the serving-path analogue of `construction --quick`.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -80,7 +79,8 @@ fn main() {
         );
     }
 
-    // Sharing sweep: Shared vs Independent on identical batches.
+    // Sharing sweep: the batch path vs per-query execution on identical
+    // batches.
     let batch_sizes: &[usize] = if quick { &[16, 64] } else { &[32, 128, 512] };
     let shapes = [
         TrafficShape::uniform(),
@@ -97,7 +97,7 @@ fn main() {
         SHARING_REPEATS,
         delta,
     );
-    println!("\nshared vs independent execution ({workers} workers):");
+    println!("\nshared vs per-query execution ({workers} workers):");
     print!("{}", concurrency::sharing_table(&sharing));
 
     std::fs::create_dir_all("results").expect("create results dir");
@@ -118,10 +118,9 @@ fn main() {
     }
 
     if quick {
-        // Tripwire 1: `Shared` must group the bit-identical zipf duplicates,
-        // and plan one search per query, as `Independent` does, where the
-        // sources are distinct points of hot partitions: a group holds one
-        // source point.
+        // Tripwire 1: the batch path must group the bit-identical zipf
+        // duplicates, and plan one search per query where the sources are
+        // distinct points of hot partitions: a group holds one source point.
         let hottest = sharing
             .iter()
             .filter(|p| p.strategy == "shared" && p.skew == "zipf-exact")
@@ -145,8 +144,8 @@ fn main() {
         // exact-duplicate batch.
         assert!(
             hottest.speedup > 1.0,
-            "sharing regression: shared execution slower than independent \
-             on the hot zipf batch ({:.2}x)",
+            "sharing regression: shared execution slower than per-query \
+             execution on the hot zipf batch ({:.2}x)",
             hottest.speedup
         );
         // Tripwire 3: absolute wall-clock budget, as in `construction --quick`.
@@ -159,8 +158,8 @@ fn main() {
         );
         println!(
             "quick tripwires ok: shared groups zipf-exact and plans the \
-             clustered shapes as independent, hot {}-query shared batch \
-             {:.3} ms (median) <= {:.0} ms at {:.2}x over independent",
+             clustered shapes one search per query, hot {}-query shared batch \
+             {:.3} ms (median) <= {:.0} ms at {:.2}x over per-query",
             hottest.batch_size,
             hottest.batch_secs.p50 * 1e3,
             QUICK_BUDGET_SECS * 1e3,
@@ -181,13 +180,13 @@ fn json_baseline(
     let _ = writeln!(
         out,
         "  \"description\": \"VenueServer queries/sec: worker sweep on a mixed-time batch, \
-         then Shared (grouped by source point and checkpoint interval) vs \
-         Independent on identical batches across traffic shapes — uniform, zipf-exact \
-         duplicates, door-clustered sources, clustered sources with jittered departures \
-         (sharing_ratio = physical searches per query; batch_secs = median of {repeats} \
-         batches per worker point and {sharing_repeats} per sharing point, each timed on its \
-         own, with min and max; a sharing point alternates the two strategies batch by batch; \
-         qps and speedups at the median)\","
+         then shared batches (grouped by source point and checkpoint interval) vs \
+         per-query execution on the same workers across traffic shapes — uniform, \
+         zipf-exact duplicates, door-clustered sources, clustered sources with jittered \
+         departures (sharing_ratio = physical searches per query; batch_secs = median of \
+         {repeats} batches per worker point and {sharing_repeats} per sharing point, each \
+         timed on its own, with min and max; a sharing point alternates the two rows batch \
+         by batch; qps and speedups at the median)\","
     );
     let _ = writeln!(out, "  \"host_cores\": {host_cores},");
     let _ = writeln!(out, "  \"worker_sweep\": [");
@@ -213,7 +212,7 @@ fn json_baseline(
             out,
             "    {{\"strategy\": \"{}\", \"batch_size\": {}, \"skew\": \"{}\", \
              \"sharing_ratio\": {:.4}, {}, \"qps\": {:.1}, \
-             \"speedup_vs_independent\": {:.3}}}{}",
+             \"speedup_vs_per_query\": {:.3}}}{}",
             p.strategy,
             p.batch_size,
             p.skew,

@@ -16,11 +16,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+use indoor_space::fan_out;
 use indoor_synthetic::{generate_queries, QueryGenConfig, SourceDistribution, TimeDistribution};
 use indoor_time::TimeOfDay;
-use itspq_core::{
-    AsynMode, BatchStrategy, ItGraph, ItspqConfig, Query, ServeMethod, ServerConfig, VenueServer,
-};
+use itspq_core::{AsynMode, ItGraph, ItspqConfig, Query, ServeMethod, ServerConfig, VenueServer};
 
 use crate::Distribution;
 
@@ -70,8 +69,11 @@ pub fn throughput_sweep(
             ),
         }
 
-        let batch_secs =
-            Distribution::of((0..repeats).map(|_| time_batch(&server, queries)).collect());
+        let batch_secs = Distribution::of(
+            (0..repeats)
+                .map(|_| time_batch(|b| server.query_batch(b), queries))
+                .collect(),
+        );
         let qps = qps(queries.len(), batch_secs.p50);
         let speedup = points.first().map_or(1.0, |base| qps / base.qps);
         points.push(ThroughputPoint {
@@ -85,35 +87,37 @@ pub fn throughput_sweep(
     points
 }
 
-/// One measured (batch size × traffic shape × strategy) point.
+/// One measured (batch size × traffic shape × execution) point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharingPoint {
-    /// Batch strategy label (see [`strategy_label`]).
+    /// How the batch ran: `"per-query"` (each query through
+    /// [`VenueServer::query`] on [`fan_out`]) or `"shared"`
+    /// ([`VenueServer::query_batch`]).
     pub strategy: &'static str,
     /// Queries per batch.
     pub batch_size: usize,
     /// Traffic-shape label (e.g. `"uniform"`, `"zipf-exact"`,
     /// `"clustered"`).
     pub skew: String,
-    /// Physical searches this strategy's planner plans for the batch.
+    /// Physical searches this row runs for the batch: one per query, or
+    /// the server's plan.
     pub searches: usize,
-    /// Physical searches / queries for this batch under this strategy's
-    /// planner (1.0 means nothing groups; 0.25 means four queries per
-    /// search).
+    /// Physical searches / queries for this batch in this row (1.0 means
+    /// nothing groups; 0.25 means four queries per search).
     pub sharing_ratio: f64,
     /// Wall-clock seconds per batch, each batch timed on its own.
     pub batch_secs: Distribution,
     /// Queries per second at the median batch.
     pub qps: f64,
-    /// This strategy's qps / independent qps on the *same* batch (1.0 for
-    /// the independent row itself).
+    /// This row's qps / the per-query row's qps on the *same* batch (1.0
+    /// for the per-query row itself).
     pub speedup: f64,
 }
 
-/// Wall-clock seconds `server` takes to answer `batch` once.
-fn time_batch(server: &VenueServer, batch: &[Query]) -> f64 {
+/// Wall-clock seconds `run` takes to answer `batch` once.
+fn time_batch<T>(run: impl Fn(&[Query]) -> T, batch: &[Query]) -> f64 {
     let start = Instant::now();
-    std::hint::black_box(server.query_batch(std::hint::black_box(batch)));
+    std::hint::black_box(run(std::hint::black_box(batch)));
     start.elapsed().as_secs_f64()
 }
 
@@ -123,15 +127,6 @@ fn qps(n: usize, secs: f64) -> f64 {
         n as f64 / secs
     } else {
         f64::INFINITY
-    }
-}
-
-/// The stable label of a batch strategy in tables, CSVs and baselines.
-#[must_use]
-pub fn strategy_label(strategy: BatchStrategy) -> &'static str {
-    match strategy {
-        BatchStrategy::Independent => "independent",
-        BatchStrategy::Shared => "shared",
     }
 }
 
@@ -169,8 +164,8 @@ impl TrafficShape {
     }
 
     /// Partition-clustered (but distinct) sources at fixed times. No two
-    /// queries share a source point, so `Shared` plans one search per query,
-    /// as `Independent` does.
+    /// queries share a source point, so the server plans one search per
+    /// query, in input order.
     #[must_use]
     pub fn door_clustered(exponent: f64, pool: usize) -> Self {
         TrafficShape {
@@ -182,7 +177,7 @@ impl TrafficShape {
 
     /// Partition-clustered (but distinct) sources with departure times
     /// jittered inside hot windows. No two queries share a source point, so
-    /// `Shared` plans one search per query, as `Independent` does.
+    /// the server plans one search per query, in input order.
     #[must_use]
     pub fn clustered(exponent: f64, pool: usize, spread_secs: f64) -> Self {
         TrafficShape {
@@ -230,15 +225,18 @@ pub fn skewed_batch(
     queries
 }
 
-/// Sweeps batch size × traffic shape, timing [`BatchStrategy::Shared`]
-/// against `Independent` on identical batches.
+/// Sweeps batch size × traffic shape, timing [`VenueServer::query_batch`]
+/// against per-query execution on identical batches.
 ///
-/// Both servers run ITG/A with [`ItspqConfig::full_relax`] (the policy
-/// under which sharing is answer-preserving) in [`AsynMode::Exact`] with
-/// `workers` threads; answers are asserted equal on the warm-up pass of
-/// every point, so the timed deltas are pure execution-plan effects. The
-/// two servers alternate batch by batch, and which runs first flips each
-/// round, so drift while a point runs lands on both rows alike.
+/// One server runs ITG/A with [`ItspqConfig::full_relax`] (the policy under
+/// which batches share searches) in [`AsynMode::Exact`] with `workers`
+/// threads. The per-query row runs each query through
+/// [`VenueServer::query`] on [`fan_out`] with the server's worker count;
+/// the shared row runs the batch. Answers are asserted equal on the
+/// warm-up pass of every point, so the timed deltas are execution effects:
+/// sharing, and the batch path's own plan and scatter. The two rows
+/// alternate batch by batch, and which runs first flips each round, so
+/// drift while a point runs lands on both rows alike.
 #[must_use]
 pub fn sharing_sweep(
     graph: &Arc<ItGraph>,
@@ -249,58 +247,54 @@ pub fn sharing_sweep(
     delta: f64,
 ) -> Vec<SharingPoint> {
     let repeats = repeats.max(1);
-    // Independent first: its row is the reference the shared row is checked
-    // and scored against.
-    let servers = [BatchStrategy::Independent, BatchStrategy::Shared].map(|strategy| {
-        let config = ServerConfig {
-            workers,
-            method: ServeMethod::Asyn,
-            strategy,
-            itspq: ItspqConfig::full_relax().with_asyn_mode(AsynMode::Exact),
-            ..ServerConfig::default()
-        };
-        let server = VenueServer::with_config(Arc::clone(graph), config);
-        server.warm();
-        server
-    });
+    let config = ServerConfig {
+        workers,
+        method: ServeMethod::Asyn,
+        itspq: ItspqConfig::full_relax().with_asyn_mode(AsynMode::Exact),
+        ..ServerConfig::default()
+    };
+    let server = VenueServer::with_config(Arc::clone(graph), config);
+    server.warm();
+    let pool = server.config().effective_workers();
+    // Row 0, the reference the shared row is checked and scored against,
+    // runs each query on its own on the server's pool; row 1 runs the batch.
+    let rows = ["per-query", "shared"];
+    let run = |row: usize, batch: &[Query]| {
+        if row == 0 {
+            fan_out(batch.len(), pool, |i| server.query(&batch[i]))
+        } else {
+            server.query_batch(batch)
+        }
+    };
 
-    let mut points = Vec::with_capacity(servers.len() * batch_sizes.len() * shapes.len());
+    let mut points = Vec::with_capacity(rows.len() * batch_sizes.len() * shapes.len());
     for &shape in shapes {
         for (i, &size) in batch_sizes.iter().enumerate() {
             let batch = skewed_batch(graph, size, shape, delta, 0xB47C4 + i as u64);
-            let reference = servers[0].query_batch(&batch);
-            for server in &servers {
-                // Untimed warm-up doubling as the answer-parity check.
-                let answers = server.query_batch(&batch);
-                for (x, y) in answers.iter().zip(&reference) {
-                    assert_eq!(
-                        x.path.as_ref().map(|p| p.length),
-                        y.path.as_ref().map(|p| p.length),
-                        "{} diverged from independent execution",
-                        strategy_label(server.config().strategy),
-                    );
-                }
+            // Untimed warm-up doubling as the answer-parity check.
+            for (x, y) in run(1, &batch).iter().zip(&run(0, &batch)) {
+                assert_eq!(x.path, y.path, "shared diverged from per-query execution");
             }
             let mut secs = [Vec::with_capacity(repeats), Vec::with_capacity(repeats)];
             for round in 0..repeats {
                 for k in [round % 2, 1 - round % 2] {
-                    secs[k].push(time_batch(&servers[k], &batch));
+                    secs[k].push(time_batch(|b| run(k, b), &batch));
                 }
             }
             let secs = secs.map(Distribution::of);
-            let independent_qps = qps(batch.len(), secs[0].p50);
-            for (server, batch_secs) in servers.iter().zip(secs) {
-                let plan = server.plan(&batch, false);
+            let per_query_qps = qps(batch.len(), secs[0].p50);
+            let searches = [batch.len(), server.plan(&batch, false).searches()];
+            for ((label, batch_secs), searches) in rows.into_iter().zip(secs).zip(searches) {
                 let qps = qps(batch.len(), batch_secs.p50);
                 points.push(SharingPoint {
-                    strategy: strategy_label(server.config().strategy),
+                    strategy: label,
                     batch_size: batch.len(),
                     skew: shape.label.to_string(),
-                    searches: plan.searches(),
-                    sharing_ratio: plan.searches() as f64 / batch.len().max(1) as f64,
+                    searches,
+                    sharing_ratio: searches as f64 / batch.len().max(1) as f64,
                     batch_secs,
                     qps,
-                    speedup: qps / independent_qps,
+                    speedup: qps / per_query_qps,
                 });
             }
         }
@@ -453,11 +447,11 @@ mod tests {
             1,
             600.0,
         );
-        assert_eq!(points.len(), 2, "one independent and one shared row");
-        let independent = &points[0];
-        assert_eq!(independent.strategy, "independent");
-        assert!((independent.sharing_ratio - 1.0).abs() < 1e-12);
-        assert!((independent.speedup - 1.0).abs() < 1e-12);
+        assert_eq!(points.len(), 2, "one per-query and one shared row");
+        let per_query = &points[0];
+        assert_eq!(per_query.strategy, "per-query");
+        assert!((per_query.sharing_ratio - 1.0).abs() < 1e-12);
+        assert!((per_query.speedup - 1.0).abs() < 1e-12);
         let shared = &points[1];
         assert_eq!(shared.strategy, "shared");
         assert!(
@@ -469,7 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn clustered_traffic_plans_as_independent_under_shared() {
+    fn clustered_traffic_plans_one_search_per_query() {
         let w = Workload::with_mall(MallConfig::single_floor(), 4);
         let points = sharing_sweep(
             &w.graph,

@@ -155,7 +155,21 @@ fn an_out_of_range_flag_is_an_error_not_a_panic() {
         args.extend(extra);
         args
     };
-    let cases: [(Vec<&str>, &str); 9] = [
+    let profile = |step: &'static str| {
+        vec![
+            "profile",
+            venue.as_str(),
+            "--from",
+            "1:1.0,1.0",
+            "--to",
+            "59:470.0,525.0",
+            "--window",
+            "10:00-10:05",
+            "--step",
+            step,
+        ]
+    };
+    let cases: [(Vec<&str>, &str); 16] = [
         (
             vec!["generate", "--floors", "0", "--out", &out],
             "bad --floors",
@@ -192,6 +206,24 @@ fn an_out_of_range_flag_is_an_error_not_a_panic() {
         (query(["--wait", "soon"]), "bad --wait `soon`"),
         // It used to answer as `--k 1`.
         (query(["--k", "0"]), "bad --k `0`"),
+        // These used to answer with ITG/S.
+        (query(["--method", "foo"]), "bad --method `foo`"),
+        (query(["--metod", "asyn"]), "`query` takes no flag --metod"),
+        // These used to run at a 1 s step.
+        (
+            profile("NaN"),
+            "bad --step NaN: duration must be finite and non-negative",
+        ),
+        (profile("-5"), "bad --step -5"),
+        (profile("soon"), "bad --step `soon`"),
+        (
+            vec!["stats", &venue, "--origin", "3"],
+            "`stats` takes no flag --origin",
+        ),
+        (
+            vec!["generate", "--floor", "2", "--out", &out],
+            "`generate` takes no flag --floor",
+        ),
     ];
     for (args, why) in cases {
         let run = itspq(&args);

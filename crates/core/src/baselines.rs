@@ -17,7 +17,9 @@ use indoor_time::Timestamp;
 
 use crate::framework::{run_search, TvChecker};
 use crate::heap::{MinHeap, Node};
-use crate::{DoorHop, ItGraph, ItspqConfig, Path, Query, QueryResult, SearchStats};
+use crate::{
+    known_partition, DoorHop, ItGraph, ItspqConfig, Path, Query, QueryResult, SearchStats,
+};
 
 /// A checker that accepts every door (temporal-oblivious baseline).
 pub(crate) struct StaticChecker<'a> {
@@ -108,6 +110,9 @@ pub fn door_distances(graph: &ItGraph, source: &IndoorPoint) -> Vec<f64> {
     let allowed =
         |v: PartitionId| -> bool { v == source.partition || space.partition(v).kind.traversable() };
 
+    if !known_partition(space, source.partition) {
+        return dist;
+    }
     for &d in space.p2d_leaveable(source.partition) {
         if let Some(w) = space.point_to_door(source, d) {
             if w < dist[d.index()] {
@@ -163,6 +168,9 @@ pub fn exhaustive_shortest(
     let src = query.source;
     let dst = query.target;
 
+    if !known_partition(space, src.partition) || !known_partition(space, dst.partition) {
+        return None;
+    }
     if src.partition == dst.partition {
         let length = src.position.distance(dst.position);
         return Some(Path {

@@ -64,7 +64,9 @@ use indoor_time::{TimeOfDay, Timestamp};
 
 use crate::heap::{MinHeap, Node};
 use crate::landmarks::Bound;
-use crate::{DoorHop, ExpandPolicy, ItGraph, ItspqConfig, Path, Query, SearchStats};
+use crate::{
+    known_partition, DoorHop, ExpandPolicy, ItGraph, ItspqConfig, Path, Query, SearchStats,
+};
 
 /// How many doors an eligible sweep settles in Dijkstra's order before it
 /// switches to landmark order ([`run_search_targets`]). A short query ends
@@ -574,9 +576,14 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
         targets.len()
     ];
     // Pending targets sorted by partition: a settled door finds the targets
-    // it enters through its own `d2p_enterable` list.
+    // it enters through its own `d2p_enterable` list. An endpoint in a
+    // partition the venue lacks leaves its target at "no such routes".
+    let known_source = known_partition(space, src_p);
     let mut by_partition: Vec<(PartitionId, u32)> = Vec::new();
     for (k, target) in targets.iter().enumerate() {
+        if !known_source || !known_partition(space, target.partition) {
+            continue;
+        }
         if target.partition == src_p {
             paths[k] = Some(direct_path(source, target, config, t0));
         } else {
@@ -585,7 +592,7 @@ pub(crate) fn run_search_targets<'a, C: TvChecker<'a>>(
     }
     by_partition.sort_unstable();
     let pending = by_partition.len();
-    if pending == 0 && !targets.is_empty() {
+    if !known_source || (pending == 0 && !targets.is_empty()) {
         checker.account(&mut stats);
         return Sweep {
             paths,

@@ -17,7 +17,7 @@ use indoor_space::DoorId;
 use crate::engine_syn::SynChecker;
 use crate::framework::{direct_path, run_search_targets, Seed, SweepObserver};
 use crate::ord::cmp_dist;
-use crate::{ExpandPolicy, ItGraph, ItspqConfig, Path, Query};
+use crate::{known_partition, ExpandPolicy, ItGraph, ItspqConfig, Path, Query};
 
 /// Computes up to `k` shortest valid paths, ordered by increasing length.
 /// Paths are distinct as door sequences. Uses full Dijkstra relaxation
@@ -30,7 +30,11 @@ pub fn k_shortest_paths(
     config: &ItspqConfig,
     k: usize,
 ) -> Vec<Path> {
-    if k == 0 {
+    let space = graph.space();
+    if k == 0
+        || !known_partition(space, query.source.partition)
+        || !known_partition(space, query.target.partition)
+    {
         return Vec::new();
     }
     if query.source.partition == query.target.partition {

@@ -121,6 +121,7 @@ pub use engine_syn::SynEngine;
 pub use graph::ItGraph;
 pub use ksp::k_shortest_paths;
 pub use ord::{cmp_dist, cmp_opt_len, min_dist, OrdF64};
+pub(crate) use query::known_partition;
 pub use query::{DoorHop, Path, Query, QueryError, QueryOutcome, QueryResult};
 pub use reduced::ReducedGraph;
 pub use server::{BatchPlan, BatchStrategy, ServeMethod, ServerConfig, VenueServer};

@@ -19,7 +19,7 @@ use indoor_time::{TimeOfDay, Timestamp};
 use crate::engine_syn::SynChecker;
 use crate::framework::{run_search, run_search_targets, SweepObserver};
 use crate::ord::min_dist;
-use crate::{ExpandPolicy, ItGraph, ItspqConfig, Path, SearchStats};
+use crate::{known_partition, ExpandPolicy, ItGraph, ItspqConfig, Path, SearchStats};
 
 /// The result of a one-to-many sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,9 +112,12 @@ pub fn paths_to_many(
     };
 
     // Targets the shared frontier cannot carry (private/outdoor partitions
-    // away from the source) run as one-target sweeps of their own.
+    // away from the source, and partitions the venue lacks) run as
+    // one-target sweeps of their own.
     let sharable = |t: &IndoorPoint| {
-        t.partition == source.partition || space.partition(t.partition).kind.traversable()
+        t.partition == source.partition
+            || (known_partition(space, t.partition)
+                && space.partition(t.partition).kind.traversable())
     };
     let shared_targets: Vec<IndoorPoint> = targets.iter().copied().filter(sharable).collect();
     // (A sweep without targets would map the whole venue: skip it.)
@@ -169,6 +172,15 @@ pub fn reachability(
     config: &ItspqConfig,
 ) -> ReachabilityMap {
     let space = graph.space();
+    let mut partition_distance = vec![f64::INFINITY; space.num_partitions()];
+    if !known_partition(space, source.partition) {
+        return ReachabilityMap {
+            source,
+            time,
+            door_distance: vec![f64::INFINITY; space.num_doors()],
+            partition_distance,
+        };
+    }
     let mut checker = SynChecker {
         space,
         velocity: config.velocity,
@@ -188,7 +200,6 @@ pub fn reachability(
     .door_dist;
 
     // Partition distances: best open enterable door.
-    let mut partition_distance = vec![f64::INFINITY; space.num_partitions()];
     partition_distance[source.partition.index()] = 0.0;
     for (pi, pd) in partition_distance.iter_mut().enumerate() {
         if pi == source.partition.index() {

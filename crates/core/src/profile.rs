@@ -66,7 +66,8 @@ impl Profile {
 ///
 /// Samples every checkpoint inside the window plus the window edges, then
 /// bisects any neighbouring pair that disagrees (different feasibility or a
-/// length jump above 1 mm) until the gap is below `resolution`.
+/// length jump above 1 mm) until the gap is below `resolution`. A window
+/// that ends before it starts holds no departure: its profile is empty.
 #[must_use]
 pub fn departure_profile(
     graph: &ItGraph,
@@ -77,7 +78,9 @@ pub fn departure_profile(
     resolution: DurationSecs,
     config: &ItspqConfig,
 ) -> Profile {
-    assert!(from <= to, "window must be ordered");
+    if to < from {
+        return Profile { points: Vec::new() };
+    }
     let engine = SynEngine::new(graph.clone(), *config);
     let probe = |t: TimeOfDay| -> ProfilePoint {
         let res = engine.query(&Query::new(source, target, t));

@@ -97,7 +97,7 @@ impl Query {
             if !x.is_finite() || !y.is_finite() {
                 return Err(QueryError::NonFinitePosition { endpoint, x, y });
             }
-            if p.partition.index() >= n {
+            if !known_partition(space, p.partition) {
                 return Err(QueryError::UnknownPartition {
                     endpoint,
                     index: p.partition.index(),
@@ -107,6 +107,13 @@ impl Query {
         }
         Ok(())
     }
+}
+
+/// Whether `space` has partition `p`. A point in a partition the venue
+/// lacks is on no route: [`Query::validate`] refuses it, and every search
+/// entry point answers it with its no-route value.
+pub(crate) fn known_partition(space: &IndoorSpace, p: PartitionId) -> bool {
+    p.index() < space.num_partitions()
 }
 
 /// One door crossing of a path.

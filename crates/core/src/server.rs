@@ -43,8 +43,9 @@
 //! assert!(answers[1].path.is_none());
 //! ```
 
+use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use indoor_space::{fan_out, IndoorPoint, PartitionId};
 
@@ -70,27 +71,24 @@ pub enum ServeMethod {
     Asyn,
 }
 
-/// How [`VenueServer::query_batch`] executes a batch.
+/// How [`VenueServer::query_batch`] executes a batch: there is one way.
 ///
-/// Both strategies answer byte-identically: `Shared` derives a member's
-/// answer from its group's search (verbatim or retimed) only where that is
-/// exact, and a member the retime certificate refuses falls back to its own
-/// per-query search (see `ARCHITECTURE.md` §Shared execution).
+/// The planner groups queries that leave the same source point (partition
+/// and position bits) inside one [`indoor_time::CheckpointSet`] interval —
+/// the span in which every door's open/closed label is constant — and
+/// answers each ≥ 2-member group from one multi-target search by its
+/// earliest-departing member, the *lead*. Members departing with the lead
+/// take their answer verbatim; later ones get the lead's path retimed when
+/// their target shares the source's partition or their shift clears a
+/// margin certificate, and a member the certificate refuses runs its own
+/// search. Every other query runs its own search. A batch answers exactly
+/// as per-query execution does (see `ARCHITECTURE.md` §Shared execution).
+///
+/// The type and its one variant stay only because the serving benchmark
+/// (`servebench`) names them; the library never reads them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchStrategy {
-    /// One search per query, exactly as submitted.
-    Independent,
-    /// Group queries that leave the same source point (partition and
-    /// position bits) inside one [`indoor_time::CheckpointSet`] interval —
-    /// the span in which every door's open/closed label is constant — and
-    /// answer each ≥ 2-member group from one multi-target search by its
-    /// earliest-departing member, the *lead*. Members departing with the
-    /// lead take their answer verbatim; later ones get the lead's path
-    /// retimed when their target shares the source's partition or their
-    /// shift clears a margin certificate, and a member the certificate
-    /// refuses runs its own search. Queries from other points of the
-    /// partition, singleton groups and shared-ineligible queries run per
-    /// query.
+    /// Shared execution, the only batch path.
     Shared,
 }
 
@@ -110,7 +108,8 @@ pub struct ServerConfig {
     pub pin_workers: bool,
     /// Which engine answers queries.
     pub method: ServeMethod,
-    /// How batches are executed.
+    /// Unread: batches have one execution path ([`BatchStrategy`]). The
+    /// field stays because the serving benchmark (`servebench`) sets it.
     pub strategy: BatchStrategy,
     /// Engine configuration shared by both methods.
     pub itspq: ItspqConfig,
@@ -134,9 +133,9 @@ impl ServerConfig {
 impl Default for ServerConfig {
     /// Workers follow the machine (capped at 8); the method is ITG/A in
     /// [`AsynMode::Exact`] — identical answers to ITG/S, but sharing the
-    /// reduced-graph cache across queries and workers. The strategy is
-    /// [`BatchStrategy::Shared`]: inert under the default `PaperPruned`
-    /// expansion (sharing requires `FullRelax`), free speedup otherwise.
+    /// reduced-graph cache across queries and workers. Batches share
+    /// searches only under `FullRelax`, so under the default `PaperPruned`
+    /// expansion every query runs its own search.
     fn default() -> Self {
         ServerConfig {
             workers: default_workers(),
@@ -152,13 +151,16 @@ impl Default for ServerConfig {
 /// parallelism, capped at 8.
 #[must_use]
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
+    host_parallelism().min(8)
 }
 
-/// The host's available parallelism (1 when it cannot be determined).
+/// The host's available parallelism (1 when it cannot be determined), read
+/// once per process: every batch asks, and on Linux the answer reads the
+/// cgroup files, ~20 µs a call.
 #[must_use]
 pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// A shared-venue query server: owns one `Arc<ItGraph>`, shares the ITG/A
@@ -215,13 +217,6 @@ impl VenueServer {
     #[must_use]
     pub fn with_method(mut self, method: ServeMethod) -> Self {
         self.config.method = method;
-        self
-    }
-
-    /// Returns the server with the batch strategy replaced.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: BatchStrategy) -> Self {
-        self.config.strategy = strategy;
         self
     }
 
@@ -283,11 +278,10 @@ impl VenueServer {
     /// Answers a batch of queries on up to [`ServerConfig::workers`] threads,
     /// the calling thread among them, returning results in input order.
     ///
-    /// Under [`BatchStrategy::Shared`] the batch is first planned into work
-    /// items — shared groups and per-query fallbacks (see [`plan`]) — and
-    /// [`fan_out`]'s workers pull *items* off a shared atomic counter; under
-    /// [`BatchStrategy::Independent`] every item is one query. Either way the
-    /// answers are the same and independent of the worker count and of
+    /// The batch is first planned into work items — shared groups and
+    /// per-query searches (see [`plan`]) — and [`fan_out`]'s workers pull
+    /// *items* off a shared atomic counter. The answers are those of
+    /// per-query execution, independent of the worker count and of
     /// scheduling (the only shared mutable state, the reduced-graph cache,
     /// affects timing, never answers).
     ///
@@ -338,72 +332,64 @@ impl VenueServer {
     /// dashboards; [`VenueServer::query_batch`] calls it internally.
     ///
     /// A query joins a shared group only when every sharing precondition
-    /// holds (strategy, `FullRelax` expansion, validity, traversable-or-same
-    /// target partition — see [`BatchStrategy`]); groups are keyed by source
+    /// holds (`FullRelax` expansion, validity, traversable-or-same target
+    /// partition — see [`BatchStrategy`]); groups are keyed by source
     /// partition, the departure's checkpoint interval and the source
     /// position's bits. One sort of `(key, index)` pairs brings each key's
-    /// queries together in input order. Per-query items come first, in input
-    /// order, then one item per key in the order of its first query. A key
-    /// with a single query is a per-query item, so a plan's groups always
+    /// queries together in input order. Every item is filed at its first
+    /// query's slot, so items run in first-query order: a batch in which
+    /// no key repeats plans one item per query, in input order. A key with
+    /// a single query is a per-query item, so a plan's groups always
     /// amortise at least two queries. Each group's first member — its
     /// *lead*, whose search the others derive from — is rotated to the
     /// earliest departure so every member's time shift is ≥ 0.
     #[must_use]
     pub fn plan(&self, queries: &[Query], reject_malformed: bool) -> BatchPlan {
         let space = self.graph.space();
-        let sharing = self.config.strategy == BatchStrategy::Shared
-            && self.config.itspq.expand == ExpandPolicy::FullRelax;
+        let sharing = self.config.itspq.expand == ExpandPolicy::FullRelax;
 
-        let mut items: Vec<WorkItem> = Vec::with_capacity(queries.len());
+        // A query's slot holds its own item, or nothing while it waits for
+        // its key's run.
+        let mut slots: Vec<Option<WorkItem>> = Vec::with_capacity(queries.len());
         let mut keyed: Vec<(GroupKey, usize)> = Vec::with_capacity(queries.len());
         for (i, q) in queries.iter().enumerate() {
-            match q.validate(space) {
-                Err(e) if reject_malformed => {
-                    items.push(WorkItem::Rejected(i, e));
-                    continue;
-                }
-                Err(_) => {
-                    // Raw mode: run it unvalidated like `query` would, but
-                    // never share it (a NaN source would alias distinct
-                    // searches).
-                    items.push(WorkItem::Single(i));
-                    continue;
-                }
-                Ok(()) => {}
-            }
             let tp = q.target.partition;
-            let sharable =
-                sharing && (tp == q.source.partition || space.partition(tp).kind.traversable());
-            if !sharable {
-                items.push(WorkItem::Single(i));
-                continue;
-            }
-            let interval = space.checkpoints().interval_index(q.time);
-            keyed.push(((q.source.partition, interval, pos_bits(q)), i));
+            slots.push(match q.validate(space) {
+                Err(e) if reject_malformed => Some(WorkItem::Rejected(i, e)),
+                // Raw mode: run it unvalidated like `query` would, but never
+                // share it (a NaN source would alias distinct searches).
+                Err(_) => Some(WorkItem::Single(i)),
+                Ok(())
+                    if sharing
+                        && (tp == q.source.partition || space.partition(tp).kind.traversable()) =>
+                {
+                    let interval = space.checkpoints().interval_index(q.time);
+                    keyed.push(((q.source.partition, interval, pos_bits(q)), i));
+                    None
+                }
+                Ok(()) => Some(WorkItem::Single(i)),
+            });
         }
 
         // The sorted indices are the plan's `members` arena: each key's run
-        // is one range of it. A run is filed under its first query, so the
-        // items follow first-query order whatever the keys' order.
+        // is one range of it, filed at the slot of its first query.
         keyed.sort_unstable();
         let mut members: Vec<usize> = keyed.iter().map(|&(_, i)| i).collect();
-        let mut run_at: Vec<Option<Range<usize>>> = vec![None; queries.len()];
         let mut start = 0;
         for run in keyed.chunk_by(|a, b| a.0 == b.0) {
-            run_at[run[0].1] = Some(start..start + run.len());
-            start += run.len();
-        }
-        for run in run_at.into_iter().flatten() {
-            if run.len() == 1 {
-                items.push(WorkItem::Single(members[run.start]));
+            let first = run[0].1;
+            let range = start..start + run.len();
+            start = range.end;
+            slots[first] = Some(if run.len() == 1 {
+                WorkItem::Single(first)
             } else {
-                rotate_earliest_lead(queries, &mut members[run.clone()]);
-                items.push(WorkItem::Group(run));
-            }
+                rotate_earliest_lead(queries, &mut members[range.clone()]);
+                WorkItem::Group(range)
+            });
         }
         BatchPlan {
             queries: queries.len(),
-            items,
+            items: slots.into_iter().flatten().collect(),
             members,
         }
     }
@@ -938,18 +924,58 @@ mod tests {
     }
 
     #[test]
-    fn shared_answers_are_byte_identical_to_independent() {
+    fn shared_answers_are_byte_identical_to_per_query() {
         let ex = paper_example::build();
-        let shared = sharing_server(&ex).with_pinned_workers(3);
-        let mut config = *shared.config();
-        config.strategy = BatchStrategy::Independent;
-        let independent = VenueServer::with_config(ItGraph::shared(ex.space.clone()), config);
-        let batch = skewed_batch(&ex);
-        let a = shared.query_batch(&batch);
-        let b = independent.query_batch(&batch);
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(x.path, y.path, "paths diverge at batch index {i}");
-        }
+        assert_parity(
+            &sharing_server(&ex).with_pinned_workers(3),
+            &skewed_batch(&ex),
+        );
+    }
+
+    /// Each item of `plan` as the input indices it answers, in plan order.
+    fn item_queries(plan: &BatchPlan) -> Vec<Vec<usize>> {
+        plan.items
+            .iter()
+            .map(|item| match item {
+                WorkItem::Single(i) | WorkItem::Rejected(i, _) => vec![*i],
+                WorkItem::Group(members) => plan.members[members.clone()].to_vec(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn items_run_in_first_query_order() {
+        let ex = paper_example::build();
+        let server = sharing_server(&ex);
+        let nine = TimeOfDay::hm(9, 0);
+        let private = indoor_space::IndoorPoint::new(ex.v(15), indoor_geom::Point::new(5.0, 0.0));
+        // A private target after a sharable single, and a group whose first
+        // member comes after both.
+        let batch = vec![
+            Query::new(ex.p1, ex.p2, TimeOfDay::hm(12, 0)),
+            Query::new(ex.p3, private, nine),
+            Query::new(ex.p3, ex.p4, nine),
+            Query::new(ex.p2, ex.p3, TimeOfDay::hm(12, 0)),
+            Query::new(ex.p3, ex.p2, nine),
+        ];
+        let plan = server.plan(&batch, false);
+        assert_eq!(item_queries(&plan), [vec![0], vec![1], vec![2, 4], vec![3]]);
+        // Where nothing groups, the plan is one search per query in input
+        // order, malformed and non-sharable queries included.
+        let nan =
+            indoor_space::IndoorPoint::new(ex.p3.partition, indoor_geom::Point::new(f64::NAN, 2.0));
+        let mut lone = batch[..4].to_vec();
+        lone.push(Query::new(nan, ex.p4, nine));
+        let singles = |n: usize| (0..n).map(WorkItem::Single).collect::<Vec<_>>();
+        assert_eq!(server.plan(&lone, false).items, singles(lone.len()));
+        let pruned = VenueServer::new(ItGraph::shared(ex.space.clone()));
+        assert_eq!(pruned.plan(&batch, false).items, singles(batch.len()));
+        let rejecting = server.plan(&lone, true);
+        assert_eq!(
+            item_queries(&rejecting),
+            (0..lone.len()).map(|i| vec![i]).collect::<Vec<_>>()
+        );
+        assert!(matches!(rejecting.items[4], WorkItem::Rejected(4, _)));
     }
 
     #[test]
@@ -965,8 +991,8 @@ mod tests {
         assert_eq!(stats.views_built, server.cached_views());
     }
 
-    /// Compares a batch answered with `strategy` against per-query
-    /// `try_query` answers, byte-for-byte (Debug rendering keeps NaN total).
+    /// Compares a batch's answers against per-query `try_query` answers,
+    /// byte-for-byte (Debug rendering keeps NaN total).
     fn assert_parity(server: &VenueServer, batch: &[Query]) {
         let got = server.try_query_batch(batch);
         for (i, (q, g)) in batch.iter().zip(&got).enumerate() {
@@ -974,8 +1000,7 @@ mod tests {
             assert_eq!(
                 format!("{:?}", g.as_ref().map(|r| &r.path)),
                 format!("{:?}", want.as_ref().map(|r| &r.path)),
-                "strategy {:?} diverges from per-query at batch index {i}",
-                server.config().strategy,
+                "batch diverges from per-query at batch index {i}"
             );
         }
     }
@@ -1023,9 +1048,6 @@ mod tests {
         assert_eq!(plan.shared_groups(), 1);
         assert_eq!(plan.shared_queries(), 4);
         assert_eq!(plan.searches(), 2);
-        // Independent execution plans one search per query.
-        let independent = sharing_server(&ex).with_strategy(BatchStrategy::Independent);
-        assert_eq!(independent.plan(&batch, false).searches(), batch.len());
     }
 
     #[test]
@@ -1061,17 +1083,19 @@ mod tests {
     }
 
     #[test]
-    fn both_strategies_keep_consistent_books() {
+    fn sharing_and_pruned_servers_keep_consistent_books() {
         let ex = paper_example::build();
         let mut batch = skewed_batch(&ex);
         batch.extend(door_batch(&ex));
         batch.extend(interval_batch(&ex));
-        for strategy in [BatchStrategy::Independent, BatchStrategy::Shared] {
-            let server = sharing_server(&ex).with_strategy(strategy);
+        // The default `PaperPruned` server shares nothing.
+        let pruned = VenueServer::new(ItGraph::shared(ex.space.clone()));
+        for server in [sharing_server(&ex), pruned] {
             let (_, stats) = server.query_batch_with_stats(&batch);
             assert!(
                 stats.is_consistent(),
-                "strategy {strategy:?} broke the accounting identity: {stats}"
+                "{:?} broke the accounting identity: {stats}",
+                server.config().itspq.expand
             );
             assert_parity(&server, &batch);
         }

@@ -109,8 +109,9 @@ impl std::fmt::Display for SearchStats {
 pub struct BatchStats {
     /// Queries in the batch (malformed ones included).
     pub queries: usize,
-    /// Physical searches executed: shared groups plus per-query fallbacks.
-    /// Equal to `queries` under [`crate::BatchStrategy::Independent`].
+    /// Physical searches executed: shared groups plus per-query searches.
+    /// Equal to `queries - rejected` when nothing groups, as under
+    /// `PaperPruned` expansion.
     pub groups: usize,
     /// Queries answered by a shared (≥ 2 member) group frontier.
     pub shared_queries: usize,

@@ -11,7 +11,7 @@ use indoor_space::{DoorId, IndoorPoint, PartitionId};
 use indoor_time::{DurationSecs, Timestamp};
 
 use crate::heap::{MinHeap, Node};
-use crate::{ItGraph, ItspqConfig, Query};
+use crate::{known_partition, ItGraph, ItspqConfig, Query};
 
 /// How long the traveller tolerates waiting at a single door.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,6 +88,9 @@ pub fn earliest_arrival(
     let src = query.source;
     let dst = query.target;
 
+    if !known_partition(space, src.partition) || !known_partition(space, dst.partition) {
+        return None;
+    }
     if src.partition == dst.partition {
         let length = src.position.distance(dst.position);
         return Some(TimedPath {

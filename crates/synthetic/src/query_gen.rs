@@ -37,7 +37,7 @@ pub enum SourceDistribution {
     /// Like [`SourceDistribution::Zipf`], but each draw yields a *fresh*
     /// random point inside the ranked anchor's partition instead of the
     /// anchor point itself: sources cluster by partition without being
-    /// bit-identical, so `BatchStrategy::Shared`, which groups by source
+    /// bit-identical, so a `VenueServer` batch, which groups by source
     /// point, runs each of them as a search of its own.
     ZipfNear {
         /// Skew exponent `s ≥ 0` over the anchor ranks.

@@ -74,8 +74,7 @@ pub mod prelude {
         WALKING_SPEED,
     };
     pub use itspq_core::{
-        AsynEngine, AsynMode, BatchStats, BatchStrategy, DoorHop, ExpandPolicy, ItGraph,
-        ItspqConfig, Path, Query, QueryError, QueryOutcome, SearchStats, ServeMethod, ServerConfig,
-        SynEngine, VenueServer,
+        AsynEngine, AsynMode, BatchStats, DoorHop, ExpandPolicy, ItGraph, ItspqConfig, Path, Query,
+        QueryError, QueryOutcome, SearchStats, ServeMethod, ServerConfig, SynEngine, VenueServer,
     };
 }

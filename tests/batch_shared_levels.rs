@@ -22,18 +22,15 @@
 //! A second group of tests pins the planner's key (one source point and
 //! checkpoint interval per group) and the `BatchStats` bookkeeping
 //! invariants: the accounting identity, view-count monotonicity versus
-//! independent execution, and worker-count independence of the whole
-//! report.
+//! per-query execution, and worker-count independence of the whole report.
 
-use itspq_repro::core::server::BatchStrategy;
 use itspq_repro::core::{AsynMode, QueryResult};
 use itspq_repro::prelude::*;
 use itspq_repro::space::{paper_example, Connection};
 
-/// A paper-example server with sharing engaged (FullRelax) under `strategy`.
-fn server(ex: &paper_example::PaperExample, strategy: BatchStrategy) -> VenueServer {
+/// A paper-example server with sharing engaged (FullRelax).
+fn server(ex: &paper_example::PaperExample) -> VenueServer {
     let config = ServerConfig {
-        strategy,
         itspq: ItspqConfig::full_relax().with_asyn_mode(AsynMode::Exact),
         ..ServerConfig::default()
     };
@@ -64,7 +61,7 @@ fn source_exactly_on_a_door_matches_per_query() {
     // Two queries whose source sits bitwise on d18's position: their group's
     // source leg to d18 is exactly 0.0 long.
     let ex = paper_example::build();
-    let srv = server(&ex, BatchStrategy::Shared);
+    let srv = server(&ex);
     let on_door = IndoorPoint::new(ex.p3.partition, ex.space.door(ex.d(18)).position);
     let nine = TimeOfDay::hm(9, 0);
     let batch = vec![
@@ -91,7 +88,7 @@ fn lead_with_zero_length_source_leg_matches_per_query() {
     // d18, so its sweep's source leg to d18 is 0.0 long, and its 9:45 member
     // is retimed from that sweep.
     let ex = paper_example::build();
-    let srv = server(&ex, BatchStrategy::Shared);
+    let srv = server(&ex);
     let on_door = IndoorPoint::new(ex.p3.partition, ex.space.door(ex.d(18)).position);
     let batch = vec![
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 30)),
@@ -112,7 +109,7 @@ fn source_door_sealed_at_departure_matches_per_query() {
     // rejects relaxations and finds genuine no-routes; the members from the
     // other p3 point must reach the identical verdicts.
     let ex = paper_example::build();
-    let srv = server(&ex, BatchStrategy::Shared);
+    let srv = server(&ex);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let night = TimeOfDay::hm(23, 30);
     let batch = vec![
@@ -148,29 +145,35 @@ fn mixed_batch(ex: &paper_example::PaperExample) -> Vec<Query> {
 
 #[test]
 fn stats_invariants_hold_at_every_level() {
+    // A sharing server, and the default `PaperPruned` one, which plans one
+    // search per query.
     let ex = paper_example::build();
-    for strategy in [BatchStrategy::Independent, BatchStrategy::Shared] {
-        let srv = server(&ex, strategy);
+    let pruned = VenueServer::new(ItGraph::shared(ex.space.clone()));
+    for srv in [server(&ex), pruned] {
         let (_, stats) = srv.query_batch_with_stats(&mixed_batch(&ex));
         assert!(
             stats.is_consistent(),
-            "{strategy:?} broke groups + frontier_reuses == queries - rejected: {stats}"
+            "{:?} broke groups + frontier_reuses == queries - rejected: {stats}",
+            srv.config().itspq.expand
         );
         assert!(stats.replayed + stats.retimed <= stats.frontier_reuses);
     }
 }
 
 #[test]
-fn shared_views_never_exceed_independent_views() {
+fn shared_views_never_exceed_per_query_views() {
     let ex = paper_example::build();
-    let (_, independent) =
-        server(&ex, BatchStrategy::Independent).query_batch_with_stats(&mixed_batch(&ex));
-    let (_, shared) = server(&ex, BatchStrategy::Shared).query_batch_with_stats(&mixed_batch(&ex));
+    let batch = mixed_batch(&ex);
+    let per_query_server = server(&ex);
+    let per_query: usize = batch
+        .iter()
+        .map(|q| per_query_server.query(q).stats.views_built)
+        .sum();
+    let (_, shared) = server(&ex).query_batch_with_stats(&batch);
     assert!(
-        shared.views_built <= independent.views_built,
-        "shared built {} views, independent built {}",
-        shared.views_built,
-        independent.views_built
+        shared.views_built <= per_query,
+        "shared built {} views, per-query execution built {per_query}",
+        shared.views_built
     );
 }
 
@@ -181,10 +184,10 @@ fn assert_worker_independent(ex: &paper_example::PaperExample, batch: &[Query]) 
     // Pinned so the 4-worker run really threads even on a 1-core host;
     // timings are measured wall-clock and are the one legitimately
     // nondeterministic part of the report, so compare them zeroed.
-    let (r1, s1) = server(ex, BatchStrategy::Shared)
+    let (r1, s1) = server(ex)
         .with_pinned_workers(1)
         .query_batch_with_stats(batch);
-    let (r4, s4) = server(ex, BatchStrategy::Shared)
+    let (r4, s4) = server(ex)
         .with_pinned_workers(4)
         .query_batch_with_stats(batch);
     assert_eq!(
@@ -238,7 +241,7 @@ fn warm_donor_fully_sealed_at_member_departure_matches_per_query() {
     // 23:30 lead's dead frontier and must reach the identical "no such
     // routes" verdict — or fall back — never a phantom route.
     let ex = paper_example::build();
-    let srv = server(&ex, BatchStrategy::Shared);
+    let srv = server(&ex);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let far = IndoorPoint::new(ex.p3.partition, indoor_geom_point(2.5, 0.5));
     let batch = vec![
@@ -270,7 +273,7 @@ fn warm_merged_singletons_donate_an_empty_frontier_delta() {
     // interval: they share a partition and an interval but no point, so no
     // frontier is donated and each runs its own search.
     let ex = paper_example::build();
-    let srv = server(&ex, BatchStrategy::Shared);
+    let srv = server(&ex);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let batch = vec![
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
@@ -296,7 +299,7 @@ fn warm_member_source_on_a_donated_settled_door_matches_per_query() {
     // source leg onto it; the answers must still be byte-for-byte
     // per-query.
     let ex = paper_example::build();
-    let srv = server(&ex, BatchStrategy::Shared);
+    let srv = server(&ex);
     let on_door = IndoorPoint::new(ex.p3.partition, ex.space.door(ex.d(18)).position);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let batch = vec![
@@ -322,7 +325,7 @@ fn warm_earlier_departing_seeded_member_matches_per_query() {
     // through the saturating-to-zero timestamp delta of an earlier
     // departure. Retime or fallback answer the 9:20 members, byte-for-byte.
     let ex = paper_example::build();
-    let srv = server(&ex, BatchStrategy::Shared);
+    let srv = server(&ex);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let far = IndoorPoint::new(ex.p3.partition, indoor_geom_point(2.5, 0.5));
     let batch = vec![
@@ -415,7 +418,7 @@ fn member_arriving_after_a_closing_takes_its_own_verdict() {
 #[test]
 fn groups_are_keyed_by_source_point() {
     let ex = paper_example::build();
-    let srv = server(&ex, BatchStrategy::Shared);
+    let srv = server(&ex);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let nine = TimeOfDay::hm(9, 0);
     // Two points of one partition at one instant: two singles.
@@ -450,8 +453,8 @@ fn plan_shape_is_a_pure_function_of_the_batch() {
     // reorder groups or rosters between processes.
     let ex = paper_example::build();
     let batch = mixed_batch(&ex);
-    let a = server(&ex, BatchStrategy::Shared).plan(&batch, false);
-    let b = server(&ex, BatchStrategy::Shared).plan(&batch, false);
+    let a = server(&ex).plan(&batch, false);
+    let b = server(&ex).plan(&batch, false);
     assert_eq!(
         format!("{a:?}"),
         format!("{b:?}"),

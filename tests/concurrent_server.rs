@@ -143,7 +143,6 @@ fn threads_submitting_overlapping_skewed_batches_stay_in_input_order() {
     let sharing_config = |workers| ServerConfig {
         workers,
         method: ServeMethod::Asyn,
-        strategy: BatchStrategy::Shared,
         itspq: ItspqConfig::full_relax(),
         ..ServerConfig::default()
     };

@@ -1,6 +1,6 @@
 //! Property-based parity pin for the shared-execution batch engine.
 //!
-//! The claim of [`BatchStrategy::Shared`] is that sharing is *invisible* in
+//! The claim of shared execution is that sharing is *invisible* in
 //! the answers: grouping queries by source point and checkpoint interval
 //! and answering each group from one multi-target frontier (verbatim, or
 //! retimed where the target shares the source's partition or the margin
@@ -21,7 +21,6 @@
 //! reference the whole way. Failures render compactly: the offending index
 //! and query plus outcome summaries, never whole venues or result dumps.
 
-use itspq_repro::core::server::BatchStrategy;
 use itspq_repro::core::{AsynMode, QueryResult};
 use itspq_repro::prelude::*;
 use itspq_repro::synthetic::{build_mall, HoursConfig, MallConfig, ShopHours};
@@ -213,13 +212,12 @@ fn outcome_kind(r: &Result<QueryResult, QueryError>) -> String {
     }
 }
 
-/// A server with sharing actually engaged (FullRelax) under `strategy`.
+/// A server with sharing actually engaged (FullRelax).
 fn sharing_server(
     graph: &ItGraph,
     method: ServeMethod,
     mode: AsynMode,
     workers: usize,
-    strategy: BatchStrategy,
 ) -> VenueServer {
     let config = ServerConfig {
         workers,
@@ -228,8 +226,8 @@ fn sharing_server(
         // have 4 threads even on a single-core CI host.
         pin_workers: true,
         method,
-        strategy,
         itspq: ItspqConfig::full_relax().with_asyn_mode(mode),
+        ..ServerConfig::default()
     };
     VenueServer::with_config(graph.clone(), config)
 }
@@ -249,7 +247,7 @@ proptest! {
         let (graph, pts) = venue_and_points(seed, 8);
         let mut batch = skewed_batch(&pts, seed, size, 2);
         inject_malformed(&mut batch, seed);
-        let server = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, workers, BatchStrategy::Shared);
+        let server = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, workers);
         let shared = server.try_query_batch(&batch);
         prop_assert_eq!(shared.len(), batch.len());
         for (i, (q, got)) in batch.iter().zip(&shared).enumerate() {
@@ -285,7 +283,7 @@ proptest! {
             (ServeMethod::Asyn, AsynMode::Exact),
             (ServeMethod::Asyn, AsynMode::Faithful),
         ] {
-            let server = sharing_server(&graph, method, mode, 2, BatchStrategy::Shared);
+            let server = sharing_server(&graph, method, mode, 2);
             let shared = server.try_query_batch(&batch);
             for (i, (q, got)) in batch.iter().zip(&shared).enumerate() {
                 let want = server.try_query(q).expect("batch is well-formed");
@@ -298,33 +296,32 @@ proptest! {
         }
     }
 
-    /// Answers are independent of the worker count and of the strategy:
-    /// `Shared` on any pool size equals `Independent` on one thread.
+    /// Raw batch answers are independent of the worker count: a batch on
+    /// any pool size equals per-query `query` answers.
     #[test]
-    fn worker_count_and_strategy_do_not_change_answers(
+    fn raw_batch_matches_per_query_on_any_worker_count(
         seed in 0u64..200,
         size in 1usize..20,
         workers in 2usize..6,
     ) {
         let (graph, pts) = venue_and_points(seed, 6);
         let mut batch = skewed_batch(&pts, seed, size, 3);
-        // NaN only: raw `query_batch` runs malformed queries unvalidated,
-        // which must degrade to no-route identically everywhere.
+        // Raw `query_batch` runs malformed queries unvalidated, which must
+        // degrade to no-route identically everywhere: a NaN source, and a
+        // source and a target in a partition the venue lacks.
         if size >= 3 {
+            let unknown = IndoorPoint::new(PartitionId(9_999), itspq_repro::geom::Point::new(1.0, 1.0));
             batch[0].source =
                 IndoorPoint::new(batch[0].source.partition, itspq_repro::geom::Point::new(f64::NAN, 1.0));
+            batch[1].source = unknown;
+            batch[2].target = unknown;
         }
-        let reference = {
-            let mut config = *sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 1, BatchStrategy::Shared).config();
-            config.strategy = BatchStrategy::Independent;
-            VenueServer::with_config(graph.clone(), config).query_batch(&batch)
-        };
-        let shared = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, workers, BatchStrategy::Shared)
-            .query_batch(&batch);
-        prop_assert_eq!(shared.len(), reference.len());
-        for (i, (a, b)) in shared.iter().zip(&reference).enumerate() {
+        let server = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, workers);
+        let shared = server.query_batch(&batch);
+        prop_assert_eq!(shared.len(), batch.len());
+        for (i, (q, got)) in batch.iter().zip(&shared).enumerate() {
             prop_assert_eq!(
-                rendered(&a.path), rendered(&b.path),
+                rendered(&got.path), rendered(&server.query(q).path),
                 "index {} (seed {})", i, seed
             );
         }
@@ -360,7 +357,7 @@ proptest! {
                 .or_insert(0usize) += 1;
         }
         let expected_groups = per_interval.values().filter(|&&n| n >= 2).count();
-        let server = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 2, BatchStrategy::Shared);
+        let server = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 2);
         let plan = server.plan(&batch, false);
         let (results, stats) = server.query_batch_with_stats(&batch);
         prop_assert_eq!(results.len(), batch.len());
@@ -398,8 +395,8 @@ proptest! {
         let cluster = partition_clustered_points(&graph, seed, 2, 3);
         prop_assert!(!cluster.is_empty());
         let batch = clustered_batch(&cluster, &pts, seed, size);
-        let one = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 1, BatchStrategy::Shared);
-        let four = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 4, BatchStrategy::Shared);
+        let one = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 1);
+        let four = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 4);
         let (_, s1) = one.query_batch_with_stats(&batch);
         let (_, s4) = four.query_batch_with_stats(&batch);
         prop_assert!(
@@ -435,7 +432,7 @@ proptest! {
             (ServeMethod::Asyn, AsynMode::Exact),
             (ServeMethod::Asyn, AsynMode::Faithful),
         ] {
-            let server = sharing_server(&graph, method, mode, workers, BatchStrategy::Shared);
+            let server = sharing_server(&graph, method, mode, workers);
             let shared = server.try_query_batch(&batch);
             prop_assert_eq!(shared.len(), batch.len());
             for (i, (q, got)) in batch.iter().zip(&shared).enumerate() {
@@ -481,7 +478,7 @@ proptest! {
             (ServeMethod::Asyn, AsynMode::Exact),
             (ServeMethod::Asyn, AsynMode::Faithful),
         ] {
-            let server = sharing_server(&graph, method, mode, workers, BatchStrategy::Shared);
+            let server = sharing_server(&graph, method, mode, workers);
             let shared = server.try_query_batch(&batch);
             prop_assert_eq!(shared.len(), batch.len());
             for (i, (q, got)) in batch.iter().zip(&shared).enumerate() {

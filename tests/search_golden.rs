@@ -322,7 +322,6 @@ fn batch_digests(c: &Corpus, out: &mut Vec<(String, u64)>) {
     ];
     for (name, method, mode) in methods {
         let config = ServerConfig {
-            strategy: BatchStrategy::Shared,
             method,
             itspq: ItspqConfig::full_relax().with_asyn_mode(mode),
             ..ServerConfig::default()
@@ -360,7 +359,6 @@ fn exact_answer_digests(c: &Corpus, out: &mut Vec<(String, u64)>) {
     out.push((format!("{}/ITG/A-Exact/answers", c.name), h.0));
 
     let config = ServerConfig {
-        strategy: BatchStrategy::Shared,
         method: ServeMethod::Asyn,
         itspq: ItspqConfig::full_relax().with_asyn_mode(AsynMode::Exact),
         ..ServerConfig::default()
@@ -519,9 +517,9 @@ const PAPER_GOLDEN: &[(&str, u64)] = &[
     ("paper/reachability", 0xccb3a8e4f30b6d65),
     ("paper/batch/ITG/S", 0x8b8e98371cf14e8e),
     ("paper/batch/ITG/S/search_bytes", 0x907f64da1dd43bb9),
-    ("paper/batch/ITG/A-Exact", 0x84f408fda8c4e9d7),
+    ("paper/batch/ITG/A-Exact", 0xe12d4b69a11e360d),
     ("paper/batch/ITG/A-Exact/search_bytes", 0xae5db9cd71293b8e),
-    ("paper/batch/ITG/A-Faithful", 0x6e9c21d86409ba77),
+    ("paper/batch/ITG/A-Faithful", 0x41a83e522e3174c5),
     (
         "paper/batch/ITG/A-Faithful/search_bytes",
         0x71cdac5ec68498b7,
@@ -542,9 +540,9 @@ const MALL_GOLDEN: &[(&str, u64)] = &[
     ("mall/reachability", 0xd40f68c496e96ad3),
     ("mall/batch/ITG/S", 0x134d2fe225cdb8be),
     ("mall/batch/ITG/S/search_bytes", 0x35ccd7d3a3746836),
-    ("mall/batch/ITG/A-Exact", 0x5bc32eeaffea7127),
+    ("mall/batch/ITG/A-Exact", 0xb0a42151f613b5bc),
     ("mall/batch/ITG/A-Exact/search_bytes", 0x14a9ee1a78e21f4d),
-    ("mall/batch/ITG/A-Faithful", 0x6cc7d9a9fa25aeaf),
+    ("mall/batch/ITG/A-Faithful", 0xb51f6ab3f10b7058),
     ("mall/batch/ITG/A-Faithful/search_bytes", 0xbcd05e760eb2d001),
 ];
 
