@@ -4,15 +4,16 @@
 //! Five series per floor count in `{5, 10, 25, 50}`:
 //!
 //! * `band/fast` — the original rectangular-corridor mall (all partitions
-//!   convex, Euclidean distances) through the production pipeline;
+//!   convex, Euclidean distances) through the production pipeline, with the
+//!   built venue's heap bytes (`IndoorSpace::heap_bytes`);
 //! * `comb/wiring` — `mall_builder` alone on the comb venue: the builder's
 //!   inputs (partitions, doors, connections, overrides), no topology and no
 //!   matrix, the part of every build below that is not `VenueBuilder`'s;
 //! * `comb/fast` — comb-shaped service corridors (geodesic distance model,
 //!   real visibility-graph shortest paths in every corridor matrix) through
 //!   the production pipeline: one `GeodesicSolver` per distinct corridor
-//!   footprint answering one-to-many queries, then the parallel matrix
-//!   fan-out;
+//!   footprint answering one-to-many queries, then every matrix into the
+//!   venue's one cell arena; with the built venue's heap bytes;
 //! * `comb/sequential` — the same venue through
 //!   `VenueBuilder::build_sequential`, the pre-overhaul reference path that
 //!   rebuilds the visibility graph for every door pair;
@@ -30,6 +31,9 @@
 //! is more than [`QUICK_COMB_OVER_BAND`] times the 10-floor band fast
 //! build's median of the same run: both venues have the same partitions and
 //! doors, so the ratio names the geodesic layer whatever the host's speed.
+//! It also exits 1 if the 10-floor comb venue holds more than
+//! [`QUICK_BYTES_PER_DOOR`] heap bytes per door: a byte count, the same on
+//! every host and every run, that names the venue's layout.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -52,6 +56,13 @@ const QUICK_BUDGET_SECS: f64 = 15.0;
 /// and ~3.4× on one; with one solve per corridor it read 12–15× on 2 cores.
 const QUICK_COMB_OVER_BAND: f64 = 5.0;
 
+/// The most heap bytes per door the 10-floor comb venue may hold in a
+/// `--quick` run. With its mappings in flat lists and its matrices in one
+/// cell arena it holds 863,562 bytes for 2,240 doors, 385.5 per door; with
+/// one `Vec` per list and per matrix it held 1,431,342, 639 per door (its
+/// `heap_bytes` then guessed 951,944, 425 per door).
+const QUICK_BYTES_PER_DOOR: f64 = 400.0;
+
 /// Timed builds per wiring, fast and landmark point, and per sequential
 /// point.
 const FAST_REPEATS: usize = 5;
@@ -69,7 +80,7 @@ struct SweepPoint {
     /// measured).
     speedup: Option<f64>,
     /// Heap bytes of what the point builds, where it is measured (the
-    /// landmark table).
+    /// fast-built venues and the landmark table).
     bytes: Option<usize>,
 }
 
@@ -81,8 +92,9 @@ fn main() {
     println!("host parallelism: {host_cores}, sweep: {floor_counts:?} floors");
 
     let mut points: Vec<SweepPoint> = Vec::new();
-    // (band, comb) fast-build medians at 10 floors.
-    let mut ten_floors: Option<(f64, f64)> = None;
+    // (band, comb) fast-build medians and the comb venue's bytes per door
+    // at 10 floors.
+    let mut ten_floors: Option<(f64, f64, f64)> = None;
     for &floors in floor_counts {
         let band = MallConfig::paper_default().with_floors(floors);
         let comb = band.with_comb_corridors();
@@ -104,6 +116,7 @@ fn main() {
 
         let stats = comb_space.stats();
         let speedup = comb_seq.p50 / comb_fast.p50;
+        let comb_bytes = comb_space.heap_bytes();
         let comb_space = Arc::new(comb_space);
         let mut landmark_bytes = 0;
         let (_, landmarks) = time_builds(FAST_REPEATS, || {
@@ -114,7 +127,7 @@ fn main() {
             "floors={floors:>3}  partitions={:>5}  doors={:>5}  band/fast={:>8.4}s  \
              comb/wiring={:>8.4}s  comb/fast={:>8.4}s  comb/sequential={:>8.4}s  \
              speedup={speedup:>5.1}x  comb/landmarks={:>8.4}s [{:.4}, {:.4}] \
-             ({landmark_bytes} B)  (medians)",
+             ({landmark_bytes} B)  (medians)  comb venue {comb_bytes} B",
             stats.partitions,
             stats.doors,
             band_fast.p50,
@@ -133,7 +146,7 @@ fn main() {
             doors: band_space.num_doors(),
             seconds: band_fast,
             speedup: None,
-            bytes: None,
+            bytes: Some(band_space.heap_bytes()),
         });
         points.push(SweepPoint {
             venue: "mall-comb",
@@ -153,7 +166,7 @@ fn main() {
             doors: stats.doors,
             seconds: comb_fast,
             speedup: Some(speedup),
-            bytes: None,
+            bytes: Some(comb_bytes),
         });
         points.push(SweepPoint {
             venue: "mall-comb",
@@ -176,7 +189,8 @@ fn main() {
             bytes: Some(landmark_bytes),
         });
         if floors == 10 {
-            ten_floors = Some((band_fast.p50, comb_fast.p50));
+            let per_door = comb_bytes as f64 / stats.doors as f64;
+            ten_floors = Some((band_fast.p50, comb_fast.p50, per_door));
         }
     }
 
@@ -193,7 +207,7 @@ fn main() {
     }
 
     if quick {
-        let (band, witness) = ten_floors.expect("quick sweep includes 10 floors");
+        let (band, witness, per_door) = ten_floors.expect("quick sweep includes 10 floors");
         assert!(
             witness <= QUICK_BUDGET_SECS,
             "construction regression: 10-floor comb fast build took {witness:.2}s \
@@ -211,6 +225,17 @@ fn main() {
         println!(
             "ratio ok: 10-floor comb fast build is {ratio:.2}x the band fast build \
              (at most {QUICK_COMB_OVER_BAND}x)"
+        );
+        if per_door > QUICK_BYTES_PER_DOOR {
+            eprintln!(
+                "venue bytes gate failed: the 10-floor comb venue holds {per_door:.1} heap \
+                 bytes per door (at most {QUICK_BYTES_PER_DOOR})"
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "bytes ok: the 10-floor comb venue holds {per_door:.1} heap bytes per door \
+             (at most {QUICK_BYTES_PER_DOOR})"
         );
     }
 }
@@ -267,7 +292,8 @@ fn json_baseline(points: &[SweepPoint], host_cores: usize) -> String {
         "  \"description\": \"build_mall + VenueBuilder pipeline seconds vs floors; \
          comb = geodesic service corridors, wiring = mall_builder alone on the comb venue, \
          sequential = per-pair reference path, landmarks = the comb venue's landmark table on \
-         the host's cores, with its heap bytes; seconds = median of {FAST_REPEATS} wiring, fast \
+         the host's cores, with its heap bytes; fast points carry the built venue's heap bytes; \
+         seconds = median of {FAST_REPEATS} wiring, fast \
          or landmark builds or {SEQUENTIAL_REPEATS} sequential builds, with min and max; \
          speedup at the medians\","
     );

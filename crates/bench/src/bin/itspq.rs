@@ -51,22 +51,31 @@ fn run() -> Result<(), String> {
         return Err("missing command".into());
     };
     let (positional, flags) = split_args(&args[1..]);
-    // Each command with the flags it takes; any other flag is an error.
-    let (takes, command): (&[&str], Command) = match cmd.as_str() {
-        "help" | "--help" | "-h" => (&[], |_, _| {
+    // Each command with the number of positional arguments it takes (its
+    // venue file, if any) and the flags it takes; any other is an error.
+    let (files, takes, command): (usize, &[&str], Command) = match cmd.as_str() {
+        "help" | "--help" | "-h" => (0, &[], |_, _| {
             println!("{USAGE}");
             Ok(())
         }),
-        "generate" => (&["floors", "t-size", "seed", "out"], |_, flags| {
+        "generate" => (0, &["floors", "t-size", "seed", "out"], |_, flags| {
             generate(flags)
         }),
-        "convert" => (&["out"], convert),
-        "stats" => (&[], |positional, _| stats(positional)),
-        "audit" => (&["origin"], audit_cmd),
-        "query" => (&["from", "to", "at", "method", "k", "wait"], query_cmd),
-        "profile" => (&["from", "to", "window", "step"], profile_cmd),
+        "convert" => (1, &["out"], convert),
+        "stats" => (1, &[], |positional, _| stats(positional)),
+        "audit" => (1, &["origin"], audit_cmd),
+        "query" => (1, &["from", "to", "at", "method", "k", "wait"], query_cmd),
+        "profile" => (1, &["from", "to", "window", "step"], profile_cmd),
         other => return Err(format!("unknown command `{other}`")),
     };
+    if let Some(stray) = positional.get(files) {
+        let what = if files == 0 {
+            "no file"
+        } else {
+            "one venue file"
+        };
+        return Err(format!("`{cmd}` takes {what}, not also `{stray}`"));
+    }
     if let Some(flag) = flags.keys().find(|f| !takes.contains(&f.as_str())) {
         return Err(format!("`{cmd}` takes no flag --{flag}"));
     }
@@ -208,7 +217,7 @@ fn stats(positional: &[String]) -> Result<(), String> {
     let space = load_space(positional)?;
     println!("{}", space.stats());
     println!("checkpoints: {}", space.checkpoints());
-    println!("model bytes (approx): {}", space.heap_bytes());
+    println!("model bytes: {}", space.heap_bytes());
     Ok(())
 }
 

@@ -236,6 +236,37 @@ fn an_out_of_range_flag_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn a_stray_positional_argument_is_an_error() {
+    let dir = Scratch::new("stray-args");
+    let venue = dir.path("venue.json");
+    generate(&venue);
+    let out = dir.path("v.json");
+    let other = dir.path("other.json");
+    let mut query = vec!["query", venue.as_str(), other.as_str()];
+    query.extend(QUERY);
+    let cases = [
+        (
+            vec!["stats", venue.as_str(), "extra-arg"],
+            "`stats` takes one venue file, not also `extra-arg`",
+        ),
+        (
+            vec!["generate", "--floors", "1", "--out", out.as_str(), "stray"],
+            "`generate` takes no file, not also `stray`",
+        ),
+        (query, "`query` takes one venue file, not also `"),
+    ];
+    for (args, why) in cases {
+        let run = itspq(&args);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(why), "{args:?}: {stderr}");
+        assert!(run.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    assert!(!Path::new(&out).exists(), "a refused generate wrote {out}");
+}
+
+#[test]
 fn a_query_that_fails_validation_is_an_error_before_any_engine_runs() {
     let dir = Scratch::new("bad-query");
     let venue = dir.path("venue.json");

@@ -343,7 +343,7 @@ pub(crate) fn run_search<'a, C: TvChecker<'a>>(
 /// The row of door `di` in partition `v`'s distance matrix, read column by
 /// column along an expansion's door list.
 ///
-/// Both lists ascend (`DistanceMatrix::build` sorts every matrix's doors),
+/// Both lists ascend (a matrix's door list is its partition's `P2D` list),
 /// so each door's column is found by walking a cursor forward over the
 /// matrix's door list. An expansion then costs one binary search for the
 /// row and one pass over the door list, where `DistanceMatrix::distance`

@@ -35,6 +35,12 @@ impl Polygon {
         &self.vertices
     }
 
+    /// Heap bytes of the vertex ring, its capacity included.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.vertices.capacity() * std::mem::size_of::<Point>()
+    }
+
     /// Signed area: positive for counter-clockwise rings.
     #[must_use]
     pub fn signed_area(&self) -> f64 {

@@ -1,12 +1,13 @@
 //! Validated construction of indoor spaces.
 //!
-//! [`VenueBuilder::build`] is the production pipeline. Topology is derived
-//! with indexed membership checks. Each distinct non-convex footprint (a
-//! polygon and its doors' positions, bit for bit) is solved once by a
-//! [`GeodesicSolver`] answering one-to-many queries, however many partitions
-//! share it; convex polygons take the Euclidean leg without a solver. The
-//! solves, and then the per-partition matrix builds, fan out over
-//! [`fan_out`] workers, the calling thread among them.
+//! [`VenueBuilder::build`] is the production pipeline. The five
+//! accessibility mappings are filed into flat lists in one counting pass
+//! over the doors. Each distinct non-convex footprint (a polygon and its
+//! doors' positions, bit for bit) is solved once by a [`GeodesicSolver`]
+//! answering one-to-many queries, however many partitions share it; convex
+//! polygons take the Euclidean leg without a solver. The solves fan out over
+//! [`fan_out`] workers, the calling thread among them, and then one pass
+//! writes every distance matrix into the venue's one cell arena.
 //! [`VenueBuilder::build_sequential`] keeps the naive single-threaded
 //! pipeline (one pairwise [`geodesic_distance`] call per door pair, each
 //! rebuilding the polygon's visibility graph) as the reference: both paths
@@ -20,8 +21,8 @@ use indoor_geom::{geodesic_distance, GeodesicSolver, Point, Polygon};
 use indoor_time::{AtiList, CheckpointSet};
 
 use crate::{
-    fan_out, venue::Topology, DistanceMatrix, DoorId, DoorKind, DoorRecord, FloorId, IndoorSpace,
-    PartitionId, PartitionKind, PartitionRecord, SpaceError,
+    fan_out, venue::Topology, DoorId, DoorKind, DoorRecord, FloorId, IndoorSpace, PartitionId,
+    PartitionKind, PartitionRecord, SpaceError,
 };
 
 /// How intra-partition door-to-door distances are derived when no explicit
@@ -58,12 +59,29 @@ pub enum Connection {
 }
 
 impl Connection {
-    /// The partitions the door bounds: one, or two for a door between two.
+    /// The partitions the door bounds, `D2P`: one, or two for a door
+    /// between two.
     pub(crate) fn partitions(self) -> (PartitionId, Option<PartitionId>) {
         match self {
             Connection::TwoWay(a, b) => (a, Some(b)),
             Connection::OneWay { from, to } => (from, Some(to)),
             Connection::Boundary(p) => (p, None),
+        }
+    }
+
+    /// `D2P⊳`: the partitions one can leave through the door.
+    pub(crate) fn leaves(self) -> (PartitionId, Option<PartitionId>) {
+        match self {
+            Connection::TwoWay(a, b) => (a, Some(b)),
+            Connection::OneWay { from, .. } | Connection::Boundary(from) => (from, None),
+        }
+    }
+
+    /// `D2P⊲`: the partitions one can enter through the door.
+    pub(crate) fn enters(self) -> (PartitionId, Option<PartitionId>) {
+        match self {
+            Connection::TwoWay(a, b) => (a, Some(b)),
+            Connection::OneWay { to, .. } | Connection::Boundary(to) => (to, None),
         }
     }
 }
@@ -258,9 +276,9 @@ impl VenueBuilder {
     /// bit for bit (the same corridor on every floor of a mall) share one
     /// solve, and each keeps its own explicit overrides. Convex polygons take
     /// the Euclidean leg, which is what the solver would answer there. The
-    /// solves and then the independent per-partition matrix builds fan out
-    /// over [`fan_out`] workers. The output is identical — value for value —
-    /// to [`VenueBuilder::build_sequential`].
+    /// solves fan out over [`fan_out`] workers; one pass then writes every
+    /// matrix into the venue's cell arena. The output is identical — value
+    /// for value — to [`VenueBuilder::build_sequential`].
     ///
     /// # Errors
     /// Returns the first validation failure (dangling doors, foreign doors in
@@ -271,7 +289,7 @@ impl VenueBuilder {
     }
 
     /// Like [`VenueBuilder::build`] with an explicit worker-thread count for
-    /// the distance-matrix fan-out (mainly for tests and benchmarks; `build`
+    /// the geodesic solves (mainly for tests and benchmarks; `build`
     /// picks the host parallelism). `workers == 1` runs the fast pipeline on
     /// the calling thread alone. The output never depends on the worker
     /// count.
@@ -297,74 +315,29 @@ impl VenueBuilder {
     }
 
     /// Shared assembly: `workers` is `None` for the reference pipeline and
-    /// `Some(n)` for the fast pipeline with an `n`-thread matrix fan-out.
-    fn assemble(self, workers: Option<usize>) -> Result<IndoorSpace, SpaceError> {
+    /// `Some(n)` for the fast pipeline with `n`-thread geodesic solves.
+    fn assemble(mut self, workers: Option<usize>) -> Result<IndoorSpace, SpaceError> {
         if self.partitions.is_empty() {
             return Err(SpaceError::EmptyVenue);
         }
-        let n_doors = self.doors.len();
-        let n_parts = self.partitions.len();
+        let conns = self
+            .connections
+            .iter()
+            .enumerate()
+            .map(|(i, c)| c.ok_or(SpaceError::DanglingDoor(DoorId::from_index(i))))
+            .collect::<Result<Vec<_>, _>>()?;
+        let topology = Topology::derive(self.partitions.len(), &conns);
+        // Freed before the cell arena, which sets the build's heap peak, is
+        // allocated.
+        drop(conns);
 
-        let mut door_leaves: Vec<Vec<PartitionId>> = vec![Vec::new(); n_doors];
-        let mut door_enters: Vec<Vec<PartitionId>> = vec![Vec::new(); n_doors];
-        for (i, conn) in self.connections.iter().enumerate() {
-            let door = DoorId::from_index(i);
-            let conn = conn.ok_or(SpaceError::DanglingDoor(door))?;
-            match conn {
-                Connection::TwoWay(a, b) => {
-                    door_leaves[i] = vec![a, b];
-                    door_enters[i] = vec![a, b];
-                }
-                Connection::OneWay { from, to } => {
-                    door_leaves[i] = vec![from];
-                    door_enters[i] = vec![to];
-                }
-                Connection::Boundary(p) => {
-                    door_leaves[i] = vec![p];
-                    door_enters[i] = vec![p];
-                }
-            }
-        }
-
-        let mut part_doors: Vec<Vec<DoorId>> = vec![Vec::new(); n_parts];
-        let mut part_leaveable: Vec<Vec<DoorId>> = vec![Vec::new(); n_parts];
-        let mut part_enterable: Vec<Vec<DoorId>> = vec![Vec::new(); n_parts];
-        for i in 0..n_doors {
-            let door = DoorId::from_index(i);
-            // A door touches at most two partitions, so the duplicate guard
-            // is a two-element scan, not a membership problem.
-            let mut seen = Vec::new();
-            for &p in door_leaves[i].iter().chain(door_enters[i].iter()) {
-                if !seen.contains(&p) {
-                    seen.push(p);
-                    part_doors[p.index()].push(door);
-                }
-            }
-            for &p in &door_leaves[i] {
-                part_leaveable[p.index()].push(door);
-            }
-            for &p in &door_enters[i] {
-                part_enterable[p.index()].push(door);
-            }
-        }
-        for v in part_doors
-            .iter_mut()
-            .chain(part_leaveable.iter_mut())
-            .chain(part_enterable.iter_mut())
-        {
-            v.sort_unstable();
-            v.dedup();
-        }
-
-        // Validate explicit distances against door membership. `part_doors`
-        // is sorted, so membership is a binary search rather than a linear
-        // scan per override (door-rich partitions made that quadratic).
-        // Overrides are checked in key order, so a venue with several bad
-        // ones reports the same error on every run.
-        let mut overrides: Vec<_> = self.explicit.keys().copied().collect();
-        overrides.sort_unstable();
-        for (partition, a, b) in overrides {
-            let doors = &part_doors[partition.index()];
+        // Validate explicit distances against door membership, in key
+        // order, so a venue with several bad ones reports the same error on
+        // every run. `P2D` lists ascend, so membership is a binary search.
+        let mut overrides: Vec<_> = self.explicit.iter().map(|(&k, &d)| (k, d)).collect();
+        overrides.sort_unstable_by_key(|&(key, _)| key);
+        for &((partition, a, b), _) in &overrides {
+            let doors = topology.part_doors.get(partition.index());
             if doors.binary_search(&a).is_err() {
                 return Err(SpaceError::ForeignDoor { partition, door: a });
             }
@@ -373,69 +346,48 @@ impl VenueBuilder {
             }
         }
 
-        // The per-partition matrices are independent, so the fast pipeline
-        // fans them out. The first error in partition order wins, the one the
-        // sequential pass would hit, so the two pipelines stay
-        // interchangeable.
-        let dms = match workers {
-            Some(w) => self.matrices_fast(&part_doors, w)?,
-            None => self.matrices_sequential(&part_doors)?,
+        let cells = match workers {
+            Some(w) => self.cells_fast(&topology, &overrides, w)?,
+            None => self.cells_sequential(&topology)?,
         };
 
         let checkpoints = CheckpointSet::from_atis(self.doors.iter().map(|d| &d.atis));
-
+        // The records are immutable from here on: give back the slack their
+        // growth left.
+        self.partitions.shrink_to_fit();
+        self.doors.shrink_to_fit();
         Ok(IndoorSpace::from_parts(
             self.partitions,
             self.doors,
-            Topology {
-                door_leaves,
-                door_enters,
-                part_doors,
-                part_leaveable,
-                part_enterable,
-            },
-            dms,
+            topology,
+            cells,
             checkpoints,
         ))
     }
 
-    /// Reference distance-matrix pass: per pair, explicit override, else the
+    /// Reference distance pass: per pair, explicit override, else the
     /// distance model with a from-scratch [`geodesic_distance`] call.
-    fn matrices_sequential(
-        &self,
-        part_doors: &[Vec<DoorId>],
-    ) -> Result<Vec<DistanceMatrix>, SpaceError> {
-        let mut dms = Vec::with_capacity(part_doors.len());
-        for (pi, doors) in part_doors.iter().enumerate() {
-            let partition = PartitionId::from_index(pi);
-            let polygon = self.partitions[pi].polygon.as_ref();
-            let dm = DistanceMatrix::build(doors.clone(), |a, b| {
-                let key = if a <= b {
-                    (partition, a, b)
-                } else {
-                    (partition, b, a)
-                };
-                if let Some(&d) = self.explicit.get(&key) {
-                    return d;
-                }
-                let pa = self.doors[a.index()].position;
-                let pb = self.doors[b.index()].position;
-                if self.distance_model == DistanceModel::Geodesic {
-                    if let Some(poly) = polygon {
-                        if let Some(d) = geodesic_distance(poly, pa, pb) {
-                            return d;
-                        }
+    fn cells_sequential(&self, topology: &Topology) -> Result<(Vec<f64>, Vec<usize>), SpaceError> {
+        fill_cells(topology, |partition, doors, i, j| {
+            let (a, b) = (doors[i], doors[j]);
+            if let Some(&d) = self.explicit.get(&(partition, a, b)) {
+                return d;
+            }
+            let pa = self.doors[a.index()].position;
+            let pb = self.doors[b.index()].position;
+            if self.distance_model == DistanceModel::Geodesic {
+                if let Some(poly) = &self.partitions[partition.index()].polygon {
+                    if let Some(d) = geodesic_distance(poly, pa, pb) {
+                        return d;
                     }
                 }
-                pa.distance(pb)
-            })?;
-            dms.push(dm);
-        }
-        Ok(dms)
+            }
+            pa.distance(pb)
+        })
     }
 
-    /// The fast distance-matrix pass: one geodesic solve per distinct
-    /// footprint, then one matrix per partition.
+    /// The fast distance pass: one geodesic solve per distinct footprint,
+    /// fanned out, then every cell in one pass.
     ///
     /// Only a non-convex polygon with at least two doors needs the solver;
     /// on a convex one [`GeodesicSolver`] answers the Euclidean leg or
@@ -446,18 +398,27 @@ impl VenueBuilder {
     /// for bit: one sort puts them in runs, and each run is solved once. A
     /// mall that repeats one floor plan on every floor solves one floor's
     /// corridors.
-    fn matrices_fast(
+    ///
+    /// Each pair then takes the partition's own explicit override, else
+    /// its footprint's geodesic row entry, else the Euclidean leg (`None`
+    /// entries fall back to it too, mirroring `geodesic_distance`'s
+    /// out-of-polygon contract). The pass asks for the pairs `(v, a, b)`,
+    /// `a < b`, in ascending order, and `overrides` is sorted by that key,
+    /// so one cursor finds each override without a hash lookup.
+    fn cells_fast(
         &self,
-        part_doors: &[Vec<DoorId>],
+        topology: &Topology,
+        overrides: &[((PartitionId, DoorId, DoorId), f64)],
         workers: usize,
-    ) -> Result<Vec<DistanceMatrix>, SpaceError> {
+    ) -> Result<(Vec<f64>, Vec<usize>), SpaceError> {
         let position = |d: &DoorId| self.doors[d.index()].position;
         let mut keyed = Vec::new();
         if self.distance_model == DistanceModel::Geodesic {
-            for (pi, doors) in part_doors.iter().enumerate() {
-                let Some(poly) = &self.partitions[pi].polygon else {
+            for (pi, part) in self.partitions.iter().enumerate() {
+                let Some(poly) = &part.polygon else {
                     continue;
                 };
+                let doors = topology.part_doors.get(pi);
                 if doors.len() < 2 || poly.is_convex() {
                     continue;
                 }
@@ -471,18 +432,21 @@ impl VenueBuilder {
         }
         keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut solves: Vec<(&Polygon, &[DoorId])> = Vec::new();
-        let mut solve_of: Vec<Option<usize>> = vec![None; part_doors.len()];
+        let mut solve_of: Vec<Option<usize>> = vec![None; self.partitions.len()];
         for run in keyed.chunk_by(|a, b| a.0 == b.0) {
             for &(_, pi, _) in run {
                 solve_of[pi] = Some(solves.len());
             }
             let (_, pi, poly) = run[0];
-            solves.push((poly, &part_doors[pi]));
+            solves.push((poly, topology.part_doors.get(pi)));
         }
+        // The footprint keys, some 350 KB at 50 floors, go before the cells.
+        drop(keyed);
 
         // `rows[s][i][j - i - 1]` is the geodesic from door i to door j > i
-        // of solve `s` (the upper triangle the matrix build asks for),
-        // computed one-to-many from one solver per footprint.
+        // of solve `s` (the upper triangle the cells ask for), computed
+        // one-to-many from one solver per footprint. A footprint's rows
+        // walk its doors in the order of every partition of its run.
         let rows = fan_out(solves.len(), workers, |s| {
             let (poly, doors) = solves[s];
             let solver = GeodesicSolver::new(poly);
@@ -491,45 +455,59 @@ impl VenueBuilder {
                 .map(|i| solver.distances_from(positions[i], &positions[i + 1..]))
                 .collect::<Vec<_>>()
         });
-        fan_out(part_doors.len(), workers, |pi| {
-            self.matrix_for(pi, &part_doors[pi], solve_of[pi].map(|s| &rows[s][..]))
+        let mut next = overrides.iter().peekable();
+        fill_cells(topology, |partition, doors, i, j| {
+            let (a, b) = (doors[i], doors[j]);
+            if let Some((_, d)) = next.next_if(|&&(key, _)| key == (partition, a, b)) {
+                return *d;
+            }
+            let geo = solve_of[partition.index()].and_then(|s| rows[s][i][j - i - 1]);
+            geo.unwrap_or_else(|| position(&a).distance(position(&b)))
         })
-        .into_iter()
-        .collect()
     }
+}
 
-    /// One partition's distance matrix in the fast pass: an explicit
-    /// override of the partition's own, else its footprint's geodesic row
-    /// entry, else the Euclidean leg (`None` entries fall back to it too,
-    /// mirroring `geodesic_distance`'s out-of-polygon contract).
-    fn matrix_for(
-        &self,
-        pi: usize,
-        doors: &[DoorId],
-        geo: Option<&[Vec<Option<f64>>]>,
-    ) -> Result<DistanceMatrix, SpaceError> {
-        let partition = PartitionId::from_index(pi);
-        DistanceMatrix::build_indexed(doors.to_vec(), |sorted, i, j| {
-            let (a, b) = (sorted[i], sorted[j]);
-            let key = if a <= b {
-                (partition, a, b)
-            } else {
-                (partition, b, a)
-            };
-            if let Some(&d) = self.explicit.get(&key) {
-                return d;
-            }
-            // `doors` arrives sorted and deduplicated (it is a `part_doors`
-            // entry), and the footprint's rows walk the same positions in
-            // the same order, so row indices line up with `sorted`.
-            if let Some(d) = geo.and_then(|geo| geo[i][j - i - 1]) {
-                return d;
-            }
-            self.doors[a.index()]
-                .position
-                .distance(self.doors[b.index()].position)
-        })
+/// Every partition's distance matrix in one arena, with each matrix's
+/// offset: partition `v`'s `n × n` cells, row-major over `P2D(v)`, start at
+/// `offsets[v]`. The diagonal is 0 and each pair `i < j` of `P2D(v)` takes
+/// `leg(v, P2D(v), i, j)` on both sides, the pairs asked for in ascending
+/// `(v, i, j)` order.
+///
+/// # Errors
+/// [`SpaceError::InvalidDistance`] for the first leg, in that order, that is
+/// negative or not finite.
+fn fill_cells(
+    topology: &Topology,
+    mut leg: impl FnMut(PartitionId, &[DoorId], usize, usize) -> f64,
+) -> Result<(Vec<f64>, Vec<usize>), SpaceError> {
+    let parts = topology.part_doors.len();
+    let mut offsets = Vec::with_capacity(parts + 1);
+    offsets.push(0);
+    for v in 0..parts {
+        let n = topology.part_doors.get(v).len();
+        offsets.push(offsets[v] + n * n);
     }
+    let mut cells = vec![0.0; offsets[parts]];
+    for v in 0..parts {
+        let doors = topology.part_doors.get(v);
+        let n = doors.len();
+        let matrix = &mut cells[offsets[v]..offsets[v + 1]];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d = leg(PartitionId::from_index(v), doors, i, j);
+                if !d.is_finite() || d < 0.0 {
+                    return Err(SpaceError::InvalidDistance {
+                        a: doors[i],
+                        b: doors[j],
+                        value: d,
+                    });
+                }
+                matrix[i * n + j] = d;
+                matrix[j * n + i] = d;
+            }
+        }
+    }
+    Ok((cells, offsets))
 }
 
 #[cfg(test)]
@@ -619,6 +597,30 @@ mod tests {
         ));
         assert!(b.set_distance(p, d, e, f64::NAN).is_err());
         assert!(b.set_distance(p, d, e, f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn a_leg_past_f64_is_rejected_by_both_pipelines() {
+        let (mut b, p0, p1, d) = two_room_builder();
+        let far = |x: f64| Point::new(x, 0.0);
+        let e = b.add_door(
+            "west",
+            DoorKind::Public,
+            AtiList::always_open(),
+            far(-1e308),
+        );
+        let f = b.add_door("east", DoorKind::Public, AtiList::always_open(), far(1e308));
+        b.connect(d, Connection::TwoWay(p0, p1)).unwrap();
+        b.connect(e, Connection::Boundary(p1)).unwrap();
+        b.connect(f, Connection::Boundary(p1)).unwrap();
+        // `d` to `e` is 1e308 m, `e` to `f` overflows to infinity.
+        let infinite = SpaceError::InvalidDistance {
+            a: e,
+            b: f,
+            value: f64::INFINITY,
+        };
+        assert_eq!(b.clone().build().unwrap_err(), infinite);
+        assert_eq!(b.build_sequential().unwrap_err(), infinite);
     }
 
     #[test]

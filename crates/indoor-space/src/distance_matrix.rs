@@ -1,80 +1,41 @@
 //! Intra-partition door-to-door distance matrices.
 
-use crate::{DoorId, SpaceError};
+use crate::DoorId;
 
 /// The `DM` vertex label of the IT-Graph: for one partition, the walking
 /// distance between every pair of its doors.
 ///
-/// Distances are symmetric with a zero diagonal. The paper stores `null` for
-/// single-door partitions; here a 1×1 zero matrix plays that role.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistanceMatrix {
+/// A view into the venue: its doors are the partition's `P2D` list and its
+/// cells a slice of the venue's one cell arena
+/// ([`crate::IndoorSpace::distance_matrix`]). Distances are symmetric with a
+/// zero diagonal. The paper stores `null` for single-door partitions; here a
+/// 1×1 zero matrix plays that role.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DistanceMatrix<'a> {
     /// The partition's doors in ascending id order.
-    doors: Vec<DoorId>,
+    doors: &'a [DoorId],
     /// Row-major `n × n` distances in metres.
-    dist: Vec<f64>,
+    dist: &'a [f64],
 }
 
-impl DistanceMatrix {
-    /// Builds a matrix for `doors` (sorted and deduplicated internally) using
-    /// the provided distance function.
-    ///
-    /// # Errors
-    /// Returns [`SpaceError::InvalidDistance`] if the function produces a
-    /// negative or non-finite distance.
-    pub fn build(
-        doors: Vec<DoorId>,
-        mut d: impl FnMut(DoorId, DoorId) -> f64,
-    ) -> Result<Self, SpaceError> {
-        Self::build_indexed(doors, |doors, i, j| d(doors[i], doors[j]))
-    }
-
-    /// Like [`DistanceMatrix::build`], but the distance function receives the
-    /// sorted door slice plus the *positions* of the pair within it. Callers
-    /// that precompute distances row-by-row (the builder's one-to-many
-    /// geodesic path) index straight into their tables instead of re-deriving
-    /// positions from door ids on every pair.
-    ///
-    /// # Errors
-    /// Returns [`SpaceError::InvalidDistance`] if the function produces a
-    /// negative or non-finite distance.
-    pub fn build_indexed(
-        mut doors: Vec<DoorId>,
-        mut d: impl FnMut(&[DoorId], usize, usize) -> f64,
-    ) -> Result<Self, SpaceError> {
-        doors.sort_unstable();
-        doors.dedup();
-        // Dedup can leave excess capacity behind; the matrix is immutable from
-        // here on, so drop it — `heap_bytes` must reflect what is kept alive,
-        // not what construction briefly used.
-        doors.shrink_to_fit();
-        let n = doors.len();
-        let mut dist = vec![0.0; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let v = d(&doors, i, j);
-                if !v.is_finite() || v < 0.0 {
-                    return Err(SpaceError::InvalidDistance {
-                        a: doors[i],
-                        b: doors[j],
-                        value: v,
-                    });
-                }
-                dist[i * n + j] = v;
-                dist[j * n + i] = v;
-            }
-        }
-        Ok(DistanceMatrix { doors, dist })
+impl<'a> DistanceMatrix<'a> {
+    /// The matrix over `doors` (ascending) whose row-major cells are `dist`.
+    #[inline]
+    pub(crate) fn new(doors: &'a [DoorId], dist: &'a [f64]) -> Self {
+        debug_assert_eq!(dist.len(), doors.len() * doors.len());
+        DistanceMatrix { doors, dist }
     }
 
     /// The doors covered by this matrix, in ascending id order.
     #[must_use]
-    pub fn doors(&self) -> &[DoorId] {
-        &self.doors
+    #[inline]
+    pub fn doors(&self) -> &'a [DoorId] {
+        self.doors
     }
 
     /// Number of doors.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.doors.len()
     }
@@ -87,6 +48,7 @@ impl DistanceMatrix {
 
     /// The index of `door` within the matrix, if present.
     #[must_use]
+    #[inline]
     pub fn position(&self, door: DoorId) -> Option<usize> {
         self.doors.binary_search(&door).ok()
     }
@@ -94,16 +56,18 @@ impl DistanceMatrix {
     /// The walking distance between two doors of the partition, or `None` if
     /// either door does not belong to it.
     #[must_use]
+    #[inline]
     pub fn distance(&self, a: DoorId, b: DoorId) -> Option<f64> {
         let (i, j) = (self.position(a)?, self.position(b)?);
-        Some(self.dist[i * self.doors.len() + j])
+        self.dist.get(i * self.doors.len() + j).copied()
     }
 
     /// The distances from door `from` to every door of the partition, in
     /// the order of [`DistanceMatrix::doors`], or `None` if `from` does not
     /// belong to it: `row(a)?[j]` is `distance(a, doors()[j])`.
     #[must_use]
-    pub fn row(&self, from: DoorId) -> Option<&[f64]> {
+    #[inline]
+    pub fn row(&self, from: DoorId) -> Option<&'a [f64]> {
         let n = self.doors.len();
         let i = self.position(from)?;
         self.dist.get(i * n..(i + 1) * n)
@@ -114,18 +78,6 @@ impl DistanceMatrix {
     #[must_use]
     pub fn max_distance(&self) -> f64 {
         self.dist.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Heap bytes used by this matrix (for the paper's memory-cost metric).
-    ///
-    /// Counts live elements (`len`), not allocation capacity: the metric must
-    /// not be inflated by whatever growth slack the construction path left
-    /// behind. (`build` also shrinks its vectors, so the two views coincide
-    /// for matrices it produced.)
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.doors.len() * std::mem::size_of::<DoorId>()
-            + self.dist.len() * std::mem::size_of::<f64>()
     }
 
     /// Verifies the triangle inequality within the matrix up to `tol` metres;
@@ -161,17 +113,12 @@ impl DistanceMatrix {
 mod tests {
     use super::*;
 
-    fn sample() -> DistanceMatrix {
-        // Paper's v16: (d3,d17)=2, (d3,d21)=4, (d17,d21)=5.
-        DistanceMatrix::build(vec![DoorId(3), DoorId(17), DoorId(21)], |a, b| {
-            match (a.0, b.0) {
-                (3, 17) | (17, 3) => 2.0,
-                (3, 21) | (21, 3) => 4.0,
-                (17, 21) | (21, 17) => 5.0,
-                _ => 0.0,
-            }
-        })
-        .unwrap()
+    /// The paper's v16: (d3,d17)=2, (d3,d21)=4, (d17,d21)=5.
+    const DOORS: [DoorId; 3] = [DoorId(3), DoorId(17), DoorId(21)];
+    const CELLS: [f64; 9] = [0.0, 2.0, 4.0, 2.0, 0.0, 5.0, 4.0, 5.0, 0.0];
+
+    fn sample() -> DistanceMatrix<'static> {
+        DistanceMatrix::new(&DOORS, &CELLS)
     }
 
     #[test]
@@ -184,6 +131,7 @@ mod tests {
         assert_eq!(dm.distance(DoorId(17), DoorId(21)), Some(5.0));
         assert_eq!(dm.distance(DoorId(3), DoorId(3)), Some(0.0));
         assert_eq!(dm.distance(DoorId(3), DoorId(99)), None);
+        assert_eq!(dm.position(DoorId(17)), Some(1));
     }
 
     #[test]
@@ -200,23 +148,8 @@ mod tests {
     }
 
     #[test]
-    fn build_sorts_and_dedups() {
-        let dm = DistanceMatrix::build(vec![DoorId(5), DoorId(1), DoorId(5)], |_, _| 1.0).unwrap();
-        assert_eq!(dm.doors(), &[DoorId(1), DoorId(5)]);
-        assert_eq!(dm.len(), 2);
-    }
-
-    #[test]
-    fn rejects_invalid_distances() {
-        let err = DistanceMatrix::build(vec![DoorId(0), DoorId(1)], |_, _| -1.0);
-        assert!(matches!(err, Err(SpaceError::InvalidDistance { .. })));
-        let err = DistanceMatrix::build(vec![DoorId(0), DoorId(1)], |_, _| f64::NAN);
-        assert!(err.is_err());
-    }
-
-    #[test]
     fn single_door_matrix_is_trivial() {
-        let dm = DistanceMatrix::build(vec![DoorId(7)], |_, _| unreachable!()).unwrap();
+        let dm = DistanceMatrix::new(&[DoorId(7)], &[0.0]);
         assert_eq!(dm.distance(DoorId(7), DoorId(7)), Some(0.0));
         assert!(!dm.is_empty());
         assert_eq!(dm.max_distance(), 0.0);
@@ -225,72 +158,28 @@ mod tests {
     #[test]
     fn max_distance_is_the_longest_entry() {
         assert_eq!(sample().max_distance(), 5.0);
-        let empty = DistanceMatrix::build(Vec::new(), |_, _| unreachable!()).unwrap();
+        let empty = DistanceMatrix::new(&[], &[]);
+        assert!(empty.is_empty());
         assert_eq!(empty.max_distance(), 0.0);
+        assert_eq!(empty.row(DoorId(0)), None);
     }
 
     #[test]
     fn triangle_check() {
         // The sample (2, 4, 5) satisfies the triangle inequality: 5 <= 2+4.
         assert_eq!(sample().triangle_violation(1e-9), None);
-        // 10 > 1 + 1 violates it.
-        let bad = DistanceMatrix::build(vec![DoorId(0), DoorId(1), DoorId(2)], |a, b| {
-            if (a.0, b.0) == (0, 2) || (a.0, b.0) == (2, 0) {
-                10.0
-            } else {
-                1.0
-            }
-        })
-        .unwrap();
-        assert!(bad.triangle_violation(1e-9).is_some());
-    }
-
-    #[test]
-    fn heap_bytes_positive() {
-        assert!(sample().heap_bytes() >= 3 * 3 * 8);
-    }
-
-    #[test]
-    fn heap_bytes_reports_live_elements_not_capacity() {
-        // A doors vec with huge growth slack: the metric must not see it.
-        let mut doors = Vec::with_capacity(1024);
-        doors.extend([DoorId(0), DoorId(1)]);
-        let dm = DistanceMatrix::build(doors, |_, _| 1.0).unwrap();
-        let expected = 2 * std::mem::size_of::<DoorId>() + 2 * 2 * std::mem::size_of::<f64>();
-        assert_eq!(dm.heap_bytes(), expected);
-        // Dedup shrinks too: 3 entries collapse to 2, capacity slack dropped.
-        let dm = DistanceMatrix::build(vec![DoorId(5), DoorId(1), DoorId(5)], |_, _| 1.0).unwrap();
-        assert_eq!(dm.heap_bytes(), expected);
-    }
-
-    #[test]
-    fn triangle_check_skips_degenerate_triples() {
-        // A matrix whose only "violations" would come from degenerate triples
+        // A pair whose only "violations" would come from degenerate triples
         // under a negative tolerance reading: all real triples are fine.
-        let dm = DistanceMatrix::build(vec![DoorId(0), DoorId(1)], |_, _| 3.0).unwrap();
-        assert_eq!(dm.triangle_violation(0.0), None);
-        // Violations are still found, and the witness names the short-cut
-        // pair (i, j) plus the intermediate k that exposes it.
-        let bad = DistanceMatrix::build(vec![DoorId(0), DoorId(1), DoorId(2)], |a, b| {
-            if (a.0, b.0) == (0, 2) || (a.0, b.0) == (2, 0) {
-                10.0
-            } else {
-                1.0
-            }
-        })
-        .unwrap();
-        let (i, j, k) = bad.triangle_violation(1e-9).unwrap();
-        assert_eq!((i, j, k), (DoorId(0), DoorId(2), DoorId(1)));
-    }
-
-    #[test]
-    fn build_indexed_matches_build() {
-        let by_id = sample();
-        let by_index = DistanceMatrix::build_indexed(
-            vec![DoorId(21), DoorId(3), DoorId(17)],
-            |doors, i, j| by_id.distance(doors[i], doors[j]).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(by_id, by_index);
+        let pair = DistanceMatrix::new(&[DoorId(0), DoorId(1)], &[0.0, 3.0, 3.0, 0.0]);
+        assert_eq!(pair.triangle_violation(0.0), None);
+        // 10 > 1 + 1 violates it, and the witness names the short-cut pair
+        // (i, j) plus the intermediate k that exposes it.
+        let doors = [DoorId(0), DoorId(1), DoorId(2)];
+        let cells = [0.0, 1.0, 10.0, 1.0, 0.0, 1.0, 10.0, 1.0, 0.0];
+        let bad = DistanceMatrix::new(&doors, &cells);
+        assert_eq!(
+            bad.triangle_violation(1e-9),
+            Some((DoorId(0), DoorId(2), DoorId(1)))
+        );
     }
 }

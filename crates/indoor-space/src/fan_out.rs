@@ -1,7 +1,7 @@
 //! The workspace's one work loop for independent tasks.
 //!
-//! A venue build fans its per-partition distance matrices out, the landmark
-//! table its landmark Dijkstras, and `VenueServer` each batch's work items.
+//! A venue build fans its geodesic footprint solves out, the landmark table
+//! its landmark Dijkstras, and `VenueServer` each batch's work items.
 //! All of them call [`fan_out`]: scoped workers pull task indices off one
 //! atomic counter (dynamic load balancing, so one slow task does not hold up
 //! a fixed share of the rest), with the calling thread as worker 0.

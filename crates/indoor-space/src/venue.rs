@@ -9,19 +9,129 @@ use crate::{
     PartitionKind, PartitionRecord, SpaceError, SpaceStats, VenueBuilder,
 };
 
-/// Derived connectivity of a venue (the paper's accessibility mappings).
+/// Lists laid end to end in one array, the layout of a `ReducedGraph` view:
+/// list `i` is `items[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct FlatLists<T> {
+    items: Vec<T>,
+    offsets: Vec<u32>,
+}
+
+impl<T: Copy> FlatLists<T> {
+    /// The lists `0..lists`, list `i` holding the items of the `(i, item)`
+    /// pairs that `pairs()` yields, in the order it yields them: one pass
+    /// counts each list's length, a second files each item. `pairs` must
+    /// yield the same pairs both times.
+    pub(crate) fn gather<I>(lists: usize, pairs: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (usize, T)>,
+    {
+        // A door is listed at most twice per mapping, so a count past
+        // `u32::MAX` takes over 2^31 doors, some 150 GB of door records.
+        let mut offsets = vec![0_u32; lists + 1];
+        for (i, _) in pairs() {
+            offsets[i + 1] += 1;
+        }
+        for i in 0..lists {
+            offsets[i + 1] += offsets[i];
+        }
+        let Some((_, first)) = pairs().next() else {
+            return FlatLists {
+                items: Vec::new(),
+                offsets,
+            };
+        };
+        let mut items = vec![first; offsets[lists] as usize];
+        // `offsets[i]` walks list `i` from its start to its end, which is
+        // where list `i + 1` starts; one shift puts the starts back.
+        for (i, item) in pairs() {
+            items[offsets[i] as usize] = item;
+            offsets[i] += 1;
+        }
+        offsets.copy_within(0..lists, 1);
+        offsets[0] = 0;
+        FlatLists { items, offsets }
+    }
+
+    /// The number of lists.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// List `i`. Inlined, as are the venue accessors that read it: the
+    /// sweeps in other crates call them per expansion, and as calls across
+    /// crates they cost more than the pointer chases the flat layout saves.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> &[T] {
+        &self.items[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Heap bytes of the items and the offsets.
+    fn heap_bytes(&self) -> usize {
+        self.items.capacity() * std::mem::size_of::<T>()
+            + self.offsets.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Derived connectivity of a venue (the paper's accessibility mappings),
+/// each mapping one [`FlatLists`]. A door's `D2P` lists keep its
+/// [`Connection`]'s order; a partition's `P2D` lists ascend.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Topology {
     /// `D2P⊳(d)` — partitions one can leave through door `d`.
-    pub door_leaves: Vec<Vec<PartitionId>>,
+    pub door_leaves: FlatLists<PartitionId>,
     /// `D2P⊲(d)` — partitions one can enter through door `d`.
-    pub door_enters: Vec<Vec<PartitionId>>,
-    /// `P2D(v)` — all doors of partition `v`.
-    pub part_doors: Vec<Vec<DoorId>>,
+    pub door_enters: FlatLists<PartitionId>,
+    /// `P2D(v)` — all doors of partition `v`, and the door list of its
+    /// distance matrix.
+    pub part_doors: FlatLists<DoorId>,
     /// `P2D⊳(v)` — doors through which one can leave `v`.
-    pub part_leaveable: Vec<Vec<DoorId>>,
+    pub part_leaveable: FlatLists<DoorId>,
     /// `P2D⊲(v)` — doors through which one can enter `v`.
-    pub part_enterable: Vec<Vec<DoorId>>,
+    pub part_enterable: FlatLists<DoorId>,
+}
+
+impl Topology {
+    /// The five mappings of `parts` partitions joined by doors whose
+    /// connections, in door order, are `conns`. Doors are visited in
+    /// ascending id order and a connection names a partition at most once
+    /// per mapping (`VenueBuilder::connect` refuses self-loops), so each
+    /// `P2D` list comes out ascending and without repeats.
+    pub(crate) fn derive(parts: usize, conns: &[Connection]) -> Self {
+        let doors = conns.len();
+        let by_door = |sides: fn(Connection) -> (PartitionId, Option<PartitionId>)| {
+            move || {
+                conns.iter().enumerate().flat_map(move |(d, &c)| {
+                    let (a, b) = sides(c);
+                    std::iter::once(a).chain(b).map(move |p| (d, p))
+                })
+            }
+        };
+        let by_part = |sides: fn(Connection) -> (PartitionId, Option<PartitionId>)| {
+            move || {
+                conns.iter().enumerate().flat_map(move |(d, &c)| {
+                    let (a, b) = sides(c);
+                    let door = DoorId::from_index(d);
+                    std::iter::once(a).chain(b).map(move |p| (p.index(), door))
+                })
+            }
+        };
+        Topology {
+            door_leaves: FlatLists::gather(doors, by_door(Connection::leaves)),
+            door_enters: FlatLists::gather(doors, by_door(Connection::enters)),
+            part_doors: FlatLists::gather(parts, by_part(Connection::partitions)),
+            part_leaveable: FlatLists::gather(parts, by_part(Connection::leaves)),
+            part_enterable: FlatLists::gather(parts, by_part(Connection::enters)),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.door_leaves.heap_bytes()
+            + self.door_enters.heap_bytes()
+            + self.part_doors.heap_bytes()
+            + self.part_leaveable.heap_bytes()
+            + self.part_enterable.heap_bytes()
+    }
 }
 
 /// A validated indoor venue: partitions, doors, directional topology,
@@ -52,7 +162,13 @@ pub struct IndoorSpace {
     partitions: Vec<PartitionRecord>,
     doors: Vec<DoorRecord>,
     topology: Topology,
-    dms: Vec<DistanceMatrix>,
+    /// Every partition's distance matrix, row-major over its `P2D` list,
+    /// laid end to end in partition order.
+    cells: Vec<f64>,
+    /// Partition `v`'s matrix is `cells[cell_offsets[v]..cell_offsets[v + 1]]`.
+    /// `usize`, where the lists take `u32`: a partition's `n²` cells can
+    /// pass `u32::MAX` long before its `n` doors do.
+    cell_offsets: Vec<usize>,
     checkpoints: CheckpointSet,
 }
 
@@ -61,14 +177,15 @@ impl IndoorSpace {
         partitions: Vec<PartitionRecord>,
         doors: Vec<DoorRecord>,
         topology: Topology,
-        dms: Vec<DistanceMatrix>,
+        (cells, cell_offsets): (Vec<f64>, Vec<usize>),
         checkpoints: CheckpointSet,
     ) -> Self {
         IndoorSpace {
             partitions,
             doors,
             topology,
-            dms,
+            cells,
+            cell_offsets,
             checkpoints,
         }
     }
@@ -112,27 +229,30 @@ impl IndoorSpace {
 
     /// `P2D(v)`: all doors of partition `v`.
     #[must_use]
+    #[inline]
     pub fn p2d(&self, v: PartitionId) -> &[DoorId] {
-        &self.topology.part_doors[v.index()]
+        self.topology.part_doors.get(v.index())
     }
 
     /// `P2D⊳(v)`: doors through which one can leave `v`.
     #[must_use]
+    #[inline]
     pub fn p2d_leaveable(&self, v: PartitionId) -> &[DoorId] {
-        &self.topology.part_leaveable[v.index()]
+        self.topology.part_leaveable.get(v.index())
     }
 
     /// `P2D⊲(v)`: doors through which one can enter `v`.
     #[must_use]
+    #[inline]
     pub fn p2d_enterable(&self, v: PartitionId) -> &[DoorId] {
-        &self.topology.part_enterable[v.index()]
+        self.topology.part_enterable.get(v.index())
     }
 
     /// `D2P(d)`: the partitions connected by door `d` (one or two).
     #[must_use]
     pub fn d2p(&self, d: DoorId) -> Vec<PartitionId> {
-        let mut out = self.topology.door_leaves[d.index()].clone();
-        for &p in &self.topology.door_enters[d.index()] {
+        let mut out = self.d2p_leaveable(d).to_vec();
+        for &p in self.d2p_enterable(d) {
             if !out.contains(&p) {
                 out.push(p);
             }
@@ -143,14 +263,16 @@ impl IndoorSpace {
 
     /// `D2P⊳(d)`: partitions one can leave through door `d`.
     #[must_use]
+    #[inline]
     pub fn d2p_leaveable(&self, d: DoorId) -> &[PartitionId] {
-        &self.topology.door_leaves[d.index()]
+        self.topology.door_leaves.get(d.index())
     }
 
     /// `D2P⊲(d)`: partitions one can enter through door `d`.
     #[must_use]
+    #[inline]
     pub fn d2p_enterable(&self, d: DoorId) -> &[PartitionId] {
-        &self.topology.door_enters[d.index()]
+        self.topology.door_enters.get(d.index())
     }
 
     /// The [`Connection`] door `d` was built with, read back from its
@@ -173,7 +295,8 @@ impl IndoorSpace {
     /// [`crate::DistanceModel::Euclidean`].
     pub(crate) fn explicit_distances(&self) -> Vec<(PartitionId, DoorId, DoorId, f64)> {
         let mut out = Vec::new();
-        for (v, dm) in self.dms.iter().enumerate() {
+        for v in (0..self.partitions.len()).map(PartitionId::from_index) {
+            let dm = self.distance_matrix(v);
             let doors = dm.doors();
             for (i, &a) in doors.iter().enumerate() {
                 let Some(row) = dm.row(a) else { continue };
@@ -181,7 +304,7 @@ impl IndoorSpace {
                 for (&b, &metres) in doors.iter().zip(row).skip(i + 1) {
                     let euclid = at.distance(self.doors[b.index()].position);
                     if metres.to_bits() != euclid.to_bits() {
-                        out.push((PartitionId::from_index(v), a, b, metres));
+                        out.push((v, a, b, metres));
                     }
                 }
             }
@@ -189,23 +312,28 @@ impl IndoorSpace {
         out
     }
 
-    /// The distance matrix of partition `v`.
+    /// The distance matrix of partition `v`: a view of its doors, `P2D(v)`,
+    /// and of its cells in the venue's arena.
     #[must_use]
-    pub fn distance_matrix(&self, v: PartitionId) -> &DistanceMatrix {
-        &self.dms[v.index()]
+    #[inline]
+    pub fn distance_matrix(&self, v: PartitionId) -> DistanceMatrix<'_> {
+        let cells = &self.cells[self.cell_offsets[v.index()]..self.cell_offsets[v.index() + 1]];
+        DistanceMatrix::new(self.p2d(v), cells)
     }
 
     /// `DM(v, a, b)`: intra-partition walking distance between doors `a` and
     /// `b` of `v`, or `None` if either door is not on `v`.
     #[must_use]
+    #[inline]
     pub fn door_to_door(&self, v: PartitionId, a: DoorId, b: DoorId) -> Option<f64> {
-        self.dms[v.index()].distance(a, b)
+        self.distance_matrix(v).distance(a, b)
     }
 
     /// Walking distance from an indoor point to a door of its partition
     /// (`|p, d|_E` in the paper), or `None` if the door is not on the
     /// partition.
     #[must_use]
+    #[inline]
     pub fn point_to_door(&self, p: &IndoorPoint, d: DoorId) -> Option<f64> {
         if !self.p2d(p.partition).contains(&d) {
             return None;
@@ -244,33 +372,30 @@ impl IndoorSpace {
         SpaceStats::compute(self)
     }
 
-    /// Approximate heap footprint of the venue model in bytes (used by the
-    /// memory-cost experiments).
+    /// Heap bytes the venue holds: the capacity of every buffer it owns
+    /// (records, names, polygons, ATIs, the five mappings and the cell
+    /// arena with their offsets, and the checkpoint set), what the
+    /// allocator sees held for it. Used by the memory-cost experiments.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        let mut total = 0;
-        total += self.partitions.capacity() * std::mem::size_of::<PartitionRecord>();
-        total += self.doors.capacity() * std::mem::size_of::<DoorRecord>();
-        for dm in &self.dms {
-            total += dm.heap_bytes();
-        }
-        let vec_bytes_d = |v: &Vec<Vec<DoorId>>| -> usize {
-            v.iter()
-                .map(|x| x.capacity() * std::mem::size_of::<DoorId>() + 24)
-                .sum()
-        };
-        let vec_bytes_p = |v: &Vec<Vec<PartitionId>>| -> usize {
-            v.iter()
-                .map(|x| x.capacity() * std::mem::size_of::<PartitionId>() + 24)
-                .sum()
-        };
-        total += vec_bytes_p(&self.topology.door_leaves);
-        total += vec_bytes_p(&self.topology.door_enters);
-        total += vec_bytes_d(&self.topology.part_doors);
-        total += vec_bytes_d(&self.topology.part_leaveable);
-        total += vec_bytes_d(&self.topology.part_enterable);
-        total += self.checkpoints.len() * std::mem::size_of::<indoor_time::TimeOfDay>();
-        total
+        let partitions: usize = self
+            .partitions
+            .iter()
+            .map(|p| p.name.capacity() + p.polygon.as_ref().map_or(0, Polygon::heap_bytes))
+            .sum();
+        let doors: usize = self
+            .doors
+            .iter()
+            .map(|d| d.name.capacity() + d.atis.heap_bytes())
+            .sum();
+        self.partitions.capacity() * std::mem::size_of::<PartitionRecord>()
+            + partitions
+            + self.doors.capacity() * std::mem::size_of::<DoorRecord>()
+            + doors
+            + self.topology.heap_bytes()
+            + self.cells.capacity() * std::mem::size_of::<f64>()
+            + self.cell_offsets.capacity() * std::mem::size_of::<usize>()
+            + self.checkpoints.heap_bytes()
     }
 }
 

@@ -40,6 +40,22 @@ fn arb_conn(n_parts: usize) -> impl Strategy<Value = ConnSpec> {
         })
 }
 
+/// The `D2P⊳` and `D2P⊲` lists of a spec's door, read straight from the
+/// spec in the order [`build`] connects its sides.
+fn sides(spec: &ConnSpec) -> (Vec<PartitionId>, Vec<PartitionId>) {
+    let (a, b) = (
+        PartitionId::from_index(spec.a),
+        PartitionId::from_index(spec.b),
+    );
+    if spec.boundary || spec.a == spec.b {
+        (vec![a], vec![a])
+    } else if spec.one_way {
+        (vec![a], vec![b])
+    } else {
+        (vec![a, b], vec![a, b])
+    }
+}
+
 fn build(n_parts: usize, specs: &[ConnSpec]) -> IndoorSpace {
     let mut b = VenueBuilder::new();
     let parts: Vec<PartitionId> = (0..n_parts)
@@ -88,7 +104,10 @@ fn build(n_parts: usize, specs: &[ConnSpec]) -> IndoorSpace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// P2D⊳ / D2P⊳ and P2D⊲ / D2P⊲ are dual relations, and P2D is their union.
+    /// P2D⊳ / D2P⊳ and P2D⊲ / D2P⊲ are dual relations, and P2D is their
+    /// union. Each of the five lists, and `d2p`, is exactly the list read
+    /// straight from the specs: the `P2D` lists and `d2p` ascend, and a
+    /// door's `D2P⊳` and `D2P⊲` keep its connection's order.
     #[test]
     fn mappings_are_dual(n_parts in 2usize..8,
                          specs in prop::collection::vec(arb_conn(8), 1..16)) {
@@ -122,17 +141,56 @@ proptest! {
             prop_assert!((1..=2).contains(&pair.len()),
                 "a door connects one or two partitions, got {}", pair.len());
         }
+
+        let sides: Vec<_> = specs.iter().map(sides).collect();
+        for (i, (leaves, enters)) in sides.iter().enumerate() {
+            let d = DoorId::from_index(i);
+            prop_assert_eq!(space.d2p_leaveable(d), leaves.as_slice(), "D2P⊳({})", d);
+            prop_assert_eq!(space.d2p_enterable(d), enters.as_slice(), "D2P⊲({})", d);
+            let mut both = leaves.clone();
+            both.extend(enters);
+            both.sort_unstable();
+            both.dedup();
+            prop_assert_eq!(space.d2p(d), both, "D2P({})", d);
+        }
+        for p in space.partitions() {
+            // The doors, ascending, whose sides `holds`.
+            let doors = |holds: &dyn Fn(&[PartitionId], &[PartitionId]) -> bool| {
+                (0..sides.len())
+                    .filter(|&i| holds(&sides[i].0, &sides[i].1))
+                    .map(DoorId::from_index)
+                    .collect::<Vec<_>>()
+            };
+            let v = p.id;
+            prop_assert_eq!(space.p2d_leaveable(v), doors(&|l, _| l.contains(&v)), "P2D⊳({})", v);
+            prop_assert_eq!(space.p2d_enterable(v), doors(&|_, e| e.contains(&v)), "P2D⊲({})", v);
+            prop_assert_eq!(
+                space.p2d(v),
+                doors(&|l, e| l.contains(&v) || e.contains(&v)),
+                "P2D({})",
+                v
+            );
+        }
     }
 
     /// Distance matrices are symmetric with zero diagonals and cover exactly
-    /// the partition's doors.
+    /// the partition's doors. One partition more than the specs name has
+    /// no door, and its matrix is empty.
     #[test]
     fn distance_matrices_are_consistent(n_parts in 2usize..8,
                                         specs in prop::collection::vec(arb_conn(8), 1..16)) {
         let specs: Vec<_> = specs.into_iter()
             .map(|mut s| { s.a %= n_parts; s.b %= n_parts; s })
             .collect();
-        let space = build(n_parts, &specs);
+        let space = build(n_parts + 1, &specs);
+        let bare = space.distance_matrix(PartitionId::from_index(n_parts));
+        prop_assert!(bare.is_empty() && bare.doors().is_empty());
+        prop_assert_eq!(bare.max_distance(), 0.0);
+        for i in 0..space.num_doors() {
+            let d = DoorId::from_index(i);
+            prop_assert_eq!(bare.row(d), None);
+            prop_assert_eq!(bare.distance(d, d), None);
+        }
         for p in space.partitions() {
             let dm = space.distance_matrix(p.id);
             prop_assert_eq!(dm.doors(), space.p2d(p.id));

@@ -41,6 +41,12 @@ impl AtiList {
         }
     }
 
+    /// Heap bytes of the interval list, its capacity included.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.intervals.capacity() * std::mem::size_of::<Interval>()
+    }
+
     /// Builds a normalised ATI list from arbitrary intervals: the input is
     /// sorted and overlapping or adjacent intervals are merged.
     ///

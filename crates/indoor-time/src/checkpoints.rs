@@ -30,6 +30,9 @@ impl CheckpointSet {
         times.push(TimeOfDay::MIDNIGHT);
         times.sort();
         times.dedup();
+        // `from_atis` gathers every boundary of every door; a few distinct
+        // instants remain, so the rest of the buffer goes back.
+        times.shrink_to_fit();
         CheckpointSet { times }
     }
 
@@ -53,6 +56,12 @@ impl CheckpointSet {
     #[must_use]
     pub fn len(&self) -> usize {
         self.times.len()
+    }
+
+    /// Heap bytes of the checkpoint list, its capacity included.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.times.capacity() * std::mem::size_of::<TimeOfDay>()
     }
 
     /// A checkpoint set never is empty (midnight is implicit), so this always
